@@ -35,6 +35,7 @@ from .model import (
     validate_config,
 )
 from .protocols import hash_buckets, pure_params, support, the_params
+from .simulate import block_rows
 
 # seed of the stream used when a caller does not supply one (keeps analytic
 # sweeps deterministic without a --seed flag)
@@ -169,7 +170,7 @@ def expected_asr_she_mc(eps: float, k: int, trials: int = 10 ** 6,
     b = 2.0 / eps
     hits = 0
     done = 0
-    chunk = max(1, 10 ** 7 // k)
+    chunk = block_rows(k)
     while done < trials:
         m = min(chunk, trials - done)
         z = rng.laplaces(m * k, b).reshape(m, k)

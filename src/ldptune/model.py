@@ -10,6 +10,7 @@ vectorized kernels produce identical values and runs can execute in any order.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,6 +28,16 @@ _U64 = np.uint64
 _NP_GAMMA = _U64(_GAMMA)
 _NP_MIX1 = _U64(_MIX1)
 _NP_MIX2 = _U64(_MIX2)
+
+# elements per pass of the in-place transforms below: their temporaries stay
+# at 128 KiB whatever the array size
+PASS_SIZE = 1 << 14
+
+# largest eps whose e^eps is a finite float64
+MAX_EPS = math.log(sys.float_info.max)
+
+# largest LH hash range whose 0-based buckets fit the 64-bit hash and int64
+MAX_G = 2 ** 63
 
 # ε-LDP tightness tolerance for UE parameter pairs
 UE_TIGHTNESS_TOL = 1e-9
@@ -85,7 +96,7 @@ class ProtocolConfig:
     ----------
     family : Family
     eps : float
-        Privacy budget in nats, > 0.
+        Privacy budget in nats, in (0, MAX_EPS], so that e^eps is finite.
     k : int
         Domain size, >= 2.
     omega : int, optional
@@ -94,7 +105,7 @@ class ProtocolConfig:
         Bit-keep / bit-flip probabilities for UE, each in (0, 1) and tight
         for eps: ln(p(1-q)/((1-p)q)) = eps within 1e-9.
     g : int, optional
-        Hash range for LH, >= 2.
+        Hash range for LH, in [2, 2^63], so that buckets fit the 64-bit hash.
     theta : float, optional
         Threshold for THE, in [0.5, 1].
     """
@@ -109,6 +120,16 @@ class ProtocolConfig:
     theta: float | None = None
 
 
+def check_eps(eps) -> float:
+    """Return `eps` when it is a real in (0, MAX_EPS], so that e^eps is
+    finite; raise RangeError otherwise."""
+    if not (isinstance(eps, (int, float)) and not isinstance(eps, bool)
+            and 0 < eps <= MAX_EPS):
+        raise RangeError("eps", f"a real in (0, {MAX_EPS:.6f}], where e^eps "
+                         "is finite", eps)
+    return eps
+
+
 def validate_config(cfg: ProtocolConfig) -> ProtocolConfig:
     """Check every invariant of `cfg`; return it unchanged when valid.
 
@@ -118,9 +139,7 @@ def validate_config(cfg: ProtocolConfig) -> ProtocolConfig:
         Naming the violated field, the allowed range, and the actual value.
     """
     fam = Family(cfg.family)
-    if not (isinstance(cfg.eps, (int, float)) and not isinstance(cfg.eps, bool)
-            and math.isfinite(cfg.eps) and cfg.eps > 0):
-        raise RangeError("eps", "a finite real > 0", cfg.eps)
+    check_eps(cfg.eps)
     if not (isinstance(cfg.k, (int, np.integer)) and not isinstance(cfg.k, bool) and cfg.k >= 2):
         raise RangeError("k", "an integer >= 2", cfg.k)
 
@@ -140,8 +159,8 @@ def validate_config(cfg: ProtocolConfig) -> ProtocolConfig:
                              (cfg.p, cfg.q))
     elif fam is Family.LH:
         if not (isinstance(cfg.g, (int, np.integer)) and not isinstance(cfg.g, bool)
-                and cfg.g >= 2):
-            raise RangeError("g", "an integer >= 2", cfg.g)
+                and 2 <= cfg.g <= MAX_G):
+            raise RangeError("g", "an integer in [2, 2^63]", cfg.g)
     elif fam is Family.THE:
         t = cfg.theta
         if not (isinstance(t, (int, float)) and math.isfinite(t) and 0.5 <= t <= 1.0):
@@ -215,13 +234,36 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _passes(z: np.ndarray) -> list:
+    """Consecutive slices of at most `PASS_SIZE` elements of z's flat view,
+    so that writes to a slice land in z."""
+    if not z.flags.c_contiguous:
+        raise ValueError("in-place passes need a C-contiguous array")
+    flat = z.reshape(-1)
+    return [flat[lo:lo + PASS_SIZE] for lo in range(0, flat.size, PASS_SIZE)]
+
+
+def mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer applied in place to the contiguous uint64 array
+    `z`, which the caller must own; returns `z`."""
+    buf = np.empty(min(z.size, PASS_SIZE), dtype=_U64)
+    for s in _passes(z):
+        t = buf[:s.size]
+        np.right_shift(s, _U64(30), out=t)
+        s ^= t
+        s *= _NP_MIX1
+        np.right_shift(s, _U64(27), out=t)
+        s ^= t
+        s *= _NP_MIX2
+        np.right_shift(s, _U64(31), out=t)
+        s ^= t
+    return z
+
+
 def mix64_np(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer on a uint64 array (wrapping multiplies)."""
-    z = np.asarray(z, dtype=_U64)
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> _U64(30))) * _NP_MIX1
-        z = (z ^ (z >> _U64(27))) * _NP_MIX2
-    return z ^ (z >> _U64(31))
+    """splitmix64 finalizer on a uint64 array (wrapping multiplies); the
+    input is left untouched."""
+    return mix64_inplace(np.array(z, dtype=_U64))
 
 
 def _stream_seed(master_seed: int, run: int, user: int) -> int:
@@ -231,12 +273,13 @@ def _stream_seed(master_seed: int, run: int, user: int) -> int:
 
 def stream_seeds(master_seed: int, run: int, users: np.ndarray) -> np.ndarray:
     """Vectorized stream seeds for many users of one (master_seed, run)."""
-    users = np.asarray(users, dtype=_U64)
     base = _U64(master_seed & MASK64) ^ mix64_np(
         np.asarray((run + _RUN_SALT) & MASK64, dtype=_U64))
-    with np.errstate(over="ignore"):
-        salted = users + _U64(_USER_SALT)
-    return mix64_np(base ^ mix64_np(salted))
+    salted = np.array(users, dtype=_U64)
+    salted += _U64(_USER_SALT)
+    mix64_inplace(salted)
+    salted ^= base
+    return mix64_inplace(salted)
 
 
 def draws_u64(seeds, counters) -> np.ndarray:
@@ -245,13 +288,15 @@ def draws_u64(seeds, counters) -> np.ndarray:
     seeds = np.asarray(seeds, dtype=_U64)
     counters = np.asarray(counters, dtype=_U64)
     with np.errstate(over="ignore"):
-        mixed = seeds + (counters + _U64(1)) * _NP_GAMMA
-    return mix64_np(mixed)
+        z = np.asarray(seeds + (counters + _U64(1)) * _NP_GAMMA)
+    return mix64_inplace(z)
 
 
 def draws_uniform(seeds, counters) -> np.ndarray:
     """Same, mapped to float64 in [0, 1)."""
-    return (draws_u64(seeds, counters) >> _U64(11)) * 2.0 ** -53
+    z = draws_u64(seeds, counters)
+    z >>= _U64(11)
+    return z * 2.0 ** -53
 
 
 def draws_laplace(seeds, counters, b: float) -> np.ndarray:
@@ -260,9 +305,25 @@ def draws_laplace(seeds, counters, b: float) -> np.ndarray:
     One uniform u in (-1/2, 1/2) per draw; sample = -b sgn(u) ln(1-2|u|).
     The offset keeps u off both 0 and the endpoints, so the result is finite.
     """
-    v = ((draws_u64(seeds, counters) >> _U64(11)) + 0.5) * 2.0 ** -53
-    u = v - 0.5
-    return -b * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+    z = draws_u64(seeds, counters)
+    # the samples overwrite the raw draws in place, one pass at a time
+    out = z.view(np.float64)
+    u = np.empty(min(z.size, PASS_SIZE))
+    w = np.empty_like(u)
+    for zs, dst in zip(_passes(z), _passes(out)):
+        us, ws = u[:zs.size], w[:zs.size]
+        zs >>= _U64(11)
+        np.copyto(us, zs)
+        us += 0.5
+        us *= 2.0 ** -53
+        us -= 0.5
+        # -b sgn(u) L with L = ln(1-2|u|) <= 0 is b L carrying the sign of u
+        np.abs(us, out=ws)
+        ws *= -2.0
+        np.log1p(ws, out=ws)
+        ws *= b
+        np.copysign(ws, us, out=dst)
+    return out
 
 
 class RngStream:

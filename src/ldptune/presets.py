@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Family, ProtocolConfig, RangeError, validate_config
+from .model import Family, ProtocolConfig, RangeError, check_eps, validate_config
 from .optimizer import (
     ObjectiveWeights,
     OptimizationResult,
@@ -63,6 +63,7 @@ def resolve_protocol(name: str, eps: float, k: int,
     name = name.lower()
     if name not in PROTOCOL_NAMES:
         raise RangeError("protocol", f"one of {', '.join(PROTOCOL_NAMES)}", name)
+    check_eps(eps)
     if weights is None:
         weights = DEFAULT_WEIGHTS
 

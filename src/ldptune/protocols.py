@@ -2,8 +2,9 @@
 
 Per-user reference implementations (perturb / support / estimate) plus the
 closed-form machinery shared by the optimizer and the sweep harness:
-pure-parameter extraction and analytic MSE.  Vectorized whole-run kernels
-live in `simulate`; they reproduce these functions draw-for-draw.
+pure-parameter extraction and analytic MSE.  Vectorized kernels, run over
+blocks of users, live in `simulate`; they reproduce these functions
+draw-for-draw.
 
 Families and their standard instantiations:
 
@@ -39,6 +40,7 @@ from .model import (
     SubsetReport,
     UnsupportedFamily,
     mix64,
+    mix64_inplace,
     mix64_np,
     validate_config,
 )
@@ -63,8 +65,14 @@ def hash_buckets(seeds, xs, g: int) -> np.ndarray:
     `xs` are 1-based categories, as in the scalar form.
     """
     xs = np.asarray(xs, dtype=_U64)
-    h = mix64_np(np.asarray(seeds, dtype=_U64) ^ mix64_np(xs * _U64(_HGAMMA)))
-    return (h % _U64(g)).astype(np.int64)
+    h = np.asarray(np.asarray(seeds, dtype=_U64) ^ mix64_np(xs * _U64(_HGAMMA)))
+    mix64_inplace(h)
+    if g & (g - 1):
+        np.remainder(h, _U64(g), out=h)
+    else:  # a power of two: the same remainder, without a division
+        np.bitwise_and(h, _U64(g - 1), out=h)
+    # buckets are below g <= 2^63 (validate_config), so they fit int64
+    return h.view(np.int64)
 
 
 # -- parameter pairs ----------------------------------------------------------
@@ -316,9 +324,13 @@ def subset_alternative_mse(eps: float, k: int, omega: int, n: float = 1) -> floa
     the first-order one; it exceeds generic_pure_mse by
     (k-1) e^eps (k - omega + (omega-1) e^eps) / ((k-omega)^2 (e^eps-1)^2 n).
 
-    Monte Carlo adjudication (see the test suite) shows the estimator's actual
-    variance matches the first-order form, not this one, so `analytic_mse`
-    does not use it; it is kept for the comparison.
+    The Monte Carlo adjudication in the acceptance tests (criterion 8) rejects
+    it: at k=10, omega=2, eps=ln 2 the measured variance, 6.971/n, is 28%
+    below this form's 9.6875/n.  With its ~2% standard error the same
+    measurement cannot tell the first-order form (6.875/n) from the exact
+    variance (7.200/n), so it does not show the first-order form exact;
+    `analytic_mse` uses that form, as for every pure family.  This one is
+    kept for the comparison.
     """
     e = math.exp(eps)
     pp = pure_params(ProtocolConfig(Family.SS, eps, k, omega=omega))

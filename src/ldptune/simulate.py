@@ -1,8 +1,17 @@
-"""Vectorized whole-run simulation kernels.
+"""Vectorized simulation kernels, run over byte-budgeted user blocks.
 
-One call simulates every user of one run: perturb, aggregate, estimate, and
-attack, all as array operations.  Each user owns the counter-based stream
-derived from (master_seed, run, user), with a fixed per-family draw layout:
+One `simulate_run` call simulates every user of one run: perturb, aggregate,
+estimate, and attack, all as array operations.  It is the only loop over
+users: it walks them in blocks of `BLOCK_BYTES // (8 k)` rows (GRR, which
+holds no k-wide array, `BLOCK_BYTES // 8`), so one 64-bit array of a block
+takes at most `BLOCK_BYTES` and memory stays flat in n.  Each per-family
+kernel takes one block, adds its column counts (SHE: column sums) into the
+run's running total and returns the block's attack successes.
+
+Each user owns the counter-based stream derived from (master_seed, run,
+user), whose j-th draw is addressable directly, so a block draws exactly the
+values the whole run would and blocking changes no output bit.  The
+per-family draw layout:
 
 - grr: counter 0 = perturbation; the attack guess is the report itself.
 - ss:  counter 0 = inclusion; 1..k-1 = selection keys for the non-true
@@ -24,13 +33,28 @@ import math
 
 import numpy as np
 
-from .model import Family, ProtocolConfig, stream_seeds, draws_u64, draws_uniform, draws_laplace
+from .model import (
+    PASS_SIZE,
+    Family,
+    ProtocolConfig,
+    draws_laplace,
+    draws_u64,
+    draws_uniform,
+    stream_seeds,
+)
 from .protocols import (
     estimate_from_counts,
     hash_buckets,
     pure_params,
-    the_params,
 )
+
+# byte budget of one k-wide 64-bit array of a user block
+BLOCK_BYTES = 1 << 20
+
+
+def block_rows(width: int) -> int:
+    """Users per block when each user holds `width` 64-bit values."""
+    return max(1, BLOCK_BYTES // (8 * width))
 
 
 def _pick_other(u: np.ndarray, x0: np.ndarray, m: int) -> np.ndarray:
@@ -40,108 +64,111 @@ def _pick_other(u: np.ndarray, x0: np.ndarray, m: int) -> np.ndarray:
 
 
 def _rank_attack_success(bits: np.ndarray, x0: np.ndarray, u_att: np.ndarray,
-                         k: int) -> np.ndarray:
-    """Success mask of the uniform-over-support attack given a boolean support
-    matrix: pick the r-th set bit, or uniform over [k] when the row is empty."""
-    n = bits.shape[0]
-    rows = np.arange(n)
-    m = bits.sum(axis=1)
-    csum = np.cumsum(bits, axis=1)
-    pos = csum[rows, x0] - 1
+                         k: int) -> int:
+    """Successes of the uniform-over-support attack on a boolean support
+    block: pick the r-th set bit, or uniform over [k] when the row is empty."""
+    m = bits.sum(axis=1, dtype=np.int32)
+    # x0's rank among the set bits is the count of set bits before it
+    before = (bits & (np.arange(k) < x0[:, None])).sum(axis=1, dtype=np.int32)
     r = np.clip((u_att * m).astype(np.int64), 0, np.maximum(m - 1, 0))
-    hit = bits[rows, x0] & (pos == r) & (m > 0)
+    hit = bits[np.arange(x0.size), x0] & (before == r)
     fallback = np.clip((u_att * k).astype(np.int64), 0, k - 1)
-    return hit | ((m == 0) & (fallback == x0))
+    empty_hit = (m == 0) & (fallback == x0)
+    return int(np.count_nonzero(hit)) + int(np.count_nonzero(empty_hit))
 
 
-def _run_grr(cfg, x0, seeds):
-    n, k = x0.size, cfg.k
+def _grr(cfg, x0, seeds, counts):
+    k = cfg.k
     e = math.exp(cfg.eps)
     p = e / (e + k - 1)
     u = draws_uniform(seeds, 0)
     keep = u < p
-    other = _pick_other((u - p) / (1 - p), x0, k)
-    y0 = np.where(keep, x0, other)
-    counts = np.bincount(y0, minlength=k)
-    return counts, int(np.count_nonzero(keep))
+    y0 = np.where(keep, x0, _pick_other((u - p) / (1 - p), x0, k))
+    counts += np.bincount(y0, minlength=k)
+    return int(np.count_nonzero(keep))
 
 
-def _run_ss(cfg, x0, seeds):
-    n, k, omega = x0.size, cfg.k, cfg.omega
+def _ss(cfg, x0, seeds, counts):
+    k, omega = cfg.k, cfg.omega
     e = math.exp(cfg.eps)
     p_inc = omega * e / (omega * e + k - omega)
     include = draws_uniform(seeds, 0) < p_inc
     keys = draws_u64(seeds[:, None], np.arange(1, k)[None, :])
-    sel = np.zeros((n, k), dtype=bool)
-
-    def pick(rows_idx, take):
-        if rows_idx.size == 0 or take == 0:
-            return
-        part = np.argpartition(keys[rows_idx], take - 1, axis=1)[:, :take]
-        others = part + (part >= x0[rows_idx, None])
-        sel[rows_idx[:, None], others] = True
-
-    inc_rows = np.flatnonzero(include)
-    exc_rows = np.flatnonzero(~include)
-    pick(inc_rows, omega - 1)
-    pick(exc_rows, omega)
-    sel[inc_rows, x0[inc_rows]] = True
-
-    counts = sel.sum(axis=0)
-    u_att = draws_uniform(seeds, k)
-    succ = _rank_attack_success(sel, x0, u_att, k)
-    return counts, int(np.count_nonzero(succ))
-
-
-def _run_ue(cfg, x0, seeds):
-    n, k = x0.size, cfg.k
-    u = draws_uniform(seeds[:, None], np.arange(k)[None, :])
-    thr = np.where(np.arange(k)[None, :] == x0[:, None], cfg.p, cfg.q)
-    bits = u < thr
-    counts = bits.sum(axis=0)
-    succ = _rank_attack_success(bits, x0, draws_uniform(seeds, k), k)
-    return counts, int(np.count_nonzero(succ))
+    # included rows take the omega-1 smallest keys, excluded rows the omega
+    # smallest; the per-row thresholds come from partitioning a slice of rows
+    # at a time, so the partitioned copy stays at PASS_SIZE entries
+    thr = np.empty(x0.size, dtype=np.uint64)
+    step = max(1, PASS_SIZE // k)
+    for lo in range(0, x0.size, step):
+        part = np.partition(keys[lo:lo + step], omega - 1, axis=1)
+        t = part[:, omega - 1]
+        if omega > 1:
+            t = np.where(include[lo:lo + step], part[:, :omega - 1].max(axis=1), t)
+        thr[lo:lo + step] = t
+    take = keys <= thr[:, None]
+    if omega == 1:
+        take &= ~include[:, None]
+    # key column j is category j below x0 and category j + 1 from x0 on
+    below = np.arange(k - 1) < x0[:, None]
+    sel = np.zeros((x0.size, k), dtype=bool)
+    sel[:, :-1] = take & below
+    sel[:, 1:] |= take & ~below
+    sel[np.arange(x0.size), x0] = include
+    counts += sel.sum(axis=0, dtype=np.int32)
+    return _rank_attack_success(sel, x0, draws_uniform(seeds, k), k)
 
 
-def _run_lh(cfg, x0, seeds):
-    n, k, g = x0.size, cfg.k, cfg.g
-    rows = np.arange(n)
+def _ue(cfg, x0, seeds, counts):
+    k = cfg.k
+    rows = np.arange(x0.size)
+    z = draws_u64(seeds[:, None], np.arange(k)[None, :])
+    z >>= np.uint64(11)
+    # for the 53-bit uniform u = z 2^-53, u < t is z < ceil(t 2^53)
+    bits = z < np.uint64(math.ceil(cfg.q * 2.0 ** 53))
+    bits[rows, x0] = z[rows, x0] < np.uint64(math.ceil(cfg.p * 2.0 ** 53))
+    counts += bits.sum(axis=0, dtype=np.int32)
+    return _rank_attack_success(bits, x0, draws_uniform(seeds, k), k)
+
+
+def _lh(cfg, x0, seeds, counts):
+    k, g = cfg.k, cfg.g
     e = math.exp(cfg.eps)
     p = e / (e + g - 1)
-    rep_seeds = draws_u64(seeds, 0)
-    buckets = hash_buckets(rep_seeds[:, None], np.arange(1, k + 1)[None, :], g)
-    bx = buckets[rows, x0]
+    buckets = hash_buckets(draws_u64(seeds, 0)[:, None],
+                           np.arange(1, k + 1)[None, :], g)
+    bx = buckets[np.arange(x0.size), x0]
     u = draws_uniform(seeds, 1)
-    keep = u < p
-    y0 = np.where(keep, bx, _pick_other((u - p) / (1 - p), bx, g))
+    y0 = np.where(u < p, bx, _pick_other((u - p) / (1 - p), bx, g))
     supp = buckets == y0[:, None]
-    counts = supp.sum(axis=0)
-    succ = _rank_attack_success(supp, x0, draws_uniform(seeds, 2), k)
-    return counts, int(np.count_nonzero(succ))
+    counts += supp.sum(axis=0, dtype=np.int32)
+    return _rank_attack_success(supp, x0, draws_uniform(seeds, 2), k)
 
 
 def _noisy_onehot(cfg, x0, seeds):
-    n, k = x0.size, cfg.k
-    b = 2.0 / cfg.eps
-    v = draws_laplace(seeds[:, None], np.arange(k)[None, :], b)
-    v[np.arange(n), x0] += 1.0
+    v = draws_laplace(seeds[:, None], np.arange(cfg.k)[None, :], 2.0 / cfg.eps)
+    v[np.arange(x0.size), x0] += 1.0
     return v
 
 
-def _run_she(cfg, x0, seeds):
+def _she(cfg, x0, seeds, sums):
     v = _noisy_onehot(cfg, x0, seeds)
-    f_hat = v.mean(axis=0)
-    succ = np.argmax(v, axis=1) == x0
-    return f_hat, int(np.count_nonzero(succ))
+    succ = int(np.count_nonzero(np.argmax(v, axis=1) == x0))
+    # folding the running sum into row 0 keeps the whole run's sequential
+    # row order, so the sums equal v.mean(axis=0)'s over all users bit for bit
+    v[0] += sums
+    np.add.reduce(v, axis=0, out=sums)
+    return succ
 
 
-def _run_the(cfg, x0, seeds):
+def _the(cfg, x0, seeds, counts):
     k = cfg.k
-    v = _noisy_onehot(cfg, x0, seeds)
-    bits = v > cfg.theta
-    counts = bits.sum(axis=0)
-    succ = _rank_attack_success(bits, x0, draws_uniform(seeds, k), k)
-    return counts, int(np.count_nonzero(succ))
+    bits = _noisy_onehot(cfg, x0, seeds) > cfg.theta
+    counts += bits.sum(axis=0, dtype=np.int32)
+    return _rank_attack_success(bits, x0, draws_uniform(seeds, k), k)
+
+
+_KERNELS = {Family.GRR: _grr, Family.SS: _ss, Family.UE: _ue, Family.LH: _lh,
+            Family.SHE: _she, Family.THE: _the}
 
 
 def simulate_run(cfg: ProtocolConfig, x0: np.ndarray, master_seed: int,
@@ -153,25 +180,16 @@ def simulate_run(cfg: ProtocolConfig, x0: np.ndarray, master_seed: int,
     the number of users whose value the attacker guessed.
     """
     x0 = np.asarray(x0, dtype=np.int64)
-    n = x0.size
-    seeds = stream_seeds(master_seed, run, np.arange(n))
+    n, k = x0.size, cfg.k
     fam = Family(cfg.family)
-    if fam is Family.GRR:
-        counts, succ = _run_grr(cfg, x0, seeds)
-        return estimate_from_counts(counts, n, pure_params(cfg)), succ
-    if fam is Family.SS:
-        counts, succ = _run_ss(cfg, x0, seeds)
-        return estimate_from_counts(counts, n, pure_params(cfg)), succ
-    if fam is Family.UE:
-        counts, succ = _run_ue(cfg, x0, seeds)
-        return estimate_from_counts(counts, n, pure_params(cfg)), succ
-    if fam is Family.LH:
-        counts, succ = _run_lh(cfg, x0, seeds)
-        return estimate_from_counts(counts, n, pure_params(cfg)), succ
+    kernel = _KERNELS[fam]
+    total = np.zeros(k, dtype=np.float64 if fam is Family.SHE else np.int64)
+    succ = 0
+    step = block_rows(1 if fam is Family.GRR else k)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        seeds = stream_seeds(master_seed, run, np.arange(lo, hi))
+        succ += kernel(cfg, x0[lo:hi], seeds, total)
     if fam is Family.SHE:
-        return _run_she(cfg, x0, seeds)
-    if fam is Family.THE:
-        counts, succ = _run_the(cfg, x0, seeds)
-        pp = pure_params(cfg)
-        return estimate_from_counts(counts, n, pp), succ
-    raise ValueError(f"unknown family {cfg.family!r}")
+        return total / n, succ
+    return estimate_from_counts(total, n, pure_params(cfg)), succ

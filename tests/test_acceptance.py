@@ -91,7 +91,9 @@ def sweep_results(sweep_dataset):
 
 @pytest.fixture(scope="module")
 def adjudication():
-    """Criterion 8 measurement: which subset-variance form matches reality."""
+    """Criterion 8 measurement: the subset estimator's variance against the
+    first-order and the alternative closed forms, with the exact variance
+    (`oracles.exact_mean_variance`) as a diagnostic."""
     k, omega, n, runs = 10, 2, 10 ** 5, 500
     eps = math.log(2.0)
     rp = lt.resolve_protocol("ss", eps, k, param=omega)
@@ -100,13 +102,16 @@ def adjudication():
     stats = lt.run_experiment(lt.ExperimentConfig(rp, n, runs, MASTER_SEED,
                                                   ds), workers=4)
     mc = float(np.mean([s.empirical_mse for s in stats]))
-    generic = lt.generic_pure_mse(lt.pure_params(rp.config), n)
+    pp = lt.pure_params(rp.config)
+    generic = lt.generic_pure_mse(pp, n)
     alternative = lt.subset_alternative_mse(eps, k, omega, n)
+    exact = orc.exact_mean_variance(pp.p_star, pp.q_star, k, n)
     rel_g = abs(mc - generic) / generic
     rel_a = abs(mc - alternative) / alternative
     selected = "generic" if rel_g < rel_a else "alternative"
     return {"mc": mc, "generic": generic, "alternative": alternative,
             "rel_generic": rel_g, "rel_alternative": rel_a,
+            "exact": exact, "rel_exact": abs(mc - exact) / exact,
             "selected": selected, "n": n}
 
 
@@ -352,7 +357,8 @@ def test_criterion_08_subset_variance_adjudication(adjudication):
         f"mc={a['mc'] * a['n']:.4f}/n generic={a['generic'] * a['n']:.4f}/n "
         f"(rel {a['rel_generic']:.1%}) alternative="
         f"{a['alternative'] * a['n']:.4f}/n (rel {a['rel_alternative']:.1%}) "
-        f"-> {a['selected']}")
+        f"-> {a['selected']}; exact (not asserted) "
+        f"{a['exact'] * a['n']:.4f}/n (rel {a['rel_exact']:.1%})")
 
 
 def test_criterion_09_pure_estimators_unbiased():

@@ -30,7 +30,7 @@ from ldptune.harness import (
 )
 from ldptune.model import Family, ProtocolConfig, RangeError, validate_config
 from ldptune.optimizer import ObjectiveWeights
-from ldptune.presets import resolve_protocol
+from ldptune.presets import PROTOCOL_NAMES, resolve_protocol
 
 W_HALF = ObjectiveWeights(0.5, 0.5)
 
@@ -441,6 +441,16 @@ class TestCli:
                          "--k", "8").returncode == 2
         assert self._run("simulate", "--protocol", "grr", "--eps", "2",
                          "--k", "8", "--runs", "2", "--param", "3").returncode == 2
+        # budgets where e^eps overflows, or where the OLH hash range g
+        # (5.2e21 at eps 50) does not fit the 64-bit hash, are range errors
+        extreme = [("analyze", "--protocol", name, "--eps", "800", "--k", "10")
+                   for name in PROTOCOL_NAMES]
+        extreme.append(("simulate", "--protocol", "olh", "--eps", "50",
+                        "--k", "10", "--n", "10", "--runs", "1"))
+        for argv in extreme:
+            r = self._run(*argv)
+            assert r.returncode == 2, argv
+            assert "Traceback" not in r.stderr, argv
 
     def test_io_error_exit_3(self):
         r = self._run("analyze", "--protocol", "grr", "--eps", "1", "--k",

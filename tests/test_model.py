@@ -39,7 +39,8 @@ class TestValidateConfig:
         for cfg in good:
             assert validate_config(cfg) is cfg
 
-    @pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, math.nan, "1", True])
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, math.nan, "1", True,
+                                     800.0])
     def test_bad_eps(self, eps):
         with pytest.raises(RangeError) as exc:
             validate_config(ProtocolConfig(Family.GRR, eps, 4))
@@ -62,7 +63,7 @@ class TestValidateConfig:
         with pytest.raises(RangeError):
             validate_config(ProtocolConfig(Family.SS, 1.0, 4, omega=4))
 
-    @pytest.mark.parametrize("g", [1, 0, 2.5, None])
+    @pytest.mark.parametrize("g", [1, 0, 2.5, None, 2 ** 63 + 1])
     def test_bad_g(self, g):
         with pytest.raises(RangeError) as exc:
             validate_config(_cfg(Family.LH, g=g))

@@ -1,6 +1,8 @@
 """Perturbation primitives, pure parameters, estimators, and variance forms."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,7 +46,8 @@ from ldptune.protocols import (
     ue_pair_from_p,
     ue_perturb,
 )
-from ldptune.simulate import simulate_run
+from ldptune.presets import resolve_protocol
+from ldptune.simulate import block_rows, simulate_run
 
 
 def _vc(family, eps, k, **kw):
@@ -332,26 +335,41 @@ class TestVarianceForms:
                                                        rel=1e-12)
 
 
+_BULK_CASES = [
+    (Family.GRR, {}),
+    (Family.SS, {"omega": 3}),
+    (Family.UE, {}),
+    (Family.LH, {"g": 4}),
+    (Family.SHE, {}),
+    (Family.THE, {"theta": 0.8}),
+]
+
+
+def _spanning_n(family, k):
+    """Users filling three whole blocks and part of a fourth (a GRR user
+    holds one 64-bit value per block row, every other family k)."""
+    return 3 * block_rows(1 if family is Family.GRR else k) + 5
+
+
 class TestScalarBulkEquivalence:
     """The vectorized per-run kernels replay exactly the draws the scalar
     primitives consume, so both pipelines must agree bit for bit."""
 
-    @pytest.mark.parametrize("family,kw", [
-        (Family.GRR, {}),
-        (Family.SS, {"omega": 3}),
-        (Family.UE, {}),
-        (Family.LH, {"g": 4}),
-        (Family.SHE, {}),
-        (Family.THE, {"theta": 0.8}),
+    @pytest.mark.parametrize("family,kw,k,n", [
+        *(pytest.param(f, kw, 7, 300, id=f"{f.value}-kw{i}")
+          for i, (f, kw) in enumerate(_BULK_CASES)),
+        *(pytest.param(f, kw, 4096, _spanning_n(f, 4096),
+                       id=f"{f.value}-kw{i}-blocks")
+          for i, (f, kw) in enumerate(_BULK_CASES)),
     ])
-    def test_pipelines_agree_bitwise(self, family, kw):
+    def test_pipelines_agree_bitwise(self, family, kw, k, n):
         from ldptune.attacks import attack
-        eps, k = 1.5, 7
+        eps = 1.5
         if family is Family.UE:
             p, q = sue_params(eps)
             kw = {"p": p, "q": q}
         cfg = _vc(family, eps, k, **kw)
-        x0 = np.random.default_rng(5).integers(0, k, size=300)
+        x0 = np.random.default_rng(5).integers(0, k, size=n)
         f_bulk, s_bulk = simulate_run(cfg, x0, 99, 3)
 
         succ = 0
@@ -367,3 +385,42 @@ class TestScalarBulkEquivalence:
             f_scalar = estimate_frequencies(reports, cfg)
         assert s_bulk == succ
         assert np.array_equal(f_bulk, f_scalar)
+
+
+# sha256 of simulate_run's (f_hat bytes, successes) for one preset per family
+# (and blh, whose g is a power of two) at eps 4, n = 5e4, k = 100; pinned from
+# the whole-run kernels that the blocked ones replaced
+_RUN_DIGESTS = {
+    "grr": "f1aca148555bb086b90c7b40e05f519352d8c70e0103092c3a209d19cf9763f0",
+    "ss": "6e5eec0cab35c76e7a7bdc72fb7770158adbc4b6c5fae8de79ae47ce46926e78",
+    "oue": "6114aa4ed755f4eb112affe36be87a723c8395b565cb6402ddd3ba312741cbb2",
+    "olh": "227a49dedd5247eebab78c659654cfbec84517467ac897346fa7bcf7856ad5dd",
+    "blh": "cb2428c6c902404e15cb0b7840567ceb38d590c92535853cc3a9c047199e3c8c",
+    "she": "bba4a290dc6e919e5cc35c2f112bdceb45db39b3fd7d63e8107027f1403cf4e7",
+    "the": "17fa263b671562a096c49c117de249326883214281751775d143ad3ea13d62b5",
+}
+
+
+class TestBlockedRuns:
+    @pytest.mark.parametrize("name", list(_RUN_DIGESTS))
+    def test_run_digest_pinned(self, name):
+        x0 = np.random.default_rng(2024).integers(0, 100, size=50_000)
+        cfg = resolve_protocol(name, 4.0, 100).config
+        f_hat, successes = simulate_run(cfg, x0, 12345, 1)
+        digest = hashlib.sha256(np.asarray(f_hat, dtype=np.float64).tobytes()
+                                + str(int(successes)).encode()).hexdigest()
+        assert digest == _RUN_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", ["oue", "olh", "the"])
+    def test_memory_flat_in_n(self, name):
+        n, k = 200_000, 100
+        x0 = np.random.default_rng(0).integers(0, k, size=n)
+        cfg = resolve_protocol(name, 2.0, k).config
+        tracemalloc.start()
+        try:
+            simulate_run(cfg, x0, 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one dense float64 n x k array would take 160 MB
+        assert peak < 32 * 2 ** 20
