@@ -116,6 +116,33 @@ def bitvector_expected_asr(p: float, q: float, k: int) -> float:
     return hit + miss
 
 
+def support_size_row(k: int) -> np.ndarray:
+    """log C(k-1, m-1) - log m for m = 1..k: the part of the support-size
+    sum that does not depend on (p, q)."""
+    m = np.arange(1, k + 1, dtype=float)
+    return gammaln(k) - gammaln(m) - gammaln(k - m + 1) - np.log(m)
+
+
+def bitvector_asr_array(p: np.ndarray, q: np.ndarray, k: int,
+                        row: np.ndarray) -> np.ndarray:
+    """`bitvector_expected_asr` for each pair of the arrays p and q (q > 0),
+    given `row` = support_size_row(k); holds len(p) x k temporaries.
+
+    The terms are added in another order than in the scalar form, so the two
+    differ in the last bits: below 1e-12 relative for k <= 1000, 8e-12 at
+    k = 10^4.
+    """
+    m1 = np.arange(k, dtype=float)  # m - 1
+    l1q = np.log1p(-q)
+    logs = np.multiply.outer(np.log(q), m1)
+    logs += np.multiply.outer(l1q, m1[::-1])  # (k - m) log(1 - q)
+    logs += row
+    logs += np.log(p)[:, None]
+    hit = np.exp(logsumexp(logs, axis=1))
+    miss = (1 - p) * np.exp((k - 1) * l1q) / k
+    return hit + miss
+
+
 def lh_exact_expected_asr(eps: float, k: int, g: int) -> float:
     """Exact expected ASR of the hashed-report attack under an idealized
     uniformly random hash: E[1/(1+Binomial(k-1, 1/g))] has the closed form

@@ -10,21 +10,16 @@ success, 2 for configuration errors, 3 for I/O errors, 4 for data errors.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 
 from .attacks import expected_asr
 from .harness import (
-    CSV_HEADER,
     DataMismatch,
     EmptyAfterFiltering,
     ExperimentConfig,
     MissingColumn,
     ParetoRow,
     UnparsableRow,
-    _fmt,
-    _row_values,
     export,
     pareto_sweep,
     parse_grid,
@@ -44,24 +39,8 @@ def _weights(w_asr: float) -> ObjectiveWeights:
     return ObjectiveWeights(w_asr, 1.0 - w_asr)
 
 
-def _emit(rows, fmt: str, out) -> None:
-    if out is not None:
-        export(rows, fmt, out)
-        return
-    if fmt == "csv":
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(CSV_HEADER)
-        for row in rows:
-            w.writerow([_fmt(v) for v in _row_values(row)])
-    elif fmt == "json":
-        payload = []
-        for row in rows:
-            payload.append({key: v.item() if hasattr(v, "item") else v
-                            for key, v in zip(CSV_HEADER, _row_values(row))})
-        json.dump(payload, sys.stdout, indent=1)
-        sys.stdout.write("\n")
-    else:
-        raise RangeError("format", "csv or json", fmt)
+def _emit(rows, args) -> None:
+    export(rows, args.format, sys.stdout if args.out is None else args.out)
 
 
 def _add_output(sp) -> None:
@@ -133,7 +112,7 @@ def cmd_analyze(args) -> int:
     rows = pareto_sweep([args.protocol], parse_grid(args.eps),
                         parse_grid(args.k, integer=True), _weights(args.w_asr),
                         she_trials=args.she_trials, param=args.param)
-    _emit(rows, args.format, args.out)
+    _emit(rows, args)
     return 0
 
 
@@ -149,7 +128,7 @@ def cmd_optimize(args) -> int:
           f"objective={opt.objective_value:.6g} asr={opt.asr_at_opt:.6g} "
           f"mse={opt.mse_at_opt:.6g} evaluations={opt.evaluations}",
           file=sys.stderr)
-    _emit([row], args.format, args.out)
+    _emit([row], args)
     return 0
 
 
@@ -160,7 +139,7 @@ def cmd_simulate(args) -> int:
                         _weights(args.w_asr), experiment=experiment,
                         workers=args.workers, she_trials=args.she_trials,
                         param=args.param)
-    _emit(rows, args.format, args.out)
+    _emit(rows, args)
     return 0
 
 
@@ -180,7 +159,7 @@ def cmd_pareto(args) -> int:
                         parse_grid(args.k, integer=True), _weights(args.w_asr),
                         experiment=experiment, workers=args.workers,
                         she_trials=args.she_trials)
-    _emit(rows, args.format, args.out)
+    _emit(rows, args)
     return 0
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -368,17 +369,29 @@ def _row_values(row: ParetoRow):
             row.seed)
 
 
-def export(rows, format: str, path: str) -> None:
+def export(rows, format: str, dest) -> None:
     """Write rows as CSV (exact 13-column header, 17-significant-digit reals,
-    empty cells for missing values) or JSON (same keys, null for missing);
-    UTF-8 with LF line endings."""
+    empty cells for missing values) or JSON (same keys, null for missing).
+
+    `dest` is a path, written as UTF-8 with LF line endings, or an open text
+    stream such as sys.stdout.
+    """
+    if format not in ("csv", "json"):
+        raise RangeError("format", "csv or json", format)
+    if isinstance(dest, (str, os.PathLike)):
+        with open(dest, "w", encoding="utf-8", newline="") as fh:
+            _write_rows(rows, format, fh)
+    else:
+        _write_rows(rows, format, dest)
+
+
+def _write_rows(rows, format: str, fh) -> None:
     if format == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(CSV_HEADER)
-            for row in rows:
-                w.writerow([_fmt(v) for v in _row_values(row)])
-    elif format == "json":
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(CSV_HEADER)
+        for row in rows:
+            w.writerow([_fmt(v) for v in _row_values(row)])
+    else:
         payload = []
         for row in rows:
             obj = {}
@@ -387,11 +400,8 @@ def export(rows, format: str, path: str) -> None:
                     v = v.item()
                 obj[key] = v
             payload.append(obj)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
-    else:
-        raise RangeError("format", "csv or json", format)
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
 
 
 def parse_grid(spec: str, integer: bool = False):

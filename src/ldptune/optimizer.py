@@ -7,6 +7,17 @@ hash range, a 1024-point coarse grid plus bounded scalar refinement for the
 continuous keep-probability and threshold.  Objective terms are summed raw
 (no normalization beyond the weights), so weight semantics depend on
 (eps, k, n).
+
+Grids are screened, then confirmed.  `array_objective` evaluates a whole grid
+in numpy passes of PASS_SIZE // k points, and `screened_grid_search` hands
+only the points within SCREEN_RTOL of its minimum to the scalar `objective`,
+in ascending order.  The scalar closed forms stay the definition of every
+reported number: the array form adds its terms in another order, so it
+differs from them in the last bits (below 1e-12 relative for k <= 100).  The
+margin makes that harmless: the scalar argmin and its ties always reach the
+confirm, so the chosen parameter is the one the exhaustive scalar search
+picks.  Past g = k the hash-range objective is convex, and `optimize_alh`
+bisects instead of walking up to e^eps points.
 """
 
 from __future__ import annotations
@@ -18,17 +29,28 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .model import (
+    MAX_G,
+    PASS_SIZE,
     EmptyCandidates,
     Family,
     NonFinite,
     ProtocolConfig,
     RangeError,
 )
-from .attacks import expected_asr
-from .protocols import analytic_mse, olh_g, ss_default_omega, ue_pair_from_p
+from .attacks import bitvector_asr_array, expected_asr, support_size_row
+from .protocols import (
+    analytic_mse,
+    first_order_mse,
+    olh_g,
+    ss_default_omega,
+    ss_pure_pair,
+    ue_pair_from_p,
+)
 
 COARSE_GRID_POINTS = 1024
 REFINE_TOL = 1e-6
+# relative margin of the array-form screen over its smallest value
+SCREEN_RTOL = 1e-9
 # continuous UE keep-probabilities approach but never reach 1; this cap keeps
 # the tightness identity numerically stable at the boundary
 _P_CAP = 1.0 - 1e-6
@@ -122,12 +144,84 @@ def grid_search(f, candidates):
     return best_x, best_f
 
 
+def screened_grid_search(f, grid: np.ndarray, values, width: int = 1):
+    """`grid_search(f, grid.tolist())`, with the grid ranked by an array form
+    of f first.
+
+    `values` maps a slice of the ascending array `grid` to approximate values
+    of f, holding `width` floats per point.  It is called on PASS_SIZE //
+    width points at a time, so its temporaries stay near 128 KiB: small
+    enough to reuse freed heap pages instead of growing the resident set,
+    whatever k is.  Only the points whose approximate value is within
+    SCREEN_RTOL (relative) of the smallest one, and the points where it is
+    not finite, are evaluated with f, in ascending order.  When the two
+    forms differ by less than SCREEN_RTOL / 2 relative, the scalar argmin
+    and all its ties pass the screen, so the result is the exhaustive one.
+    """
+    rows = max(1, PASS_SIZE // width)
+    with np.errstate(all="ignore"):
+        v = np.concatenate([values(grid[i:i + rows])
+                            for i in range(0, len(grid), rows)])
+    finite = np.isfinite(v)
+    best = v[finite].min() if finite.any() else np.inf
+    keep = ~finite | (v <= best + SCREEN_RTOL * abs(best))
+    return grid_search(f, grid[keep].tolist())
+
+
 def _result(cfg: ProtocolConfig, theta_star, weights: ObjectiveWeights,
             n: float, evaluations: int) -> OptimizationResult:
     asr = expected_asr(cfg)
     mse = analytic_mse(cfg, n)
     return OptimizationResult(theta_star, weights.w_asr * asr + weights.w_mse * mse,
                               asr, mse, evaluations, cfg)
+
+
+def array_objective(family: Family, eps: float, k: int,
+                    weights: ObjectiveWeights, n: float = 1):
+    """The array form of `objective` for one adaptive family at (eps, k):
+    maps an array of omega, p (with the tight q), g or theta values to
+    approximate objective values.
+
+    It ranks grid points for `screened_grid_search` and is never reported.
+    At w_asr = 0 it skips the support-size sum: 0 times a finite ASR adds
+    nothing to the scalar value either.
+    """
+    fam = Family(family)
+    e = math.exp(eps)
+    if fam is Family.SS:
+        def terms(w):
+            return (e / (w * e + k - w),) + ss_pure_pair(eps, k, w)
+    elif fam is Family.LH:
+        def terms(g):
+            return (e / ((e + g - 1) * np.maximum(k / g, 1.0)),
+                    e / (e + g - 1), 1 / g)
+    else:
+        row = support_size_row(k) if weights.w_asr else None
+
+        def terms(x):
+            if fam is Family.UE:
+                p, q = ue_pair_from_p(eps, x)
+            else:  # THE: `the_params`, elementwise
+                p = 1 - 0.5 * np.exp(eps * (x - 1) / 2)
+                q = 0.5 * np.exp(-eps * x / 2)
+            asr = bitvector_asr_array(p, q, k, row) if weights.w_asr else 0.0
+            return asr, p, q
+
+    def values(x):
+        asr, p, q = terms(x)
+        return weights.w_asr * asr + weights.w_mse * first_order_mse(p, q, n)
+
+    return values
+
+
+def _refine_cell(f, x0: float, f0: float, step: float, lo: float,
+                 hi: float):
+    """Bounded scalar refinement in the grid cell around x0, kept only when
+    strictly better than the grid point.  Returns (x*, objective calls)."""
+    g = _CountingObjective(f)
+    xr, fr = minimize_scalar_bounded(g, max(lo, x0 - step), min(hi, x0 + step),
+                                     REFINE_TOL)
+    return (xr if fr < f0 else x0), g.calls
 
 
 def optimize_ass(eps: float, k: int, weights: ObjectiveWeights,
@@ -149,7 +243,8 @@ def optimize_ass(eps: float, k: int, weights: ObjectiveWeights,
     def f(w):
         return objective(ProtocolConfig(Family.SS, eps, k, omega=w), weights, n)
 
-    w, _ = grid_search(f, range(1, k))
+    w, _ = screened_grid_search(f, np.arange(1, k),
+                                array_objective(Family.SS, eps, k, weights, n))
     cfg = ProtocolConfig(Family.SS, eps, k, omega=w)
     return _result(cfg, w, weights, n, k - 1)
 
@@ -164,43 +259,73 @@ def optimize_aue(eps: float, k: int, weights: ObjectiveWeights,
     """Best keep-probability p in [0.5, 1) with the tight q substituted in:
     1024-point coarse grid, then bounded refinement in the best grid cell."""
 
-    f = _CountingObjective(lambda p: objective(_cfg_ue(eps, k, p), weights, n))
+    def f(p):
+        return objective(_cfg_ue(eps, k, p), weights, n)
+
     grid = np.linspace(0.5, 1.0, COARSE_GRID_POINTS + 1)[:COARSE_GRID_POINTS]
-    p0, f0 = grid_search(f, grid.tolist())
-    step = 0.5 / COARSE_GRID_POINTS
-    lo = max(0.5, p0 - step)
-    hi = min(_P_CAP, p0 + step)
-    pr, fr = minimize_scalar_bounded(f, lo, hi, REFINE_TOL)
-    p_star = pr if fr < f0 else p0
+    p0, f0 = screened_grid_search(
+        f, grid, array_objective(Family.UE, eps, k, weights, n), k)
+    p_star, calls = _refine_cell(f, p0, f0, 0.5 / COARSE_GRID_POINTS, 0.5,
+                                 _P_CAP)
     cfg = _cfg_ue(eps, k, p_star)
-    return _result(cfg, p_star, weights, n, f.calls)
+    return _result(cfg, p_star, weights, n, len(grid) + calls)
 
 
 def optimize_alh(eps: float, k: int, weights: ObjectiveWeights,
                  n: float = 1) -> OptimizationResult:
-    """Best hash range: integer grid search over g in [2, max(k, round(e^eps+1))]."""
-    hi = max(k, olh_g(eps))
+    """Best hash range g in [2, max(k, round(e^eps+1))], capped at MAX_G.
+
+    g in [2, k] is a screened grid.  For g >= k, with h = g - 1, the ASR
+    term is e/(e+h) and the MSE term (e+h)^2/((e-1)^2 h n), both convex in
+    h, so the first g with f(g+1) >= f(g) is the smallest minimizer there.
+    Integer bisection finds it in at most 63 steps, each the sign of
+    f(g+1) - f(g) taken from its closed form: subtracting two rounded values
+    of f would read the plateaus where e + g - 1 rounds to e (g below
+    e 2^-53) as a minimum.  The scalar objective then picks among the grid
+    winner and the bisection point with its two neighbours, ties to the
+    smaller g.  `evaluations` counts the grid points and two per step.
+    """
+    e = math.exp(eps)
 
     def f(g):
         return objective(ProtocolConfig(Family.LH, eps, k, g=g), weights, n)
 
-    g, _ = grid_search(f, range(2, hi + 1))
+    def rises(g):  # f(g+1) >= f(g), for g >= k
+        h = g - 1
+        mse_step = (1 / ((e - 1) * (e - 1))
+                    - (e / (e - 1)) ** 2 / (h * (h + 1))) / n
+        asr_drop = e / ((e + h) * (e + h + 1))
+        return weights.w_mse * mse_step >= weights.w_asr * asr_drop
+
+    g_low, _ = screened_grid_search(
+        f, np.arange(2, k + 1), array_objective(Family.LH, eps, k, weights, n))
+    top = min(max(k, olh_g(eps)), MAX_G)
+    lo, hi = k, top
+    steps = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        steps += 1
+        if rises(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    near = [g for g in (lo - 1, lo, lo + 1) if k <= g <= top]
+    g, _ = grid_search(f, sorted({g_low, *near}))
     cfg = ProtocolConfig(Family.LH, eps, k, g=g)
-    return _result(cfg, g, weights, n, hi - 1)
+    return _result(cfg, g, weights, n, k - 1 + 2 * steps)
 
 
 def optimize_athe(eps: float, k: int, weights: ObjectiveWeights,
                   n: float = 1) -> OptimizationResult:
     """Best threshold theta in [0.5, 1]: coarse grid plus bounded refinement."""
 
-    f = _CountingObjective(
-        lambda t: objective(ProtocolConfig(Family.THE, eps, k, theta=t), weights, n))
+    def f(t):
+        return objective(ProtocolConfig(Family.THE, eps, k, theta=t), weights, n)
+
     grid = np.linspace(0.5, 1.0, COARSE_GRID_POINTS)
-    t0, f0 = grid_search(f, grid.tolist())
-    step = 0.5 / (COARSE_GRID_POINTS - 1)
-    lo = max(0.5, t0 - step)
-    hi = min(1.0, t0 + step)
-    tr, fr = minimize_scalar_bounded(f, lo, hi, REFINE_TOL)
-    t_star = tr if fr < f0 else t0
+    t0, f0 = screened_grid_search(
+        f, grid, array_objective(Family.THE, eps, k, weights, n), k)
+    t_star, calls = _refine_cell(f, t0, f0, 0.5 / (COARSE_GRID_POINTS - 1),
+                                 0.5, 1.0)
     cfg = ProtocolConfig(Family.THE, eps, k, theta=t_star)
-    return _result(cfg, t_star, weights, n, f.calls)
+    return _result(cfg, t_star, weights, n, len(grid) + calls)

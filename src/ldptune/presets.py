@@ -47,10 +47,6 @@ class ResolvedProtocol:
     optimization: OptimizationResult | None = None
 
 
-def param_name_of(name: str) -> str:
-    return _PARAM_NAME[name]
-
-
 def resolve_protocol(name: str, eps: float, k: int,
                      weights: ObjectiveWeights | None = None,
                      n: float = 1, param=None) -> ResolvedProtocol:

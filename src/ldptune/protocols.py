@@ -116,6 +116,15 @@ def the_params(eps: float, theta: float) -> tuple:
     return p, q
 
 
+def ss_pure_pair(eps: float, k: int, omega):
+    """(p*, q*) of the size-omega subset report; `omega` may be an array."""
+    e = math.exp(eps)
+    w = omega
+    p_star = w * e / (w * e + k - w)
+    q_star = (w * e * (w - 1) + (k - w) * w) / ((k - 1) * (w * e + k - w))
+    return p_star, q_star
+
+
 def pure_params(cfg: ProtocolConfig) -> PureParams:
     """(p*, q*) of any pure family; SHE has none.
 
@@ -129,11 +138,7 @@ def pure_params(cfg: ProtocolConfig) -> PureParams:
     if fam is Family.GRR:
         return grr_params(cfg.eps, cfg.k)
     if fam is Family.SS:
-        e = math.exp(cfg.eps)
-        w, k = cfg.omega, cfg.k
-        p_star = w * e / (w * e + k - w)
-        q_star = (w * e * (w - 1) + (k - w) * w) / ((k - 1) * (w * e + k - w))
-        return PureParams(p_star, q_star)
+        return PureParams(*ss_pure_pair(cfg.eps, cfg.k, cfg.omega))
     if fam is Family.UE:
         return PureParams(cfg.p, cfg.q)
     if fam is Family.LH:
@@ -314,9 +319,14 @@ def she_estimate(reports) -> np.ndarray:
 
 # -- analytic MSE -------------------------------------------------------------
 
+def first_order_mse(p_star, q_star, n: float = 1):
+    """q*(1-q*)/(n (p*-q*)^2), on floats or elementwise on arrays."""
+    return q_star * (1 - q_star) / (n * (p_star - q_star) ** 2)
+
+
 def generic_pure_mse(pp: PureParams, n: float = 1) -> float:
     """First-order per-coordinate variance q*(1-q*)/(n (p*-q*)^2)."""
-    return pp.q_star * (1 - pp.q_star) / (n * (pp.p_star - pp.q_star) ** 2)
+    return first_order_mse(pp.p_star, pp.q_star, n)
 
 
 def subset_alternative_mse(eps: float, k: int, omega: int, n: float = 1) -> float:

@@ -5,6 +5,12 @@ deliberately shares no code with the package under test: enumeration over
 report outcomes, idealized random hash functions via random.Random, and
 Monte Carlo with numpy's own Generator.  Tests compare package output against
 these, or against literals frozen from running this module.
+
+The exhaustive solvers at the end are the exception: they take the package's
+scalar objective as a callable and restate the per-point searches the
+adaptive solvers ran before they screened their grids (same grids, ties to
+the smallest candidate, and scipy's bounded refinement for the continuous
+parameters), so the screened solvers can be held to them bit for bit.
 """
 
 import math
@@ -12,6 +18,7 @@ import random
 from itertools import combinations
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 
 def grr_pq(eps, k):
@@ -226,3 +233,48 @@ def ss_outcome_prob(eps, k, omega, x, subset):
     if x in subset:
         return p_inc / math.comb(k - 1, omega - 1)
     return (1 - p_inc) / math.comb(k - 1, omega)
+
+
+# -- exhaustive solvers -------------------------------------------------------
+# `f` maps one parameter value to the package's scalar objective.
+
+def grid_argmin(f, candidates):
+    """Evaluate f at every candidate; the first (smallest) minimizer wins."""
+    best_x, best_f = None, None
+    for c in candidates:
+        v = f(c)
+        if best_f is None or v < best_f:
+            best_x, best_f = c, v
+    return best_x, best_f
+
+
+def grid_then_refine(f, grid, step, lo, hi, tol=1e-6):
+    """Grid argmin, then bounded Brent search within one step of it; the
+    refined point replaces the grid point only when strictly better."""
+    x0, f0 = grid_argmin(f, grid)
+    res = minimize_scalar(f, bounds=(max(lo, x0 - step), min(hi, x0 + step)),
+                          method="bounded", options={"xatol": tol})
+    return float(res.x) if float(res.fun) < f0 else x0
+
+
+def ass_exhaustive(f, k):
+    """Subset size: every omega in [1, k-1] (w_asr > 0)."""
+    return grid_argmin(f, range(1, k))[0]
+
+
+def aue_exhaustive(f):
+    """Keep-probability: 1024 points of [0.5, 1), refined below 1 - 1e-6."""
+    grid = np.linspace(0.5, 1.0, 1025)[:1024].tolist()
+    return grid_then_refine(f, grid, 0.5 / 1024, 0.5, 1 - 1e-6)
+
+
+def alh_exhaustive(f, eps, k):
+    """Hash range: every g in [2, max(k, round(e^eps + 1))]."""
+    hi = max(k, int(math.floor(math.exp(eps) + 1.5)))
+    return grid_argmin(f, range(2, hi + 1))[0]
+
+
+def athe_exhaustive(f):
+    """Threshold: 1024 points of [0.5, 1], refined in the winning cell."""
+    grid = np.linspace(0.5, 1.0, 1024).tolist()
+    return grid_then_refine(f, grid, 0.5 / 1023, 0.5, 1.0)

@@ -26,6 +26,7 @@ diagnostic only.
 
 import itertools
 import math
+import os
 import subprocess
 import sys
 import time
@@ -44,6 +45,9 @@ SWEEP_K = 100
 SWEEP_N = 5 * 10 ** 4
 SWEEP_RUNS = 100
 SWEEP_EPS = (2.0, 4.0, 6.0, 8.0, 10.0)
+# more threads than cores only hand the GIL back and forth between the
+# kernels' numpy calls; results do not depend on the count
+WORKERS = min(4, os.cpu_count() or 1)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> bool:
@@ -76,7 +80,7 @@ def sweep_results(sweep_dataset):
             stats = lt.run_experiment(
                 lt.ExperimentConfig(rp, SWEEP_N, SWEEP_RUNS, MASTER_SEED,
                                     sweep_dataset),
-                workers=4)
+                workers=WORKERS)
             out[name, eps] = {
                 "config": cfg,
                 "expected_asr": expected,
@@ -100,7 +104,7 @@ def adjudication():
     values = (np.arange(n) % k) + 1
     ds = lt.Dataset(values, k, "uniform")
     stats = lt.run_experiment(lt.ExperimentConfig(rp, n, runs, MASTER_SEED,
-                                                  ds), workers=4)
+                                                  ds), workers=WORKERS)
     mc = float(np.mean([s.empirical_mse for s in stats]))
     pp = lt.pure_params(rp.config)
     generic = lt.generic_pure_mse(pp, n)
@@ -370,7 +374,7 @@ def test_criterion_09_pure_estimators_unbiased():
     for name in ("grr", "ss", "sue", "oue", "blh", "olh", "the"):
         rp = lt.resolve_protocol(name, eps, k, W_HALF)
         stats = lt.run_experiment(
-            lt.ExperimentConfig(rp, n, runs, MASTER_SEED, ds), workers=4)
+            lt.ExperimentConfig(rp, n, runs, MASTER_SEED, ds), workers=WORKERS)
         mean_hat = np.mean([s.f_hat for s in stats], axis=0)
         pp = lt.pure_params(rp.config)
         var = (f_true * pp.p_star * (1 - pp.p_star)

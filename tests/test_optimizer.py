@@ -1,20 +1,31 @@
 """Two-objective parameter tuning: grid/continuous solvers and invariants."""
 
+import functools
 import math
+import subprocess
+import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles as orc
 from ldptune.model import (
+    MAX_G,
+    PASS_SIZE,
     EmptyCandidates,
     Family,
     NonFinite,
     ProtocolConfig,
     validate_config,
 )
+from ldptune.cli import main
 from ldptune.optimizer import (
+    COARSE_GRID_POINTS,
     ObjectiveWeights,
+    _cfg_ue,
+    array_objective,
     grid_search,
     minimize_scalar_bounded,
     objective,
@@ -22,6 +33,7 @@ from ldptune.optimizer import (
     optimize_ass,
     optimize_athe,
     optimize_aue,
+    screened_grid_search,
 )
 from ldptune.protocols import analytic_mse, olh_g, ss_default_omega
 from ldptune.attacks import expected_asr
@@ -77,6 +89,65 @@ class TestGridSearch:
     def test_empty_candidates(self):
         with pytest.raises(EmptyCandidates):
             grid_search(lambda c: c, [])
+
+
+class TestScreenedGridSearch:
+    """The array form ranks; the scalar f decides among near-ties."""
+
+    GRID = np.arange(10)
+    # points per pass are PASS_SIZE // width: 3 here, so passes split the grid
+    WIDTH = PASS_SIZE // 3
+
+    @staticmethod
+    def _exact(x):
+        return {4: 1.0, 5: 1.0 + 1e-10, 3: 2.0}.get(x, 3.0 + x)
+
+    def _search(self, values):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return self._exact(x)
+
+        return screened_grid_search(f, self.GRID, values, self.WIDTH), calls
+
+    def test_scalar_decides_within_the_margin(self):
+        # the array form ranks 5 first, 2e-10 (relative) ahead of 4
+        def values(x):
+            v = np.array([self._exact(int(c)) for c in x])
+            v[x == 4] += 3e-10
+            return v
+
+        (x, fx), calls = self._search(values)
+        assert (x, fx) == (4, 1.0)
+        assert calls == [4, 5]
+
+    def test_ties_go_to_smallest(self):
+        def f(c):
+            return 1.0 if c in (3, 6) else 2.0
+
+        def values(x):  # ranks 6 first, by 1e-12
+            return np.where(x == 3, 1.0, np.where(x == 6, 1.0 - 1e-12, 2.0))
+
+        assert screened_grid_search(f, self.GRID, values,
+                                    self.WIDTH) == (3, 1.0)
+
+    def test_non_finite_points_are_evaluated(self):
+        def values(x):
+            v = np.array([self._exact(int(c)) for c in x])
+            v[x == 4] = np.nan
+            return v
+
+        (x, _), calls = self._search(values)
+        assert x == 4 and sorted(calls) == [4, 5]
+
+    def test_equals_grid_search(self):
+        rng = np.random.default_rng(3)
+        vals = rng.random(50)
+        grid = np.arange(50)
+        got = screened_grid_search(lambda c: vals[c], grid,
+                                   lambda x: vals[x], self.WIDTH)
+        assert got == grid_search(lambda c: vals[c], grid.tolist())
 
 
 class TestFrozenOptima:
@@ -191,3 +262,111 @@ class TestDominanceDirection:
             assert b <= a + 1e-9
         for a, b in zip(mses, mses[1:]):
             assert b >= a - 1e-9
+
+
+# (k, eps, w_asr) cases on which the screened solvers must equal the
+# exhaustive per-point search
+SCREEN_CASES = [(k, eps, w) for k in (2, 10, 100) for eps in (1.0, 4.0, 10.0)
+                for w in (0.0, 0.5, 1.0)]
+
+
+def _scalar_objective(fam, eps, k, weights):
+    """The package's scalar objective at one parameter value, memoized."""
+    def cfg(x):
+        if fam is Family.SS:
+            return ProtocolConfig(fam, eps, k, omega=x)
+        if fam is Family.UE:
+            return _cfg_ue(eps, k, x)
+        if fam is Family.LH:
+            return ProtocolConfig(fam, eps, k, g=x)
+        return ProtocolConfig(fam, eps, k, theta=x)
+    return functools.cache(lambda x: objective(cfg(x), weights))
+
+
+class TestScreenedGrids:
+    """The array form only ranks grid points; theta_star must be the
+    exhaustive scalar search's to the bit."""
+
+    GRIDS = {
+        Family.SS: lambda k: np.arange(1, k),
+        Family.UE: lambda k: np.linspace(0.5, 1.0, COARSE_GRID_POINTS + 1)[
+            :COARSE_GRID_POINTS],
+        Family.LH: lambda k: np.arange(2, k + 1),
+        Family.THE: lambda k: np.linspace(0.5, 1.0, COARSE_GRID_POINTS),
+    }
+
+    @pytest.mark.parametrize("k,eps,w", SCREEN_CASES)
+    def test_screen_matches_exhaustive_scalar_grid(self, k, eps, w):
+        weights = ObjectiveWeights.from_w_asr(w)
+        f = {fam: _scalar_objective(fam, eps, k, weights)
+             for fam in self.GRIDS}
+        for fam, grid in self.GRIDS.items():
+            g = grid(k)
+            if len(g) == 0:
+                continue
+            vec = array_objective(fam, eps, k, weights)(g)
+            scalar = np.array([f[fam](x) for x in g.tolist()])
+            gap = np.abs(vec - scalar) / np.abs(scalar)
+            assert gap.max() <= 1e-12, (fam, gap.max())
+
+        if w > 0:  # at w_asr = 0 ass returns the baseline without a search
+            assert (optimize_ass(eps, k, weights).theta_star
+                    == orc.ass_exhaustive(f[Family.SS], k))
+        assert (optimize_aue(eps, k, weights).theta_star
+                == orc.aue_exhaustive(f[Family.UE]))
+        assert (optimize_alh(eps, k, weights).theta_star
+                == orc.alh_exhaustive(f[Family.LH], eps, k))
+        assert (optimize_athe(eps, k, weights).theta_star
+                == orc.athe_exhaustive(f[Family.THE]))
+
+    def test_evaluations_count_grid_and_refinement(self):
+        assert optimize_ass(4.0, 100, W_HALF).evaluations == 99
+        for solver in (optimize_aue, optimize_athe):
+            r = solver(4.0, 100, W_HALF)
+            assert COARSE_GRID_POINTS < r.evaluations < COARSE_GRID_POINTS + 60
+
+    @pytest.mark.parametrize("solver", [optimize_aue, optimize_athe])
+    def test_memory_flat_in_k(self, solver):
+        tracemalloc.start()
+        try:
+            solver(4.0, 10 ** 4, W_HALF)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20, peak / 2 ** 20
+
+
+class TestBoundedAlh:
+    """The hash-range search past g = k is a bisection, so its cost no longer
+    grows with e^eps."""
+
+    @pytest.mark.parametrize("eps", [20.0, 40.0])
+    def test_large_eps_returns_fast(self, eps, capsys):
+        t0 = time.perf_counter()
+        code = main(["optimize", "--protocol", "alh", "--eps", str(eps),
+                     "--k", "100"])
+        assert code == 0
+        assert time.perf_counter() - t0 < 2.0
+        assert capsys.readouterr().out.startswith("protocol,")
+
+    @pytest.mark.parametrize("eps", [36.0, 40.0, 43.7, 50.0])
+    @pytest.mark.parametrize("w_asr", [0.0, 0.5])
+    def test_large_eps_beats_log_spaced_probes(self, eps, w_asr):
+        # past e^eps = 2^53, e + g - 1 rounds to e for small g and the scalar
+        # objective has plateaus; the search must not stop on one
+        k, w = 10, ObjectiveWeights.from_w_asr(w_asr)
+        r = optimize_alh(eps, k, w)
+        top = min(olh_g(eps), MAX_G)
+        assert 2 <= r.theta_star <= top
+        probes = set(range(2, k + 1)) | {top, top - 1}
+        probes |= {int(x) for x in np.geomspace(k, top, 200)}
+        for g in sorted(probes):
+            cfg = ProtocolConfig(Family.LH, eps, k, g=min(g, top))
+            assert objective(cfg, w) >= r.objective_value, g
+
+    def test_largest_eps_exits_cleanly(self):
+        r = subprocess.run([sys.executable, "-m", "ldptune.cli", "optimize",
+                            "--protocol", "alh", "--eps", "700", "--k", "100"],
+                           capture_output=True, text=True, timeout=60)
+        assert r.returncode in (0, 2)
+        assert "Traceback" not in r.stderr
