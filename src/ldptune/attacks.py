@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .model import (
     BitVectorReport,
@@ -45,6 +44,87 @@ DEFAULT_ORACLE_SEED = 0x0A5CE5EED
 MAX_ENUM_OUTCOMES = 1 << 20
 _FULL_BITS_MAX_K = 16
 _SUM_MAX_K = 20
+
+
+# log(2 pi)/2 and the Stirling-series coefficients of Cephes `lgam` used
+# below j = 1000
+_LS2PI = 0.91893853320467274178
+_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
+           7.93650340457716943945E-4, -2.77777777730099687205E-3,
+           8.33333333333331927722E-2)
+_lgam_cache = np.zeros(0)
+
+
+def _lgam(first: int, last: int) -> np.ndarray:
+    """log Gamma(j) for the integers j = first..last (first >= 13), to the
+    bit as `lgam` of the Cephes Math Library (S. L. Moshier) computes it;
+    scipy.special.gammaln (BSD-3) runs the same code.
+
+    It is the Stirling series: the 5-coefficient polynomial in 1/j^2 below
+    1000, three terms from 1000 on, none past 1e8.  Logs are libm's
+    (`math.log`), as in Cephes: numpy's own log differs from libm in the
+    last bit on a few inputs.  The arithmetic is numpy's, in Cephes' order;
+    each step rounds as the scalar one does.
+    """
+    j = range(first, last + 1)
+    x = np.arange(first, last + 1, dtype=float)
+    logx = np.fromiter(map(math.log, j), float, len(j))
+    q = (x - 0.5) * logx - x + _LS2PI
+    p = 1.0 / (x * x)
+    poly = np.full(len(j), _LGAM_A[0])
+    for c in _LGAM_A[1:]:
+        poly = poly * p + c
+    three = ((7.9365079365079365079365e-4 * p
+              - 2.7777777777777777777778e-3) * p
+             + 0.0833333333333333333333) / x
+    return np.where(x > 1.0e8, q,
+                    q + np.where(x >= 1000.0, three, poly / x))
+
+
+def lgamma_table(k: int) -> np.ndarray:
+    """log Gamma(j) for j = 1..k, read-only, as Cephes `lgam` gives it.
+
+    Below 13 it is the log of (j-1)!, which float64 holds exactly; from 13
+    on see `_lgam`.  The table only grows, so each value is computed once
+    per process (8 bytes per entry are kept).  Two threads may both grow
+    it; either table they store is correct.
+    """
+    global _lgam_cache
+    table = _lgam_cache
+    if len(table) < k:
+        start = len(table) + 1
+        small = [math.log(float(math.factorial(j - 1)))
+                 for j in range(start, min(k, 12) + 1)]
+        table = np.concatenate(
+            (table, small, _lgam(max(start, 13), k)))
+        table.flags.writeable = False
+        _lgam_cache = table
+    return table[:k]
+
+
+def logsumexp(a, axis: int | None = None):
+    """log(sum(exp(a))) over `axis` (all of `a` when None), to the bit as
+    scipy.special.logsumexp (BSD-3) returns it for real input and no weights.
+
+    The maxima are taken out of the sum: with c of them equal to the max,
+    s = sum(exp(a - max)) / c over the rest, and the result is
+    log1p(s) + log(c) + max.  Where that is not finite (an all -inf or a NaN
+    row, a +inf entry) it is log(sum(exp(a))) instead.
+    """
+    a = np.asarray(a, dtype=float)
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True)
+        top = a == a_max
+        count = np.sum(top, axis=axis, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max), axis=axis,
+                   keepdims=True) / count
+        out = np.log1p(s) + np.log(count) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
+            out = np.where(finite, out, direct)
+    return np.squeeze(out, axis=axis)[()]
 
 
 @dataclass(frozen=True)
@@ -107,8 +187,9 @@ def bitvector_expected_asr(p: float, q: float, k: int) -> float:
     if q == 0.0:
         return p + (1 - p) / k
     m = np.arange(1, k + 1, dtype=float)
+    lgam = lgamma_table(k)
     logs = (math.log(p)
-            + gammaln(k) - gammaln(m) - gammaln(k - m + 1)
+            + lgam[-1] - lgam - lgam[::-1]
             + (m - 1) * math.log(q) + (k - m) * math.log1p(-q)
             - np.log(m))
     hit = math.exp(logsumexp(logs))
@@ -120,7 +201,8 @@ def support_size_row(k: int) -> np.ndarray:
     """log C(k-1, m-1) - log m for m = 1..k: the part of the support-size
     sum that does not depend on (p, q)."""
     m = np.arange(1, k + 1, dtype=float)
-    return gammaln(k) - gammaln(m) - gammaln(k - m + 1) - np.log(m)
+    lgam = lgamma_table(k)
+    return lgam[-1] - lgam - lgam[::-1] - np.log(m)
 
 
 def bitvector_asr_array(p: np.ndarray, q: np.ndarray, k: int,
@@ -163,7 +245,8 @@ def expected_asr(cfg: ProtocolConfig) -> float:
     GRR: e^eps/(e^eps+k-1).  SS: e^eps/(omega e^eps + k - omega).  UE/THE:
     the support-size sum of `bitvector_expected_asr`.  LH:
     e^eps/((e^eps+g-1) max(k/g, 1)), a preimage-size approximation (see
-    `lh_exact_expected_asr`).  SHE has no closed form; use
+    `lh_exact_expected_asr`), divided in two steps where the product in the
+    denominator overflows.  SHE has no closed form; use
     `expected_asr_she_mc`.
     """
     validate_config(cfg)
@@ -179,7 +262,10 @@ def expected_asr(cfg: ProtocolConfig) -> float:
         p, q = the_params(cfg.eps, cfg.theta)
         return bitvector_expected_asr(p, q, cfg.k)
     if fam is Family.LH:
-        return e / ((e + cfg.g - 1) * max(cfg.k / cfg.g, 1.0))
+        hashed, preimage = e + cfg.g - 1, max(cfg.k / cfg.g, 1.0)
+        if math.isinf(hashed * preimage):  # only near the eps cap
+            return e / hashed / preimage
+        return e / (hashed * preimage)
     raise UnsupportedFamily("SHE expected ASR is Monte Carlo; "
                             "use expected_asr_she_mc")
 

@@ -305,6 +305,8 @@ def pareto_sweep(protocols, eps_grid, k_grid, weights: ObjectiveWeights,
     point).  `param` pins the free parameter of every point (single-protocol
     sweeps only).
     """
+    if she_trials < 1:
+        raise RangeError("she-trials", "an integer >= 1", she_trials)
     rows = []
     dataset_cache = {}
     for name in protocols:

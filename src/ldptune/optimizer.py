@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .model import (
     MAX_G,
@@ -98,6 +97,13 @@ def objective(cfg: ProtocolConfig, weights: ObjectiveWeights, n: float = 1) -> f
 def minimize_scalar_bounded(f, lo: float, hi: float, tol: float = REFINE_TOL):
     """Minimize f on [lo, hi] to within tol of a stationary point or boundary.
 
+    Brent's bounded method (Brent 1973, "Algorithms for Minimization without
+    Derivatives", ch. 5): golden-section steps, parabolic ones where the fit
+    is acceptable.  A port of scipy.optimize's `_minimize_scalar_bounded`
+    (BSD-3) that keeps its operation order, its absolute tolerance `xatol`
+    = tol and its 500-call cap, so it probes the same points and returns the
+    same bits as `minimize_scalar(method="bounded")`.
+
     Returns (x*, f*).  Raises NonFinite when any probe of f is not finite.
     """
     if not lo < hi:
@@ -109,9 +115,65 @@ def minimize_scalar_bounded(f, lo: float, hi: float, tol: float = REFINE_TOL):
             raise NonFinite(x, v)
         return v
 
-    res = minimize_scalar(checked, bounds=(lo, hi), method="bounded",
-                          options={"xatol": tol})
-    return float(res.x), float(res.fun)
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    # xf: best point so far; nfc, fulc: the second and third best
+    xf = nfc = fulc = a + golden_mean * (b - a)
+    fx = ffulc = fnfc = checked(xf)
+    calls = 1
+    rat = e = 0.0
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + tol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = -tol1 if xm - xf < 0 else tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = checked(x)
+        calls += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + tol / 3.0
+        tol2 = 2.0 * tol1
+        if calls >= 500:
+            break
+    return float(xf), float(fx)
 
 
 class _CountingObjective:
@@ -193,8 +255,8 @@ def array_objective(family: Family, eps: float, k: int,
             return (e / (w * e + k - w),) + ss_pure_pair(eps, k, w)
     elif fam is Family.LH:
         def terms(g):
-            return (e / ((e + g - 1) * np.maximum(k / g, 1.0)),
-                    e / (e + g - 1), 1 / g)
+            hashed = e + g - 1
+            return e / hashed / np.maximum(k / g, 1.0), e / hashed, 1 / g
     else:
         row = support_size_row(k) if weights.w_asr else None
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 import oracles as orc
 from ldptune.attacks import (
@@ -13,8 +14,10 @@ from ldptune.attacks import (
     empirical_asr,
     expected_asr,
     expected_asr_she_mc,
+    lgamma_table,
     lh_exact_expected_asr,
     lh_seed_averaged_asr,
+    logsumexp,
 )
 from ldptune.model import (
     BitVectorReport,
@@ -149,9 +152,55 @@ class TestClosedForms:
         assert bitvector_expected_asr(p, 0.0, k) == pytest.approx(
             p + (1 - p) / k, abs=1e-15)
 
+    def test_lh_asr_near_eps_cap(self):
+        # e^eps is finite but (e^eps + g - 1) max(k/g, 1) overflows
+        assert expected_asr(_vc(Family.LH, 709.78, 10, g=2)) == 0.2
+        for eps, k, g in [(1.0, 10, 2), (4.0, 100, 55), (30.0, 10, 10 ** 6)]:
+            e = math.exp(eps)
+            assert expected_asr(_vc(Family.LH, eps, k, g=g)) == (
+                e / ((e + g - 1) * max(k / g, 1.0)))
+
     def test_she_analytic_asr_unsupported(self):
         with pytest.raises(UnsupportedFamily):
             expected_asr(_vc(Family.SHE, 1.0, 4))
+
+
+class TestScipyPorts:
+    """The in-package log-gamma table and logsumexp return scipy's bits."""
+
+    def test_lgamma_table_equals_gammaln(self):
+        j = np.arange(1, 2 * 10 ** 5 + 1)
+        ours = lgamma_table(len(j))
+        assert not ours.flags.writeable
+        mismatched = j[ours.view(np.int64) != special.gammaln(j).view(np.int64)]
+        assert mismatched.size == 0, mismatched[:10]
+
+    @staticmethod
+    def _rows():
+        rng = np.random.default_rng(7)
+        rows = [rng.normal(0, s, n) for s in (1.0, 40.0, 700.0)
+                for n in (1, 2, 7, 100)]
+        tied = rng.normal(0, 3, 50)
+        tied[[3, 17, 40]] = tied.max() + 1.0
+        holes = rng.normal(0, 3, 50)
+        holes[::4] = -np.inf
+        rows += [tied, holes, np.full(50, -np.inf), np.full(50, 2.5),
+                 np.array([-1e308, 1e308]), np.array([0.0, np.inf]),
+                 np.array([np.nan, 1.0])]
+        return rows
+
+    def test_logsumexp_1d_equals_scipy(self):
+        for a in self._rows():
+            with np.errstate(over="ignore"):  # scipy's, at [-1e308, 1e308]
+                ours, ref = logsumexp(a), special.logsumexp(a)
+            assert np.float64(ours).tobytes() == np.float64(ref).tobytes(), a
+
+    def test_logsumexp_axis1_equals_scipy(self):
+        a = np.vstack([r for r in self._rows() if len(r) == 50])
+        ours = logsumexp(a, axis=1)
+        assert ours.shape == (len(a),)
+        assert ours.tobytes() == special.logsumexp(a, axis=1).tobytes()
+        assert ours[2] == -np.inf  # the all -inf row
 
 
 class TestBruteForce:

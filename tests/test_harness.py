@@ -277,6 +277,13 @@ class TestParetoSweep:
         assert row.empirical_asr_stderr is not None
         assert 0 < row.empirical_asr_stderr < 0.01
 
+    def test_she_trials_below_one_is_a_range_error(self, monkeypatch):
+        def no_points(*args, **kwargs):
+            raise AssertionError("a point ran before the check")
+        monkeypatch.setattr("ldptune.harness.resolve_protocol", no_points)
+        with pytest.raises(RangeError, match="she-trials"):
+            pareto_sweep(["she"], [1.0], [10], W_HALF, she_trials=0)
+
     def test_adaptive_mse_only_duplicates_baselines(self):
         w = ObjectiveWeights(0.0, 1.0)
         rows = {r.protocol: r for r in pareto_sweep(
@@ -451,6 +458,17 @@ class TestCli:
             r = self._run(*argv)
             assert r.returncode == 2, argv
             assert "Traceback" not in r.stderr, argv
+        r = self._run("analyze", "--protocol", "she", "--eps", "1", "--k", "10",
+                      "--she-trials", "0")
+        assert r.returncode == 2 and "she-trials" in r.stderr
+
+    def test_import_loads_no_scipy(self):
+        code = ("import sys, ldptune, ldptune.cli\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "[]"
 
     def test_io_error_exit_3(self):
         r = self._run("analyze", "--protocol", "grr", "--eps", "1", "--k",

@@ -9,6 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 import oracles as orc
 from ldptune.model import (
@@ -22,6 +23,7 @@ from ldptune.model import (
 )
 from ldptune.cli import main
 from ldptune.optimizer import (
+    _P_CAP,
     COARSE_GRID_POINTS,
     ObjectiveWeights,
     _cfg_ue,
@@ -75,6 +77,46 @@ class TestMinimizeScalarBounded:
     def test_non_finite_objective_rejected(self):
         with pytest.raises(NonFinite):
             minimize_scalar_bounded(lambda t: float("nan"), 0.0, 1.0)
+
+    @staticmethod
+    def _assert_same_as_scipy(f, lo, hi):
+        ours, ref = [], []
+        x, fx = minimize_scalar_bounded(lambda t: ours.append(t) or f(t),
+                                        lo, hi, 1e-6)
+        res = minimize_scalar(lambda t: ref.append(t) or f(t),
+                              bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-6})
+        assert ours == ref  # the same probes, so the same call count
+        assert (x, fx) == (float(res.x), float(res.fun))
+
+    @pytest.mark.parametrize("f,lo,hi", [
+        (lambda t: (t - 2.0) ** 2, -10.0, 10.0),
+        (lambda t: 3.0 * t, 1.0, 3.0),  # minimum on the boundary
+        (lambda t: 0.25, 0.0, 1.0),  # flat
+    ])
+    def test_same_as_scipy(self, f, lo, hi):
+        self._assert_same_as_scipy(f, lo, hi)
+
+    @pytest.mark.parametrize("eps,k,w", [(1.0, 10, 0.5), (4.0, 100, 0.3),
+                                         (8.0, 100, 0.9), (2.0, 1000, 0.0)])
+    def test_same_as_scipy_on_refinement_objectives(self, eps, k, w):
+        weights = ObjectiveWeights.from_w_asr(w)
+
+        def ue_f(p):
+            return objective(_cfg_ue(eps, k, p), weights)
+
+        def the_f(t):
+            return objective(ProtocolConfig(Family.THE, eps, k, theta=t),
+                             weights)
+
+        cell = 0.5 / COARSE_GRID_POINTS
+        p0 = optimize_aue(eps, k, weights).theta_star
+        t0 = optimize_athe(eps, k, weights).theta_star
+        for f, lo, hi in [(ue_f, 0.5, _P_CAP),
+                          (ue_f, max(0.5, p0 - cell), min(_P_CAP, p0 + cell)),
+                          (the_f, 0.5, 1.0),
+                          (the_f, max(0.5, t0 - cell), min(1.0, t0 + cell))]:
+            self._assert_same_as_scipy(f, lo, hi)
 
 
 class TestGridSearch:
@@ -363,6 +405,13 @@ class TestBoundedAlh:
         for g in sorted(probes):
             cfg = ProtocolConfig(Family.LH, eps, k, g=min(g, top))
             assert objective(cfg, w) >= r.objective_value, g
+
+    def test_asr_survives_near_eps_cap(self):
+        # (e^eps + g - 1) max(k/g, 1) overflows here; the ASR term must not
+        # read as 0, which made g = k - 1 look free of attack risk
+        r = optimize_alh(709.78, 100, W_HALF)
+        assert r.asr_at_opt > 0
+        assert r.asr_at_opt == pytest.approx(r.theta_star / 100, rel=1e-15)
 
     def test_largest_eps_exits_cleanly(self):
         r = subprocess.run([sys.executable, "-m", "ldptune.cli", "optimize",
