@@ -31,6 +31,8 @@ from .model import (
     TooLarge,
     UnsupportedFamily,
     derive_stream,
+    laplace_inplace,
+    order_margin,
     validate_config,
 )
 from .protocols import hash_buckets, pure_params, support, the_params
@@ -270,10 +272,46 @@ def expected_asr(cfg: ProtocolConfig) -> float:
                             "use expected_asr_she_mc")
 
 
+def _she_hits(z: np.ndarray, b: float) -> tuple:
+    """Attack hits among the trials of the raw-draw block `z`, which the
+    caller owns: one row per trial, column 0 the true coordinate.  Returns
+    (hits, confirmed), where `confirmed` counts the rows decided by the full
+    transform.
+
+    A trial hits when argmax(L(z_0) + 1, L(z_1), ..., L(z_{k-1})) is 0, L
+    being `laplace_inplace`; exact ties hit, because argmax takes the first.
+    L is nondecreasing in the raw draw up to `order_margin`, so only two
+    values per row are transformed: v0 = L(z_0) + 1 and vt = L(top), top the
+    row's largest raw draw in columns 1..k-1.  Since vt is one of the others'
+    samples, v0 < vt is a miss; since no other sample exceeds vt by more than
+    `order_margin(vt)`, v0 >= vt + order_margin(vt) is a hit.  Rows between
+    the two go through the full row transform and argmax.
+    """
+    m = z.shape[0]
+    ends = np.empty((2, m), dtype=np.uint64)
+    ends[0] = z[:, 0]
+    np.max(z[:, 1:], axis=1, out=ends[1])
+    v0, vt = laplace_inplace(ends, b)
+    v0 += 1.0
+    sure = vt + order_margin(vt)
+    hits = int(np.count_nonzero(v0 >= sure))
+    band = z[(v0 >= vt) & (v0 < sure)]
+    if band.size:
+        v = laplace_inplace(band, b)
+        v[:, 0] += 1.0
+        hits += int(np.count_nonzero(np.argmax(v, axis=1) == 0))
+    return hits, band.shape[0]
+
+
 def expected_asr_she_mc(eps: float, k: int, trials: int = 10 ** 6,
                         rng: RngStream | None = None) -> AsrResult:
     """Monte Carlo estimate of Pr[1 + Z_x > max of the other k-1 Z_i] with
-    Z i.i.d. Laplace(0, 2/eps): sample, compare, average."""
+    Z i.i.d. Laplace(0, 2/eps): sample, compare, average.
+
+    Each trial takes the next k draws of `rng`, and `_she_hits` decides it on
+    the raw draws, so the estimate is the one a full transform of every
+    draw gives, bit for bit, at about two transforms per trial.
+    """
     if trials < 1:
         raise EmptyInput("trials must be >= 1")
     if k == 1:
@@ -286,9 +324,7 @@ def expected_asr_she_mc(eps: float, k: int, trials: int = 10 ** 6,
     chunk = block_rows(k)
     while done < trials:
         m = min(chunk, trials - done)
-        z = rng.laplaces(m * k, b).reshape(m, k)
-        z[:, 0] += 1.0
-        hits += int(np.count_nonzero(np.argmax(z, axis=1) == 0))
+        hits += _she_hits(rng.u64s(m * k).reshape(m, k), b)[0]
         done += m
     asr = hits / trials
     return AsrResult(asr, trials, math.sqrt(asr * (1 - asr) / trials))

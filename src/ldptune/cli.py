@@ -22,6 +22,7 @@ from .harness import (
     UnparsableRow,
     export,
     pareto_sweep,
+    parse_data_spec,
     parse_grid,
 )
 from .model import EmptyInput, NonFinite, RangeError, TooLarge, UnsupportedFamily
@@ -41,6 +42,22 @@ def _weights(w_asr: float) -> ObjectiveWeights:
 
 def _emit(rows, args) -> None:
     export(rows, args.format, sys.stdout if args.out is None else args.out)
+
+
+def _experiment(args) -> ExperimentConfig:
+    """The experiment of a `simulate` or `pareto` command.  CSV data is
+    loaded here, once, so that the rows it dropped can be reported on
+    stderr; the sweep uses the loaded dataset as it would the spec."""
+    data = args.data
+    if data.startswith("csv:"):
+        # a CSV dataset's domain and size come from the file, not k or n
+        data = parse_data_spec(data, None, None, args.seed)
+        if data.rejected:
+            print(f"data: dropped {data.rejected} rows of "
+                  f"{data.provenance.path} (column {data.provenance.column!r})",
+                  file=sys.stderr)
+    return ExperimentConfig(None, args.n, args.runs, args.seed, data,
+                            _weights(args.w_asr))
 
 
 def _add_output(sp) -> None:
@@ -133,8 +150,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    experiment = ExperimentConfig(None, args.n, args.runs, args.seed,
-                                  args.data, _weights(args.w_asr))
+    experiment = _experiment(args)
     rows = pareto_sweep([args.protocol], [args.eps], [args.k],
                         _weights(args.w_asr), experiment=experiment,
                         workers=args.workers, she_trials=args.she_trials,
@@ -153,8 +169,7 @@ def cmd_pareto(args) -> int:
                              args.protocols)
     experiment = None
     if args.runs is not None:
-        experiment = ExperimentConfig(None, args.n, args.runs, args.seed,
-                                      args.data, _weights(args.w_asr))
+        experiment = _experiment(args)
     rows = pareto_sweep(names, parse_grid(args.eps),
                         parse_grid(args.k, integer=True), _weights(args.w_asr),
                         experiment=experiment, workers=args.workers,

@@ -299,13 +299,16 @@ def draws_uniform(seeds, counters) -> np.ndarray:
     return z * 2.0 ** -53
 
 
-def draws_laplace(seeds, counters, b: float) -> np.ndarray:
-    """Same, mapped through the Laplace(0, b) inverse CDF.
+def laplace_inplace(z: np.ndarray, b: float) -> np.ndarray:
+    """Map the contiguous uint64 array `z` of raw draws, which the caller
+    must own, to Laplace(0, b) samples in place; returns the float64 view.
 
-    One uniform u in (-1/2, 1/2) per draw; sample = -b sgn(u) ln(1-2|u|).
-    The offset keeps u off both 0 and the endpoints, so the result is finite.
+    One uniform u in (-1/2, 1/2] per draw, from its 53-bit value j = z >> 11;
+    sample = -b sgn(u) ln(1-2|u|).  The offset keeps u off -1/2, so the
+    sample is finite for every draw but the top one, j = 2^53 - 1, where
+    j + 1/2 rounds to 2^53 and the sample is +inf.  The samples follow the
+    order of j up to `log1p`'s rounding error; see `order_margin`.
     """
-    z = draws_u64(seeds, counters)
     # the samples overwrite the raw draws in place, one pass at a time
     out = z.view(np.float64)
     u = np.empty(min(z.size, PASS_SIZE))
@@ -324,6 +327,28 @@ def draws_laplace(seeds, counters, b: float) -> np.ndarray:
         ws *= b
         np.copysign(ws, us, out=dst)
     return out
+
+
+def order_margin(v):
+    """How far a Laplace sample of `laplace_inplace` may exceed the sample
+    of a larger raw draw: |v| 2^-40 + 2^-60 for samples near v.
+
+    For draws j1 < j2 the exact samples satisfy L(j1) <= L(j2), and the
+    rounded ones can break that order only through `log1p`: u is a
+    monotone rounding of j, copysign keeps every sample of u < 0 at or
+    below every sample of u >= 0, and on each side of u = 0, -2|u| and the
+    product by b are monotone roundings.  With `log1p` within c ulp, each
+    rounded sample is within (c + 1) 2^-52 |L| of the exact one, so
+    L(j1) - L(j2) on the rounded map is at most about (c + 1) 2^-51 |L(j2)|.
+    The factor 2^-40 covers any c below 2^10 (glibc's `log1p` and numpy's
+    SIMD loops stay within a few ulp); the 2^-60 floor covers samples at 0.
+    """
+    return abs(v) * 2.0 ** -40 + 2.0 ** -60
+
+
+def draws_laplace(seeds, counters, b: float) -> np.ndarray:
+    """Same as `draws_u64`, mapped through `laplace_inplace`."""
+    return laplace_inplace(draws_u64(seeds, counters), b)
 
 
 class RngStream:
@@ -355,20 +380,26 @@ class RngStream:
 
     def laplace(self, b: float) -> float:
         """One Laplace(0, b) draw via the inverse CDF."""
+        return float(self.laplaces(1, b)[0])
+
+    def u64s(self, count: int) -> np.ndarray:
+        """The next `count` raw draws, built in place on one array; advances
+        the stream by `count`."""
         c = self._count
-        self._count = c + 1
-        return float(draws_laplace(_U64(self.seed), np.asarray([c]), b)[0])
+        self._count = c + count
+        z = np.arange(c + 1, c + 1 + count, dtype=_U64)
+        z *= _NP_GAMMA
+        z += _U64(self.seed)
+        return mix64_inplace(z)
 
     def uniforms(self, count: int) -> np.ndarray:
         """`count` float64 draws at once; advances the stream by `count`."""
-        c = self._count
-        self._count = c + count
-        return draws_uniform(_U64(self.seed), np.arange(c, c + count))
+        z = self.u64s(count)
+        z >>= _U64(11)
+        return z * 2.0 ** -53
 
     def laplaces(self, count: int, b: float) -> np.ndarray:
-        c = self._count
-        self._count = c + count
-        return draws_laplace(_U64(self.seed), np.arange(c, c + count), b)
+        return laplace_inplace(self.u64s(count), b)
 
 
 def derive_stream(master_seed: int, run: int, user: int) -> RngStream:

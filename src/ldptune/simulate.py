@@ -25,10 +25,16 @@ per-family draw layout:
 The scalar functions in `protocols`/`attacks` consume draws in exactly this
 order, so for any user the kernel and the per-user reference path produce
 identical reports and guesses (tested).
+
+THE needs only whether each noisy coordinate exceeds theta, and the Laplace
+transform follows the order of the draws, so its kernel compares the draws'
+53-bit values with two integer cuts, found once per (eps, theta) and checked
+against the transform wherever its rounding leaves the order in doubt.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -40,6 +46,8 @@ from .model import (
     draws_laplace,
     draws_u64,
     draws_uniform,
+    laplace_inplace,
+    order_margin,
     stream_seeds,
 )
 from .protocols import (
@@ -134,24 +142,20 @@ def _lh(cfg, x0, seeds, counts):
     k, g = cfg.k, cfg.g
     e = math.exp(cfg.eps)
     p = e / (e + g - 1)
-    buckets = hash_buckets(draws_u64(seeds, 0)[:, None],
-                           np.arange(1, k + 1)[None, :], g)
+    # one call for the three per-user draws: hash seed, perturbation, pick
+    z = draws_u64(seeds[:, None], np.arange(3)[None, :])
+    buckets = hash_buckets(z[:, :1], np.arange(1, k + 1)[None, :], g)
     bx = buckets[np.arange(x0.size), x0]
-    u = draws_uniform(seeds, 1)
+    u, u_att = ((z[:, 1:] >> np.uint64(11)) * 2.0 ** -53).T
     y0 = np.where(u < p, bx, _pick_other((u - p) / (1 - p), bx, g))
     supp = buckets == y0[:, None]
     counts += supp.sum(axis=0, dtype=np.int32)
-    return _rank_attack_success(supp, x0, draws_uniform(seeds, 2), k)
-
-
-def _noisy_onehot(cfg, x0, seeds):
-    v = draws_laplace(seeds[:, None], np.arange(cfg.k)[None, :], 2.0 / cfg.eps)
-    v[np.arange(x0.size), x0] += 1.0
-    return v
+    return _rank_attack_success(supp, x0, u_att, k)
 
 
 def _she(cfg, x0, seeds, sums):
-    v = _noisy_onehot(cfg, x0, seeds)
+    v = draws_laplace(seeds[:, None], np.arange(cfg.k)[None, :], 2.0 / cfg.eps)
+    v[np.arange(x0.size), x0] += 1.0
     succ = int(np.count_nonzero(np.argmax(v, axis=1) == x0))
     # folding the running sum into row 0 keeps the whole run's sequential
     # row order, so the sums equal v.mean(axis=0)'s over all users bit for bit
@@ -160,9 +164,84 @@ def _she(cfg, x0, seeds, sums):
     return succ
 
 
+def _first_above(f, x: float) -> int:
+    """The first 53-bit draw j with f(j) > x (2^53 when there is none), by a
+    63-probe search that narrows [lo, hi) 64-fold per round.  It keeps
+    f(lo) <= x < f(hi), taking lo = -1 and hi = 2^53 as past the ends, and
+    is exact only where f keeps the order of j, which `_order_cut` checks."""
+    lo, hi = -1, 1 << 53
+    while hi - lo > 1:
+        probes = lo + (hi - lo) * np.arange(1, 64) // 64
+        probes = probes[probes > lo]  # repeats, once hi - lo < 64, are harmless
+        up = np.flatnonzero(f(probes.astype(np.uint64)) > x)
+        if up.size == 0:
+            lo = int(probes[-1])
+            continue
+        hi = int(probes[up[0]])
+        if up[0]:
+            lo = int(probes[up[0] - 1])
+    return hi
+
+
+def _order_cut(f, x: float, e: float) -> tuple:
+    """(t, flips) such that, for every 53-bit draw j, f(j) > x exactly when
+    (j >= t) != (j in flips), given that f breaks the order of j by at most
+    e around x: f(j1) <= f(j2) + e whenever j1 < j2.
+
+    Let lo and hi be draws with f(lo - 1) <= x - e < f(lo) and
+    f(hi - 1) <= x + e < f(hi), as `_first_above` finds them.  Then every j < lo
+    has f(j) <= f(lo - 1) + e <= x and every j >= hi has f(j) >= f(hi) - e
+    > x, so only the draws in [lo, hi) are in doubt.  Each of them is
+    evaluated; t puts the cut where their count of failures says, and any
+    draw the cut misclassifies is listed in `flips` (read-only, and empty
+    wherever f is monotone).
+    """
+    lo, hi = _first_above(f, x - e), _first_above(f, x + e)
+    window = np.arange(lo, hi, dtype=np.uint64)
+    above = f(window) > x
+    t = lo + int(np.count_nonzero(~above))
+    flips = window[above != (window >= np.uint64(t))]
+    flips.setflags(write=False)
+    return t, flips
+
+
+@functools.lru_cache(maxsize=1024)
+def _the_cuts(eps: float, theta: float) -> tuple:
+    """THE's thresholds on the 53-bit draws j: the cut (t, flips) of
+    L(j) > theta, for the other coordinates, and of L(j) + 1 > theta, for
+    the true one, where L is `laplace_inplace` at b = 2/eps.  The second
+    map's order breaks are L's near theta - 1 plus one rounding of the sum,
+    at most an ulp (2^-52) of a value below 2."""
+    b = 2.0 / eps
+
+    def lap(j):
+        # the top draw 2^53 - 1 maps to +inf (see `laplace_inplace`)
+        with np.errstate(divide="ignore"):
+            return laplace_inplace(np.left_shift(j, np.uint64(11)), b)
+
+    return (_order_cut(lap, theta, order_margin(theta)),
+            _order_cut(lambda j: lap(j) + 1.0, theta,
+                       order_margin(theta - 1.0) + 2.0 ** -52))
+
+
+def _at_or_past(j: np.ndarray, t: int, flips: np.ndarray) -> np.ndarray:
+    """The predicate (j >= t) != (j in flips) of an `_order_cut`."""
+    bits = j >= np.uint64(t)
+    if flips.size:
+        bits ^= np.isin(j, flips)
+    return bits
+
+
 def _the(cfg, x0, seeds, counts):
+    # noise L(j) on every coordinate and 1 more on the true one, thresholded
+    # at theta: both tests are integer compares of the draws' 53-bit values
     k = cfg.k
-    bits = _noisy_onehot(cfg, x0, seeds) > cfg.theta
+    rows = np.arange(x0.size)
+    others, true = _the_cuts(cfg.eps, cfg.theta)
+    z = draws_u64(seeds[:, None], np.arange(k)[None, :])
+    z >>= np.uint64(11)
+    bits = _at_or_past(z, *others)
+    bits[rows, x0] = _at_or_past(z[rows, x0], *true)
     counts += bits.sum(axis=0, dtype=np.int32)
     return _rank_attack_success(bits, x0, draws_uniform(seeds, k), k)
 

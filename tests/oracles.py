@@ -18,6 +18,7 @@ import random
 from itertools import combinations
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 
@@ -161,6 +162,23 @@ def she_asr_mc(eps, k, trials, seed=0):
         hits += int(np.count_nonzero(np.argmax(z, axis=1) == 0))
         done += m
     return hits / trials
+
+
+def she_asr_exact(eps, k):
+    """Pr[Z_0 + 1 > max of Z_1..Z_{k-1}] for Z i.i.d. Laplace(0, 2/eps), by
+    quadrature of f(z) F(z + 1)^(k-1) over z, with f and F the Laplace
+    density and CDF; split at the kinks z = -1 and z = 0."""
+    b = 2.0 / eps
+
+    def cdf(x):
+        return 0.5 * math.exp(x / b) if x < 0 else 1.0 - 0.5 * math.exp(-x / b)
+
+    def integrand(z):
+        return math.exp(-abs(z) / b) / (2 * b) * cdf(z + 1.0) ** (k - 1)
+
+    cuts = (-math.inf, -1.0, 0.0, math.inf)
+    return sum(quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-11)[0]
+               for lo, hi in zip(cuts, cuts[1:]))
 
 
 def she_variance(eps, n=1):

@@ -8,6 +8,7 @@ from scipy import special
 
 import oracles as orc
 from ldptune.attacks import (
+    _she_hits,
     attack,
     bitvector_expected_asr,
     brute_force_expected_asr,
@@ -25,10 +26,13 @@ from ldptune.model import (
     EmptyInput,
     Family,
     ProtocolConfig,
+    RngStream,
     SubsetReport,
     TooLarge,
     UnsupportedFamily,
     derive_stream,
+    laplace_inplace,
+    order_margin,
     validate_config,
 )
 from ldptune.protocols import perturb, sue_params, ue_pair_from_p
@@ -253,6 +257,100 @@ class TestSheMonteCarlo:
         r = expected_asr_she_mc(2.0, 6, 2 * 10 ** 5, derive_stream(9, 0, 0))
         ref = orc.she_asr_mc(2.0, 6, 2 * 10 ** 5, seed=1234)
         assert abs(r.asr - ref) < 4 * math.sqrt(2.0) * r.stderr
+
+
+    @pytest.mark.parametrize("eps", [0.5, 2.0, 8.0])
+    @pytest.mark.parametrize("k", [2, 10, 100])
+    def test_matches_exact_quadrature(self, eps, k):
+        r = expected_asr_she_mc(eps, k, 10 ** 5)
+        exact = orc.she_asr_exact(eps, k)
+        assert abs(r.asr - exact) < 4 * r.stderr
+
+
+def _laplace_of(j, b):
+    """The package's Laplace(0, b) sample of each 53-bit draw j."""
+    with np.errstate(divide="ignore"):
+        return laplace_inplace(
+            np.left_shift(np.asarray(j, dtype=np.uint64), np.uint64(11)), b)
+
+
+def _first_reaching(targets, b):
+    """For each target v, the first 53-bit draw j with L(j) + 1 >= v."""
+    lo = np.full(targets.size, -1, dtype=np.int64)
+    hi = np.full(targets.size, 1 << 53, dtype=np.int64)
+    for _ in range(60):
+        live = hi - lo > 1
+        mid = np.where(live, (lo + hi) // 2, 0)
+        up = _laplace_of(mid, b) + 1.0 >= targets
+        hi = np.where(live & up, mid, hi)
+        lo = np.where(live & ~up, mid, lo)
+    return hi
+
+
+def _full_hits(z, b):
+    """Hits by the full row transform and argmax, on a copy of z."""
+    v = laplace_inplace(z.copy(), b)
+    v[:, 0] += 1.0
+    return int(np.count_nonzero(np.argmax(v, axis=1) == 0))
+
+
+def _raw_rows(j, seed):
+    """Raw draws with the given 53-bit values and random low 11 bits."""
+    low = np.random.default_rng(seed).integers(0, 1 << 11, size=j.shape,
+                                               dtype=np.uint64)
+    return (np.asarray(j, dtype=np.uint64) << np.uint64(11)) | low
+
+
+class TestSheScreen:
+    """`_she_hits` decides a trial on two transformed values unless the true
+    coordinate's sample lands within the order margin of the runner-up's."""
+
+    B = 1.0
+    K = 5
+
+    def _band_rows(self):
+        # the others' largest draw jt sits in a random column, the rest
+        # below it; the true draw j0 is the first whose sample + 1 reaches
+        # L(jt), which lands in the band [L(jt), L(jt) + margin)
+        rng = np.random.default_rng(3)
+        n = 400
+        jt = (6 << 50) + (np.arange(n, dtype=np.int64) << 20)
+        j0 = _first_reaching(_laplace_of(jt, self.B), self.B)
+        j = rng.integers(0, jt[:, None], size=(n, self.K))
+        j[:, 0] = j0
+        j[np.arange(n), rng.integers(1, self.K, size=n)] = jt
+        return j, jt, j0
+
+    def test_band_rows_go_through_the_full_transform(self):
+        j, jt, j0 = self._band_rows()
+        vt = _laplace_of(jt, self.B)
+        v0 = _laplace_of(j0, self.B) + 1.0
+        tie = v0 == vt
+        # exact ties and strict near-ties both occur, all inside the band
+        assert tie.any() and (~tie).any()
+        assert np.all((v0 >= vt) & (v0 < vt + order_margin(vt)))
+        z = _raw_rows(j, 4)
+        hits, confirmed = _she_hits(z.copy(), self.B)
+        assert confirmed == len(j)
+        # ties go to the true coordinate, as argmax takes the first maximum
+        assert hits == _full_hits(z, self.B) == len(j)
+
+    def test_sure_rows_skip_the_confirm(self):
+        j, _, j0 = self._band_rows()
+        # one draw lower the true sample falls below the runner-up: a miss
+        j[:, 0] = j0 - 1
+        # a row of equal draws: the true sample is 1 above the rest, a hit
+        equal = np.full((7, self.K), 5 << 50)
+        z = _raw_rows(np.vstack([j, equal]), 5)
+        hits, confirmed = _she_hits(z.copy(), self.B)
+        assert confirmed == 0
+        assert hits == _full_hits(z, self.B) == len(equal)
+
+    @pytest.mark.parametrize("eps", [0.5, 2.0, 10.0, 30.0])
+    @pytest.mark.parametrize("k", [2, 3, 100])
+    def test_equals_full_transform_on_stream_draws(self, eps, k):
+        z = RngStream(17).u64s(4000 * k).reshape(4000, k)
+        assert _she_hits(z.copy(), 2.0 / eps)[0] == _full_hits(z, 2.0 / eps)
 
 
 class TestLocalHashingAsr:

@@ -486,6 +486,22 @@ class TestCli:
                        "8", "--runs", "1", "--data", f"csv:{path}:a")
         assert r2.returncode == 4
 
+    def test_dropped_rows_reported_on_stderr(self, tmp_path):
+        # the row with an empty cell is dropped; the results are those of
+        # the same file without it
+        dropped, clean = tmp_path / "dropped.csv", tmp_path / "clean.csv"
+        dropped.write_text("a,b\n1,x\n,y\n2,z\n3,w\n", encoding="utf-8")
+        clean.write_text("a,b\n1,x\n2,z\n3,w\n", encoding="utf-8")
+        for cmd in (("simulate", "--protocol", "oue"),
+                    ("pareto", "--protocols", "grr,the")):
+            runs = [self._run(*cmd, "--eps", "2", "--k", "3", "--runs", "2",
+                              "--data", f"csv:{path}:a:1-3")
+                    for path in (dropped, clean)]
+            assert [r.returncode for r in runs] == [0, 0]
+            assert runs[0].stdout == runs[1].stdout
+            assert "dropped 1 rows" in runs[0].stderr
+            assert runs[1].stderr == ""
+
     def test_unknown_protocol_exit_2(self):
         assert self._run("analyze", "--protocol", "zzz", "--eps", "1",
                          "--k", "8").returncode == 2

@@ -1,8 +1,13 @@
 """Perturbation primitives, pure parameters, estimators, and variance forms."""
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from ldptune.model import (
     SubsetReport,
     UnsupportedFamily,
     derive_stream,
+    laplace_inplace,
     validate_config,
 )
 from ldptune.protocols import (
@@ -47,7 +53,13 @@ from ldptune.protocols import (
     ue_perturb,
 )
 from ldptune.presets import resolve_protocol
-from ldptune.simulate import block_rows, simulate_run
+from ldptune.simulate import (
+    _at_or_past,
+    _order_cut,
+    _the_cuts,
+    block_rows,
+    simulate_run,
+)
 
 
 def _vc(family, eps, k, **kw):
@@ -424,3 +436,103 @@ class TestBlockedRuns:
             tracemalloc.stop()
         # one dense float64 n x k array would take 160 MB
         assert peak < 32 * 2 ** 20
+
+
+def _laplace_of(j, b):
+    """The package's Laplace(0, b) sample of each 53-bit draw j."""
+    with np.errstate(divide="ignore"):
+        return laplace_inplace(
+            np.left_shift(np.asarray(j, dtype=np.uint64), np.uint64(11)), b)
+
+
+class TestTheCuts:
+    """THE thresholds the 53-bit draws at integer cuts: L(j) > theta on the
+    other coordinates and L(j) + 1 > theta on the true one."""
+
+    @pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("eps", [0.5, 2.0, 8.0, 40.0, 150.0, 700.0])
+    def test_cut_splits_the_transform(self, eps, theta):
+        b = 2.0 / eps
+        for (t, flips), plus in zip(_the_cuts(eps, theta), (0.0, 1.0)):
+            assert flips.size == 0
+            if t > 0:
+                assert _laplace_of([t - 1], b)[0] + plus <= theta
+            if t < 1 << 53:
+                assert _laplace_of([t], b)[0] + plus > theta
+            j = np.arange(max(t - 4096, 0), min(t + 4096, 1 << 53),
+                          dtype=np.uint64)
+            assert np.array_equal(_at_or_past(j, t, flips),
+                                  _laplace_of(j, b) + plus > theta)
+
+    def test_threads_share_the_cut_cache(self):
+        # threads race to build the same cuts with a short switch interval;
+        # every run must equal the serial run with cold cuts
+        cfgs = [resolve_protocol(name, eps, 30).config
+                for name in ("the", "athe") for eps in (1.0, 3.0, 5.0)]
+        x0 = np.random.default_rng(1).integers(0, 30, size=3000)
+        _the_cuts.cache_clear()
+        serial = [simulate_run(cfg, x0, 7, 0) for cfg in cfgs]
+        _the_cuts.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                runs = list(pool.map(lambda c: simulate_run(c, x0, 7, 0),
+                                     cfgs * 4, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for (f_hat, succ), (f_ref, s_ref) in zip(runs, serial * 4):
+            assert succ == s_ref and np.array_equal(f_hat, f_ref)
+
+    def test_draws_out_of_order_are_listed(self):
+        # the identity on j, except that draws 1000 and 1001 swap values:
+        # order breaks by at most 1, and the test f(j) > 1000.5 holds at
+        # 1000 and from 1002 on, but not at 1001
+        def f(j):
+            v = j.astype(np.float64)
+            v[j == 1000], v[j == 1001] = 1001.0, 1000.0
+            return v
+
+        t, flips = _order_cut(f, 1000.5, 1.0)
+        assert (t, flips.tolist()) == (1001, [1000, 1001])
+        j = np.arange(3000, dtype=np.uint64)
+        assert np.array_equal(_at_or_past(j, t, flips), f(j) > 1000.5)
+
+
+# SHE Monte Carlo hits per 1e5 trials at k = 100, with the pareto sweep's
+# stream for each eps (perfbench/reference/analytic_frontier.csv)
+_SHE_MC_HITS = {2: 2747, 4: 7482, 6: 19327, 8: 41220, 10: 64439}
+
+_DISPATCH_PROBE = """
+import hashlib, json, sys
+import numpy as np
+from ldptune.attacks import expected_asr_she_mc
+from ldptune.harness import _she_mc_rng
+from ldptune.presets import resolve_protocol
+from ldptune.simulate import simulate_run
+x0 = np.random.default_rng(2024).integers(0, 100, size=50_000)
+f_hat, successes = simulate_run(resolve_protocol("the", 4.0, 100).config,
+                                x0, 12345, 1)
+hits = {eps: expected_asr_she_mc(eps, 100, 10 ** 5, _she_mc_rng(eps, 100)).asr
+        for eps in (2, 4, 6, 8, 10)}
+json.dump({"the": hashlib.sha256(f_hat.tobytes()
+                                 + str(int(successes)).encode()).hexdigest(),
+           "she_mc": {eps: a.hex() for eps, a in hits.items()}}, sys.stdout)
+"""
+
+
+def test_outputs_hold_without_avx512_dispatch():
+    # numpy dispatches log1p to AVX-512 code where the CPU has it; THE and
+    # the SHE Monte Carlo compare raw draws, so their bytes must not depend
+    # on that dispatch (the SHE kernel's still does)
+    env = dict(os.environ,
+               NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    r = subprocess.run([sys.executable, "-c", _DISPATCH_PROBE], env=env,
+                       capture_output=True, text=True)
+    if r.returncode != 0 and "NPY_DISABLE_CPU_FEATURES" in r.stderr:
+        pytest.skip("numpy refuses to disable these CPU features here")
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert out["the"] == _RUN_DIGESTS["the"]
+    assert out["she_mc"] == {str(eps): (hits / 10 ** 5).hex()
+                             for eps, hits in _SHE_MC_HITS.items()}
