@@ -4,8 +4,8 @@ Sweeps all protocols over a grid of privacy budgets at a fixed domain size,
 attaches a small empirical column set, and exports the table.  The same
 table is available from the command line:
 
-    ldptune pareto --protocols all --eps 2:10:0.5 --k 100 \
-        --n 20000 --runs 5 --seed 7 --out frontier.csv
+    ldptune pareto --protocols all --eps 2:10:2 --k 100 --n 20000 \
+        --runs 5 --seed 7 --she-trials 100000 --out frontier.csv
 """
 
 import os
@@ -13,16 +13,23 @@ import tempfile
 
 import ldptune as lt
 
+EPS_GRID = "2:10:2"
+K = 100
+N = 20_000
+RUNS = 5
+SEED = 7
+SHE_TRIALS = 10 ** 5
+OUT = os.path.join(tempfile.gettempdir(), "frontier.csv")
+
 
 def main():
-    eps_grid = lt.parse_grid("2:10:2")
-    exp = lt.ExperimentConfig(None, 20_000, 5, 7, "dirichlet")
-    rows = lt.pareto_sweep(lt.PROTOCOL_NAMES, eps_grid, [100],
+    eps_grid = lt.parse_grid(EPS_GRID)
+    exp = lt.ExperimentConfig(None, N, RUNS, SEED, "dirichlet")
+    rows = lt.pareto_sweep(lt.PROTOCOL_NAMES, eps_grid, [K],
                            lt.DEFAULT_WEIGHTS, experiment=exp, workers=4,
-                           she_trials=10 ** 5)
-    path = os.path.join(tempfile.gettempdir(), "frontier.csv")
-    lt.export(rows, "csv", path)
-    print(f"{len(rows)} rows -> {path}")
+                           she_trials=SHE_TRIALS)
+    lt.export(rows, "csv", OUT)
+    print(f"{len(rows)} rows -> {OUT}")
     print()
     print(f"{'protocol':8s} {'eps':>4s} {'ASR':>9s} {'MSE*n':>10s}")
     for r in rows:

@@ -5,47 +5,36 @@ uniform prior: GRR's guess is the report itself; subset/bit-vector/hashed
 reports are guessed uniformly over their support (uniform over the whole
 domain when the support is empty); noisy real vectors are guessed by argmax.
 
-`expected_asr` evaluates each family's closed form.  `brute_force_expected_asr`
-recomputes the same quantity by outcome enumeration (seed-averaged for LH),
-which is the oracle the closed forms are tested against.
+`expected_asr` evaluates each family's closed form; SHE, which has none,
+gets the Monte Carlo estimate `expected_asr_she_mc`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .model import (
-    BitVectorReport,
     CategoryReport,
     EmptyInput,
     Family,
-    HashedReport,
     ProtocolConfig,
     RealVectorReport,
     RngStream,
-    SubsetReport,
-    TooLarge,
     UnsupportedFamily,
     derive_stream,
     laplace_inplace,
     order_margin,
     validate_config,
 )
-from .protocols import hash_buckets, pure_params, support, the_params
+from .protocols import support, the_params
 from .simulate import block_rows
 
 # seed of the stream used when a caller does not supply one (keeps analytic
 # sweeps deterministic without a --seed flag)
 DEFAULT_ORACLE_SEED = 0x0A5CE5EED
-
-# enumeration guards for the brute-force oracle
-MAX_ENUM_OUTCOMES = 1 << 20
-_FULL_BITS_MAX_K = 16
-_SUM_MAX_K = 20
 
 
 # log(2 pi)/2 and the Stirling-series coefficients of Cephes `lgam` used
@@ -149,12 +138,7 @@ def attack(report, cfg: ProtocolConfig, rng: RngStream) -> int:
         if not isinstance(report, CategoryReport):
             raise UnsupportedFamily("report does not match family grr")
         return report.value
-    if fam is Family.SS:
-        if not isinstance(report, SubsetReport):
-            raise UnsupportedFamily("report does not match family ss")
-        vals = sorted(report.values)
-        return vals[rng.below(len(vals))]
-    if fam in (Family.UE, Family.THE, Family.LH):
+    if fam in (Family.SS, Family.UE, Family.THE, Family.LH):
         sup = sorted(support(report, cfg))
         u = rng.uniform()
         if not sup:
@@ -328,116 +312,3 @@ def expected_asr_she_mc(eps: float, k: int, trials: int = 10 ** 6,
         done += m
     asr = hits / trials
     return AsrResult(asr, trials, math.sqrt(asr * (1 - asr) / trials))
-
-
-def lh_seed_averaged_asr(eps: float, k: int, g: int, true_x: int,
-                         n_seeds: int = 10 ** 4,
-                         rng: RngStream | None = None) -> AsrResult:
-    """Expected LH attack success for a fixed true value, averaged over
-    sampled hash seeds with the per-seed success probability computed exactly
-    (preimage of the true bucket, plus empty-bucket fallbacks)."""
-    if rng is None:
-        rng = derive_stream(DEFAULT_ORACLE_SEED, 1, g)
-    e = math.exp(eps)
-    p = e / (e + g - 1)
-    q = (1 - p) / (g - 1)
-    cats = np.arange(1, k + 1)
-    seeds = np.array([rng.u64() for _ in range(n_seeds)], dtype=np.uint64)
-    buckets = hash_buckets(seeds[:, None], cats[None, :], g)
-    rows = np.arange(n_seeds)
-    counts = np.zeros((n_seeds, g), dtype=np.int64)
-    np.add.at(counts, (rows[:, None], buckets), 1)
-    pre_x = counts[rows, buckets[:, true_x - 1]]
-    # the true value's own bucket is never empty, so every empty bucket is a
-    # miss that falls back to the uniform 1/k guess
-    empties = np.count_nonzero(counts == 0, axis=1)
-    per_seed = p / pre_x + q * empties / k
-    mean = float(per_seed.mean())
-    stderr = float(per_seed.std(ddof=1) / math.sqrt(n_seeds))
-    return AsrResult(mean, n_seeds, stderr)
-
-
-def _grr_brute(eps, k, true_x):
-    e = math.exp(eps)
-    p = e / (e + k - 1)
-    q = (1 - p) / (k - 1)
-    total = 0.0
-    for y in range(1, k + 1):
-        pr = p if y == true_x else q
-        total += pr * (1.0 if y == true_x else 0.0)
-    return total
-
-
-def _ss_brute(eps, k, omega, true_x, cap):
-    if math.comb(k, omega) > cap:
-        raise TooLarge(f"C({k},{omega}) subsets exceed cap {cap}")
-    e = math.exp(eps)
-    p_inc = omega * e / (omega * e + k - omega)
-    pr_in = p_inc / math.comb(k - 1, omega - 1)
-    pr_out = (1 - p_inc) / math.comb(k - 1, omega)
-    total = 0.0
-    for sub in combinations(range(1, k + 1), omega):
-        if true_x in sub:
-            total += pr_in * (1 / omega)
-        else:
-            total += pr_out * 0.0
-    return total
-
-
-def _bits_brute(p, q, k, true_x, cap):
-    if k <= _FULL_BITS_MAX_K and (1 << k) <= cap:
-        total = 0.0
-        x0 = true_x - 1
-        for pattern in range(1 << k):
-            pr = 1.0
-            size = 0
-            for i in range(k):
-                bit = (pattern >> i) & 1
-                pi = p if i == x0 else q
-                pr *= pi if bit else (1 - pi)
-                size += bit
-            if size == 0:
-                total += pr / k
-            elif (pattern >> x0) & 1:
-                total += pr / size
-        return total
-    if k <= _SUM_MAX_K:
-        # exact support-size summation with integer binomials
-        total = (1 - p) * (1 - q) ** (k - 1) / k
-        for m in range(1, k + 1):
-            total += (p * math.comb(k - 1, m - 1) * q ** (m - 1)
-                      * (1 - q) ** (k - m) / m)
-        return total
-    raise TooLarge(f"2^{k} bit patterns exceed the enumeration cap")
-
-
-def brute_force_expected_asr(cfg: ProtocolConfig, true_x: int,
-                             cap: int = MAX_ENUM_OUTCOMES,
-                             lh_seeds: int = 10 ** 4,
-                             rng: RngStream | None = None) -> float:
-    """Expected attack success for the given true value, by enumerating the
-    report space and summing Pr[report] * Pr[correct guess | report].
-
-    Exact for GRR/SS/UE/THE (subject to `cap`); LH averages the exact
-    per-seed success over `lh_seeds` sampled hash seeds, since enumerating
-    seeds is infeasible.
-    """
-    validate_config(cfg)
-    if not 1 <= true_x <= cfg.k:
-        raise EmptyInput(f"true_x {true_x} outside 1..{cfg.k}")
-    fam = Family(cfg.family)
-    if fam is Family.GRR:
-        if cfg.k > cap:
-            raise TooLarge(f"{cfg.k} outcomes exceed cap {cap}")
-        return _grr_brute(cfg.eps, cfg.k, true_x)
-    if fam is Family.SS:
-        return _ss_brute(cfg.eps, cfg.k, cfg.omega, true_x, cap)
-    if fam is Family.UE:
-        return _bits_brute(cfg.p, cfg.q, cfg.k, true_x, cap)
-    if fam is Family.THE:
-        p, q = the_params(cfg.eps, cfg.theta)
-        return _bits_brute(p, q, cfg.k, true_x, cap)
-    if fam is Family.LH:
-        return lh_seed_averaged_asr(cfg.eps, cfg.k, cfg.g, true_x,
-                                    n_seeds=lh_seeds, rng=rng).asr
-    raise UnsupportedFamily("SHE has no enumerable outcome space")

@@ -25,7 +25,7 @@ from .harness import (
     parse_data_spec,
     parse_grid,
 )
-from .model import EmptyInput, NonFinite, RangeError, TooLarge, UnsupportedFamily
+from .model import EmptyInput, NonFinite, RangeError, UnsupportedFamily
 from .optimizer import EmptyCandidates, ObjectiveWeights
 from .presets import ADAPTIVE_NAMES, PROTOCOL_NAMES, resolve_protocol
 from .protocols import analytic_mse
@@ -56,8 +56,7 @@ def _experiment(args) -> ExperimentConfig:
             print(f"data: dropped {data.rejected} rows of "
                   f"{data.provenance.path} (column {data.provenance.column!r})",
                   file=sys.stderr)
-    return ExperimentConfig(None, args.n, args.runs, args.seed, data,
-                            _weights(args.w_asr))
+    return ExperimentConfig(None, args.n, args.runs, args.seed, data)
 
 
 def _add_output(sp) -> None:
@@ -193,7 +192,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (RangeError, UnsupportedFamily, EmptyCandidates, NonFinite, TooLarge,
+    except (RangeError, UnsupportedFamily, EmptyCandidates, NonFinite,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

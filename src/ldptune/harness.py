@@ -195,16 +195,15 @@ def parse_data_spec(spec: str, k: int, n, seed: int) -> Dataset:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One simulation request: protocol (a ProtocolConfig, a ResolvedProtocol,
-    or a (name, eps, k) triple resolved under `weights`), user count, run
-    count, master seed, and the data source (Dataset or CLI-style spec)."""
+    """One simulation request: protocol (a ProtocolConfig or a
+    ResolvedProtocol), user count, run count, master seed, and the data
+    source (Dataset or CLI-style spec)."""
 
     protocol: object
     n: int | None
     runs: int
     master_seed: int
     data: object = "dirichlet"
-    weights: ObjectiveWeights | None = None
 
     def __post_init__(self):
         if self.runs < 1:
@@ -229,11 +228,7 @@ def _resolve_config(cfg: ExperimentConfig) -> ProtocolConfig:
         return p
     if isinstance(p, ResolvedProtocol):
         return p.config
-    if isinstance(p, (tuple, list)) and len(p) == 3:
-        name, eps, k = p
-        return resolve_protocol(name, eps, int(k), cfg.weights).config
-    raise RangeError("protocol",
-                     "ProtocolConfig, ResolvedProtocol, or (name, eps, k)", p)
+    raise RangeError("protocol", "ProtocolConfig or ResolvedProtocol", p)
 
 
 def _experiment_values(cfg: ExperimentConfig, k: int):
@@ -331,8 +326,7 @@ def pareto_sweep(protocols, eps_grid, k_grid, weights: ObjectiveWeights,
                         dataset_cache[key] = ds
                     ecfg = ExperimentConfig(rp, experiment.n, experiment.runs,
                                             experiment.master_seed,
-                                            dataset_cache[key],
-                                            experiment.weights)
+                                            dataset_cache[key])
                     stats = run_experiment(ecfg, workers=workers)
                     n_eff = experiment.n if experiment.n else len(dataset_cache[key].values)
                     asr_mean = float(np.mean([s.empirical_asr for s in stats]))
@@ -410,21 +404,22 @@ def parse_grid(spec: str, integer: bool = False):
     """Parse "v" or "lo:hi:step" (inclusive of hi when it lands on the grid,
     with 1e-9 slack) into a list of floats or ints."""
     parts = str(spec).split(":")
+    if len(parts) not in (1, 3):
+        raise RangeError("grid", "v or lo:hi:step", spec)
     try:
-        if len(parts) == 1:
-            vals = [float(parts[0])]
-        elif len(parts) == 3:
-            lo, hi, step = (float(p) for p in parts)
-            if step <= 0:
-                raise RangeError("grid step", "> 0", step)
-            if hi < lo:
-                raise RangeError("grid", "hi >= lo", spec)
-            count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-            vals = [lo + i * step for i in range(count)]
-        else:
-            raise RangeError("grid", "v or lo:hi:step", spec)
+        vals = [float(p) for p in parts]
     except ValueError:
         raise RangeError("grid", "numeric v or lo:hi:step", spec) from None
+    if not all(map(math.isfinite, vals)):
+        raise RangeError("grid", "finite v or lo:hi:step", spec)
+    if len(vals) == 3:
+        lo, hi, step = vals
+        if step <= 0:
+            raise RangeError("grid step", "> 0", step)
+        if hi < lo:
+            raise RangeError("grid", "hi >= lo", spec)
+        count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+        vals = [lo + i * step for i in range(count)]
     if integer:
         out = []
         for v in vals:

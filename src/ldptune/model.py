@@ -70,10 +70,6 @@ class EmptyInput(ValueError):
     """An operation received an empty collection."""
 
 
-class TooLarge(ValueError):
-    """Enumeration space exceeds the configured cap."""
-
-
 class NonFinite(ArithmeticError):
     """Objective evaluated to a non-finite value."""
 
@@ -303,11 +299,11 @@ def laplace_inplace(z: np.ndarray, b: float) -> np.ndarray:
     """Map the contiguous uint64 array `z` of raw draws, which the caller
     must own, to Laplace(0, b) samples in place; returns the float64 view.
 
-    One uniform u in (-1/2, 1/2] per draw, from its 53-bit value j = z >> 11;
-    sample = -b sgn(u) ln(1-2|u|).  The offset keeps u off -1/2, so the
-    sample is finite for every draw but the top one, j = 2^53 - 1, where
-    j + 1/2 rounds to 2^53 and the sample is +inf.  The samples follow the
-    order of j up to `log1p`'s rounding error; see `order_margin`.
+    One uniform u in (-1/2, 1/2) per draw, from its 53-bit value j = z >> 11;
+    sample = -b sgn(u) ln(1-2|u|).  The offset keeps u off -1/2, and the top
+    draw j = 2^53 - 1, whose j + 1/2 would round to 2^53 and give u = 1/2,
+    takes the sample of 2^53 - 2, so every sample is finite.  The samples
+    follow the order of j up to `log1p`'s rounding error; see `order_margin`.
     """
     # the samples overwrite the raw draws in place, one pass at a time
     out = z.view(np.float64)
@@ -317,6 +313,7 @@ def laplace_inplace(z: np.ndarray, b: float) -> np.ndarray:
         us, ws = u[:zs.size], w[:zs.size]
         zs >>= _U64(11)
         np.copyto(us, zs)
+        np.minimum(us, 2.0 ** 53 - 2, out=us)
         us += 0.5
         us *= 2.0 ** -53
         us -= 0.5
@@ -373,14 +370,6 @@ class RngStream:
     def uniform(self) -> float:
         """One float64 in [0, 1)."""
         return (self.u64() >> 11) * 2.0 ** -53
-
-    def below(self, m: int) -> int:
-        """One integer uniform on [0, m)."""
-        return min(int(self.uniform() * m), m - 1)
-
-    def laplace(self, b: float) -> float:
-        """One Laplace(0, b) draw via the inverse CDF."""
-        return float(self.laplaces(1, b)[0])
 
     def u64s(self, count: int) -> np.ndarray:
         """The next `count` raw draws, built in place on one array; advances

@@ -8,6 +8,7 @@ weighted ASR+MSE objective.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .model import Family, ProtocolConfig, RangeError, check_eps, validate_config
@@ -54,12 +55,18 @@ def resolve_protocol(name: str, eps: float, k: int,
 
     `param` overrides the resolved free parameter (omega, p, g, or theta) and
     is rejected for grr/she, which have none.  Adaptive names optimize under
-    `weights` (default (0.5, 0.5)) unless `param` pins the value directly.
+    `weights` (default (0.5, 0.5)) and the user count `n`, a finite real > 0,
+    unless `param` pins the value directly.
     """
     name = name.lower()
     if name not in PROTOCOL_NAMES:
         raise RangeError("protocol", f"one of {', '.join(PROTOCOL_NAMES)}", name)
     check_eps(eps)
+    if not (isinstance(n, (int, float)) and not isinstance(n, bool)
+            and 0 < n < math.inf):
+        raise RangeError("n", "a finite real > 0", n)
+    if param is not None and not math.isfinite(param):
+        raise RangeError("param", "a finite real", param)
     if weights is None:
         weights = DEFAULT_WEIGHTS
 

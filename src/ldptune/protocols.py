@@ -329,33 +329,14 @@ def generic_pure_mse(pp: PureParams, n: float = 1) -> float:
     return first_order_mse(pp.p_star, pp.q_star, n)
 
 
-def subset_alternative_mse(eps: float, k: int, omega: int, n: float = 1) -> float:
-    """A second closed-form subset-report variance that circulates alongside
-    the first-order one; it exceeds generic_pure_mse by
-    (k-1) e^eps (k - omega + (omega-1) e^eps) / ((k-omega)^2 (e^eps-1)^2 n).
-
-    The Monte Carlo adjudication in the acceptance tests (criterion 8) rejects
-    it: at k=10, omega=2, eps=ln 2 the measured variance, 6.971/n, is 28%
-    below this form's 9.6875/n.  With its ~2% standard error the same
-    measurement cannot tell the first-order form (6.875/n) from the exact
-    variance (7.200/n), so it does not show the first-order form exact;
-    `analytic_mse` uses that form, as for every pure family.  This one is
-    kept for the comparison.
-    """
-    e = math.exp(eps)
-    pp = pure_params(ProtocolConfig(Family.SS, eps, k, omega=omega))
-    extra = (k - 1) * e * (k - omega + (omega - 1) * e) / (
-        (k - omega) ** 2 * (e - 1) ** 2 * n)
-    return generic_pure_mse(pp, n) + extra
-
-
 def analytic_mse(cfg: ProtocolConfig, n: float = 1) -> float:
     """Closed-form approximate estimator variance, per user at n=1.
 
     Pure families use the first-order form at their (p*, q*) (for UE, LH, THE
     the published per-family closed forms reduce to it algebraically; for SS
-    the first-order form is the one validated by simulation).  SHE is exact:
-    8/(n eps^2).
+    the Monte Carlo of acceptance criterion 8 rejects a longer alternative
+    form, though it cannot tell this one from the exact variance).  SHE is
+    exact: 8/(n eps^2).
     """
     validate_config(cfg)
     if Family(cfg.family) is Family.SHE:

@@ -215,9 +215,7 @@ def _the_cuts(eps: float, theta: float) -> tuple:
     b = 2.0 / eps
 
     def lap(j):
-        # the top draw 2^53 - 1 maps to +inf (see `laplace_inplace`)
-        with np.errstate(divide="ignore"):
-            return laplace_inplace(np.left_shift(j, np.uint64(11)), b)
+        return laplace_inplace(np.left_shift(j, np.uint64(11)), b)
 
     return (_order_cut(lap, theta, order_margin(theta)),
             _order_cut(lambda j: lap(j) + 1.0, theta,

@@ -6,11 +6,14 @@ report outcomes, idealized random hash functions via random.Random, and
 Monte Carlo with numpy's own Generator.  Tests compare package output against
 these, or against literals frozen from running this module.
 
-The exhaustive solvers at the end are the exception: they take the package's
-scalar objective as a callable and restate the per-point searches the
-adaptive solvers ran before they screened their grids (same grids, ties to
-the smallest candidate, and scipy's bounded refinement for the continuous
-parameters), so the screened solvers can be held to them bit for bit.
+Two helpers are the exception and take a package function as a callable.
+`lh_seed_averaged_asr` averages over the package's own hash, so the seed
+population it samples is the one the simulator uses.  The exhaustive solvers
+at the end take the package's scalar objective and restate the per-point
+searches the adaptive solvers ran before they screened their grids (same
+grids, ties to the smallest candidate, and scipy's bounded refinement for the
+continuous parameters), so the screened solvers can be held to them bit for
+bit.
 """
 
 import math
@@ -134,6 +137,30 @@ def lh_asr_ideal(p, k, g, trials, seed=0):
     return acc / trials
 
 
+def lh_seed_averaged_asr(hash_buckets, seeds, eps, k, g, true_x):
+    """Expected LH attack success for a fixed true value, averaged over the
+    64-bit hash seeds `seeds`, with each seed's success probability computed
+    exactly: p over the true bucket's preimage size, plus the uniform 1/k
+    fallback of every empty bucket.  `hash_buckets(seeds, xs, g)` gives the
+    0-based buckets of the 1-based categories xs.  Returns (mean, stderr).
+    """
+    e = math.exp(eps)
+    p = e / (e + g - 1)
+    q = (1 - p) / (g - 1)
+    n = len(seeds)
+    buckets = hash_buckets(np.asarray(seeds, dtype=np.uint64)[:, None],
+                           np.arange(1, k + 1)[None, :], g)
+    rows = np.arange(n)
+    counts = np.zeros((n, g), dtype=np.int64)
+    np.add.at(counts, (rows[:, None], buckets), 1)
+    pre_x = counts[rows, buckets[:, true_x - 1]]
+    # the true value's own bucket is never empty, so every empty bucket is a
+    # miss that falls back to the uniform 1/k guess
+    empties = np.count_nonzero(counts == 0, axis=1)
+    per_seed = p / pre_x + q * empties / k
+    return float(per_seed.mean()), float(per_seed.std(ddof=1) / math.sqrt(n))
+
+
 def lh_asr_exact(p, k, g):
     """Closed form of the idealized-hash ASR via E[1/(1+Binomial(k-1,1/g))]."""
     t = (1 - 1 / g) ** (k - 1)
@@ -251,6 +278,24 @@ def ss_outcome_prob(eps, k, omega, x, subset):
     if x in subset:
         return p_inc / math.comb(k - 1, omega - 1)
     return (1 - p_inc) / math.comb(k - 1, omega)
+
+
+def enumerated_asr(cfg, x):
+    """Expected attack success for true value x, as the sum over the report
+    space of Pr[report] Pr[guess = x | report], for a GRR, SS, UE or THE
+    config (read by attribute: family, eps, k and its parameter)."""
+    if cfg.family == "grr":
+        # the guess is the report itself
+        return grr_pq(cfg.eps, cfg.k)[0]
+    if cfg.family == "ss":
+        # uniform over the reported subset
+        return sum(ss_outcome_prob(cfg.eps, cfg.k, cfg.omega, x, set(sub))
+                   / cfg.omega
+                   for sub in combinations(range(1, cfg.k + 1), cfg.omega)
+                   if x in sub)
+    p, q = (cfg.p, cfg.q) if cfg.family == "ue" else the_pq(cfg.eps, cfg.theta)
+    # uniform over the set bits; by symmetry the same for every x
+    return ue_asr_subset_enum(p, q, cfg.k)
 
 
 # -- exhaustive solvers -------------------------------------------------------

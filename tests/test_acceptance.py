@@ -36,6 +36,7 @@ import pytest
 
 import ldptune as lt
 import oracles as orc
+from ldptune.protocols import hash_buckets
 
 MASTER_SEED = 7
 W_HALF = lt.ObjectiveWeights(0.5, 0.5)
@@ -108,7 +109,7 @@ def adjudication():
     mc = float(np.mean([s.empirical_mse for s in stats]))
     pp = lt.pure_params(rp.config)
     generic = lt.generic_pure_mse(pp, n)
-    alternative = lt.subset_alternative_mse(eps, k, omega, n)
+    alternative = orc.ss_alt_variance(eps, k, omega, n)
     exact = orc.exact_mean_variance(pp.p_star, pp.q_star, k, n)
     rel_g = abs(mc - generic) / generic
     rel_a = abs(mc - alternative) / alternative
@@ -162,7 +163,7 @@ def test_criterion_03_closed_forms_match_enumeration():
         nonlocal cases, worst
         closed = lt.expected_asr(cfg)
         for x in (1, cfg.k):
-            gap = abs(lt.brute_force_expected_asr(cfg, x) - closed)
+            gap = abs(orc.enumerated_asr(cfg, x) - closed)
             worst = max(worst, gap)
         cases += 1
 
@@ -183,8 +184,10 @@ def test_criterion_03_closed_forms_match_enumeration():
     for eps in eps_grid:
         for g in (2, lt.olh_g(eps)):
             exact = lt.lh_exact_expected_asr(eps, 6, g)
-            mc = lt.lh_seed_averaged_asr(eps, 6, g, 1, n_seeds=10 ** 4)
-            z = abs(mc.asr - exact) / mc.stderr if mc.stderr > 0 else 0.0
+            seeds = lt.derive_stream(lt.DEFAULT_ORACLE_SEED, 1, g).u64s(10 ** 4)
+            mc, stderr = orc.lh_seed_averaged_asr(hash_buckets, seeds,
+                                                  eps, 6, g, 1)
+            z = abs(mc - exact) / stderr if stderr > 0 else 0.0
             lh_worst_z = max(lh_worst_z, z)
     elapsed = time.perf_counter() - t0
 
@@ -235,7 +238,7 @@ def test_criterion_05_empirical_mse_tracks_analytic(sweep_results,
     for (name, eps), row in sweep_results.items():
         cfg = row["config"]
         if cfg.family is lt.Family.SS and adjudication["selected"] == "alternative":
-            amse = lt.subset_alternative_mse(eps, cfg.k, cfg.omega, SWEEP_N)
+            amse = orc.ss_alt_variance(eps, cfg.k, cfg.omega, SWEEP_N)
         else:
             amse = lt.analytic_mse(cfg, SWEEP_N)
         exact = amse + _dropped_mse_term(cfg, SWEEP_N)

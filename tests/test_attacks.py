@@ -11,13 +11,11 @@ from ldptune.attacks import (
     _she_hits,
     attack,
     bitvector_expected_asr,
-    brute_force_expected_asr,
     empirical_asr,
     expected_asr,
     expected_asr_she_mc,
     lgamma_table,
     lh_exact_expected_asr,
-    lh_seed_averaged_asr,
     logsumexp,
 )
 from ldptune.model import (
@@ -28,14 +26,13 @@ from ldptune.model import (
     ProtocolConfig,
     RngStream,
     SubsetReport,
-    TooLarge,
     UnsupportedFamily,
     derive_stream,
     laplace_inplace,
     order_margin,
     validate_config,
 )
-from ldptune.protocols import perturb, sue_params, ue_pair_from_p
+from ldptune.protocols import hash_buckets, perturb, sue_params, ue_pair_from_p
 
 
 def _vc(family, eps, k, **kw):
@@ -208,6 +205,9 @@ class TestScipyPorts:
 
 
 class TestBruteForce:
+    """The closed forms against `oracles.enumerated_asr`, which sums over
+    the report space."""
+
     @pytest.mark.parametrize("family,kw", [
         (Family.GRR, {}),
         (Family.SS, {"omega": 2}),
@@ -216,25 +216,19 @@ class TestBruteForce:
     def test_matches_closed_form(self, family, kw):
         cfg = _vc(family, 1.0, 5, **kw)
         for x in (1, 3, 5):
-            assert brute_force_expected_asr(cfg, x) == pytest.approx(
+            assert orc.enumerated_asr(cfg, x) == pytest.approx(
                 expected_asr(cfg), abs=1e-12)
 
     def test_ue_matches_closed_form(self):
         p, q = sue_params(1.0)
         cfg = _vc(Family.UE, 1.0, 5, p=p, q=q)
-        assert brute_force_expected_asr(cfg, 2) == pytest.approx(
+        assert orc.enumerated_asr(cfg, 2) == pytest.approx(
             expected_asr(cfg), abs=1e-12)
-
-    def test_too_large_rejected(self):
-        p, q = sue_params(1.0)
-        cfg = _vc(Family.UE, 1.0, 25, p=p, q=q)
-        with pytest.raises(TooLarge):
-            brute_force_expected_asr(cfg, 1)
 
     def test_asr_is_prior_independent(self):
         # the expected ASR does not depend on which value is true
         cfg = _vc(Family.SS, 0.7, 6, omega=2)
-        vals = {brute_force_expected_asr(cfg, x) for x in range(1, 7)}
+        vals = {orc.enumerated_asr(cfg, x) for x in range(1, 7)}
         assert max(vals) - min(vals) < 1e-12
 
 
@@ -269,9 +263,8 @@ class TestSheMonteCarlo:
 
 def _laplace_of(j, b):
     """The package's Laplace(0, b) sample of each 53-bit draw j."""
-    with np.errstate(divide="ignore"):
-        return laplace_inplace(
-            np.left_shift(np.asarray(j, dtype=np.uint64), np.uint64(11)), b)
+    return laplace_inplace(
+        np.left_shift(np.asarray(j, dtype=np.uint64), np.uint64(11)), b)
 
 
 def _first_reaching(targets, b):
@@ -355,11 +348,12 @@ class TestSheScreen:
 
 class TestLocalHashingAsr:
     def test_seed_average_matches_exact_form(self):
+        seeds = derive_stream(10, 0, 0).u64s(10 ** 4)
         for (eps, k, g) in [(0.5, 3, 2), (1.0, 4, 2), (2.0, 5, 3), (2.0, 2, 2)]:
-            r = lh_seed_averaged_asr(eps, k, g, 1, n_seeds=10 ** 4,
-                                     rng=derive_stream(10, 0, 0))
+            asr, stderr = orc.lh_seed_averaged_asr(hash_buckets, seeds,
+                                                   eps, k, g, 1)
             exact = lh_exact_expected_asr(eps, k, g)
-            assert abs(r.asr - exact) < 3 * r.stderr
+            assert abs(asr - exact) < 3 * stderr
 
     def test_exact_form_against_independent_oracle(self):
         for (eps, k, g) in [(1.0, 4, 2), (2.0, 6, 3)]:
@@ -375,11 +369,10 @@ class TestLocalHashingAsr:
         assert approx - exact > 0.15
 
     def test_seed_average_value_independent(self):
-        a = lh_seed_averaged_asr(1.0, 6, 3, 1, n_seeds=3000,
-                                 rng=derive_stream(11, 0, 0))
-        b = lh_seed_averaged_asr(1.0, 6, 3, 4, n_seeds=3000,
-                                 rng=derive_stream(11, 0, 0))
-        assert abs(a.asr - b.asr) < 4 * math.hypot(a.stderr, b.stderr)
+        seeds = derive_stream(11, 0, 0).u64s(3000)
+        a, a_err = orc.lh_seed_averaged_asr(hash_buckets, seeds, 1.0, 6, 3, 1)
+        b, b_err = orc.lh_seed_averaged_asr(hash_buckets, seeds, 1.0, 6, 3, 4)
+        assert abs(a - b) < 4 * math.hypot(a_err, b_err)
 
 
 class TestPrivacyProperty:

@@ -3,8 +3,10 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,11 +174,15 @@ class TestRunExperiment:
             assert ra.empirical_asr == rb.empirical_asr
             assert np.array_equal(ra.f_hat, rb.f_hat)
 
-    def test_adaptive_triple_protocol_spec(self):
-        cfg = ExperimentConfig(("ass", 2.0, 8), 500, 2, 1,
-                               weights=W_HALF)
+    def test_adaptive_resolved_protocol(self):
+        cfg = ExperimentConfig(resolve_protocol("ass", 2.0, 8, W_HALF), 500,
+                               2, 1)
         stats = run_experiment(cfg)
         assert len(stats) == 2
+
+    def test_protocol_must_be_a_config(self):
+        with pytest.raises(RangeError, match="ResolvedProtocol"):
+            run_experiment(self._cfg(protocol=("ass", 2.0, 8)))
 
     def test_dataset_k_mismatch(self):
         ds = gen_dirichlet(5, 100, 0)
@@ -383,8 +389,17 @@ class TestParseGrid:
             parse_grid("2:3:0.5", integer=True)
 
     def test_bad_step(self):
-        with pytest.raises(RangeError):
+        with pytest.raises(RangeError, match="grid step must be > 0"):
             parse_grid("1:2:0")
+
+    def test_hi_below_lo(self):
+        with pytest.raises(RangeError, match="hi >= lo"):
+            parse_grid("2:1:1")
+
+    def test_non_finite(self):
+        for spec in ("1:inf:1", "1:2:nan", "inf"):
+            with pytest.raises(RangeError, match="finite"):
+                parse_grid(spec, integer=True)
 
     def test_bad_text(self):
         with pytest.raises(RangeError):
@@ -454,6 +469,15 @@ class TestCli:
                    for name in PROTOCOL_NAMES]
         extreme.append(("simulate", "--protocol", "olh", "--eps", "50",
                         "--k", "10", "--n", "10", "--runs", "1"))
+        # a non-finite pinned parameter, or a user count that is not a
+        # finite real > 0, is a range error too
+        extreme += [("analyze", "--protocol", name, "--eps", "2", "--k", "10",
+                     "--param", value)
+                    for name in ("olh", "ss", "alh") for value in ("inf", "nan")]
+        extreme += [("optimize", "--protocol", "aue", "--eps", "2", "--k", "10",
+                     "--n", value) for value in ("0", "-1", "inf", "nan")]
+        extreme.append(("analyze", "--protocol", "grr", "--eps", "1:inf:1",
+                        "--k", "10"))
         for argv in extreme:
             r = self._run(*argv)
             assert r.returncode == 2, argv
@@ -461,6 +485,22 @@ class TestCli:
         r = self._run("analyze", "--protocol", "she", "--eps", "1", "--k", "10",
                       "--she-trials", "0")
         assert r.returncode == 2 and "she-trials" in r.stderr
+
+    def test_traced_pareto_covers_every_layer(self, tmp_path):
+        # the benchmark's tracer wraps package attributes by name, so a
+        # renamed or deleted one fails here and not only under --trace
+        root = Path(__file__).resolve().parents[1]
+        spans = tmp_path / "spans.json"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))))
+        r = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "child.py"), str(spans),
+             "t0", "--", "pareto", "--protocols", "all", "--eps", "2", "--k",
+             "10", "--n", "200", "--runs", "1", "--she-trials", "100"],
+            capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        layers = {s["layer"] for s in json.loads(spans.read_text())["spans"]}
+        assert {"model", "simulate", "optimizer", "attacks"} <= layers
 
     def test_import_loads_no_scipy(self):
         code = ("import sys, ldptune, ldptune.cli\n"

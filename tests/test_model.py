@@ -14,6 +14,7 @@ from ldptune.model import (
     draws_laplace,
     draws_u64,
     draws_uniform,
+    laplace_inplace,
     mix64,
     stream_seeds,
     validate_config,
@@ -128,7 +129,7 @@ class TestStreams:
 
     def test_bulk_laplaces_match_scalar_laplace(self):
         rng = RngStream(42)
-        first = [rng.laplace(2.0) for _ in range(10)]
+        first = [rng.laplaces(1, 2.0)[0] for _ in range(10)]
         again = RngStream(42).laplaces(10, 2.0)
         assert first == list(again)
 
@@ -157,11 +158,6 @@ class TestStreams:
         outs = {mix64(i) for i in range(10 ** 5)}
         assert len(outs) == 10 ** 5
 
-    def test_below_bounds(self):
-        rng = derive_stream(1, 0, 0)
-        draws = [rng.below(7) for _ in range(2000)]
-        assert min(draws) == 0 and max(draws) == 6
-
     def test_uniform_draw_addressing_is_positional(self):
         # j-th u64 equals the counter-j draw regardless of call pattern
         seed = stream_seeds(3, 1, np.asarray([2]))[0]
@@ -176,6 +172,17 @@ class TestStreams:
         u = draws_uniform(seed, np.arange(4))
         z = draws_u64(seed, np.arange(4))
         assert np.array_equal(u, (z >> np.uint64(11)) * 2.0 ** -53)
+
+    def test_top_draw_takes_the_next_samples_value(self):
+        # j = 2^53 - 1 would round to u = 1/2, whose sample is +inf
+        top = np.uint64((1 << 53) - 1) << np.uint64(11)
+        z = np.array([0, top - (np.uint64(1) << np.uint64(11)), top,
+                      top | np.uint64(2047)], dtype=np.uint64)
+        with np.errstate(all="raise"):
+            v = laplace_inplace(z, 1.0)
+        assert np.isfinite(v).all()
+        assert v[1] == v[2] == v[3] > 35.0
+        assert v[0] < -36.0
 
     def test_draws_laplace_symmetric_tail(self):
         z = draws_laplace(np.uint64(77), np.arange(10 ** 5), 1.0)

@@ -43,7 +43,6 @@ from ldptune.protocols import (
     she_perturb,
     ss_default_omega,
     ss_perturb,
-    subset_alternative_mse,
     sue_params,
     support,
     the_params,
@@ -331,15 +330,10 @@ class TestVarianceForms:
 
     def test_adjudication_point_values(self):
         eps = math.log(2.0)
-        assert subset_alternative_mse(eps, 10, 2, 1) == pytest.approx(9.6875, rel=1e-9)
+        assert orc.ss_alt_variance(eps, 10, 2, 1) == pytest.approx(9.6875, rel=1e-9)
         cfg = _vc(Family.SS, eps, 10, omega=2)
         assert analytic_mse(cfg, 1) == pytest.approx(6.875, rel=1e-9)
         assert generic_pure_mse(pure_params(cfg), 1) == pytest.approx(6.875, rel=1e-9)
-
-    def test_alternative_ss_form_matches_oracle(self):
-        for (eps, k, omega) in ((0.7, 6, 2), (1.5, 12, 4), (2.0, 25, 3)):
-            assert subset_alternative_mse(eps, k, omega, 10) == pytest.approx(
-                orc.ss_alt_variance(eps, k, omega, 10), rel=1e-12)
 
     def test_mse_scales_inversely_with_n(self):
         cfg = _vc(Family.GRR, 1.0, 4)
@@ -440,9 +434,8 @@ class TestBlockedRuns:
 
 def _laplace_of(j, b):
     """The package's Laplace(0, b) sample of each 53-bit draw j."""
-    with np.errstate(divide="ignore"):
-        return laplace_inplace(
-            np.left_shift(np.asarray(j, dtype=np.uint64), np.uint64(11)), b)
+    return laplace_inplace(
+        np.left_shift(np.asarray(j, dtype=np.uint64), np.uint64(11)), b)
 
 
 class TestTheCuts:
