@@ -17,6 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    GAMMA,
+    MASK64,
+    PASS_SIZE,
     CategoryReport,
     EmptyInput,
     Family,
@@ -24,13 +27,17 @@ from .model import (
     RealVectorReport,
     RngStream,
     UnsupportedFamily,
+    check_eps,
+    check_k,
     derive_stream,
+    draws_u64,
     laplace_inplace,
+    mix64_final,
+    mix64_rounds,
     order_margin,
     validate_config,
 )
 from .protocols import support, the_params
-from .simulate import block_rows
 
 # seed of the stream used when a caller does not supply one (keeps analytic
 # sweeps deterministic without a --seed flag)
@@ -256,35 +263,86 @@ def expected_asr(cfg: ProtocolConfig) -> float:
                             "use expected_asr_she_mc")
 
 
-def _she_hits(z: np.ndarray, b: float) -> tuple:
-    """Attack hits among the trials of the raw-draw block `z`, which the
-    caller owns: one row per trial, column 0 the true coordinate.  Returns
-    (hits, confirmed), where `confirmed` counts the rows decided by the full
-    transform.
+# top bits of a raw draw that pick its bucket in the first SHE screen; the
+# final xor-shift keeps 31, so the pre-final state has them too
+_BUCKET_SHIFT = np.uint64(64 - 12)
+
+
+def _bucket_cuts(b: float) -> tuple:
+    """Cuts of the first SHE screen at Laplace scale b, over the 2^12
+    buckets of raw draws by top 12 bits: (hit, miss), int64 arrays indexed
+    by the bucket t of the others' largest draw.  A trial whose true draw
+    lies in bucket t0 >= hit[t] hits; one with t0 < miss[t] misses.
+
+    lo[t] and hi[t], the samples of bucket t's least and greatest draw
+    widened by twice their `order_margin`, bound the sample of every draw in
+    it.  So with the true draw in bucket t0 and the others' largest draw in
+    bucket t, the trial hits if lo[t0] + 1 >= hi[t], and misses if
+    hi[t0] + 1 < lo[t]: that largest draw is itself one of the others.  A
+    running minimum of lo + 1 from above and a running maximum of hi + 1
+    from below keep both bounds and make them monotone in t0, so that each
+    cut is one binary search.
+    """
+    least = np.arange(1 << 12, dtype=np.uint64) << _BUCKET_SHIFT
+    ends = np.stack((least, least | ((np.uint64(1) << _BUCKET_SHIFT)
+                                     - np.uint64(1))))
+    v_least, v_most = laplace_inplace(ends, b)
+    lo = v_least - 2 * order_margin(v_least)
+    hi = v_most + 2 * order_margin(v_most)
+    lo_reach = np.minimum.accumulate((lo + 1.0)[::-1])[::-1]
+    hi_reach = np.maximum.accumulate(hi + 1.0)
+    return np.searchsorted(lo_reach, hi), np.searchsorted(hi_reach, lo)
+
+
+def _she_hits(first: np.ndarray, top: np.ndarray, b: float, cuts: tuple,
+              rows) -> tuple:
+    """Attack hits among SHE Monte Carlo trials given two pre-final splitmix
+    states each (`mix64_rounds`): `first`, the true coordinate's (column 0),
+    and `top`, the largest state among the other columns.  `cuts` is
+    `_bucket_cuts(b)`, and `rows(idx)` returns the raw draws of trials idx
+    as a new (len(idx), k) array.
+    Returns (hits, confirmed), where `confirmed` counts the trials decided
+    by the full transform.
 
     A trial hits when argmax(L(z_0) + 1, L(z_1), ..., L(z_{k-1})) is 0, L
     being `laplace_inplace`; exact ties hit, because argmax takes the first.
-    L is nondecreasing in the raw draw up to `order_margin`, so only two
-    values per row are transformed: v0 = L(z_0) + 1 and vt = L(top), top the
-    row's largest raw draw in columns 1..k-1.  Since vt is one of the others'
-    samples, v0 < vt is a miss; since no other sample exceeds vt by more than
-    `order_margin(vt)`, v0 >= vt + order_margin(vt) is a hit.  Rows between
-    the two go through the full row transform and argmax.
+    The final xor-shift 31 keeps bits 33..63 (the top 31 bits) of a state,
+    so the others' largest raw draw shares top's top 31 bits.  Three
+    screens decide a trial, each only where the one before cannot:
+
+    1. Buckets: the top 12 bits of first and top give the buckets of the
+       true draw and of the others' largest draw, and `_bucket_cuts` the
+       bucket pairs where every pair of draws hits, or misses.
+    2. Bracket: the others' largest draw lies between out_b, top finished
+       (itself one of the other draws), and hi = top with bits 0..32 set.
+       With v0 = L(z_0) + 1: v0 < L(out_b) is a miss; since no other
+       sample exceeds L(hi) by more than `order_margin`,
+       v0 >= L(hi) + order_margin(L(hi)) is a hit.
+    3. Confirm: the rest go through the full row transform and argmax.
     """
-    m = z.shape[0]
-    ends = np.empty((2, m), dtype=np.uint64)
-    ends[0] = z[:, 0]
-    np.max(z[:, 1:], axis=1, out=ends[1])
-    v0, vt = laplace_inplace(ends, b)
+    hit_cut, miss_cut = cuts
+    # bucket numbers fit int64, which indexes without a conversion
+    t0 = (first >> _BUCKET_SHIFT).view(np.int64)
+    t = (top >> _BUCKET_SHIFT).view(np.int64)
+    cut = hit_cut[t]
+    hits = int(np.count_nonzero(t0 >= cut))
+    unsure = np.flatnonzero((t0 < cut) & (t0 >= miss_cut[t]))
+    m = unsure.size
+    ends = np.empty((3, m), dtype=np.uint64)
+    np.take(first, unsure, out=ends[0])
+    np.take(top, unsure, out=ends[1])
+    np.bitwise_or(ends[1], np.uint64((1 << 33) - 1), out=ends[2])
+    mix64_final(ends[:2], np.empty((2, m), dtype=np.uint64))
+    v0, vb, vh = laplace_inplace(ends, b)
     v0 += 1.0
-    sure = vt + order_margin(vt)
-    hits = int(np.count_nonzero(v0 >= sure))
-    band = z[(v0 >= vt) & (v0 < sure)]
+    sure = vh + order_margin(vh)
+    hits += int(np.count_nonzero(v0 >= sure))
+    band = unsure[(v0 >= vb) & (v0 < sure)]
     if band.size:
-        v = laplace_inplace(band, b)
+        v = laplace_inplace(rows(band), b)
         v[:, 0] += 1.0
         hits += int(np.count_nonzero(np.argmax(v, axis=1) == 0))
-    return hits, band.shape[0]
+    return hits, band.size
 
 
 def expected_asr_she_mc(eps: float, k: int, trials: int = 10 ** 6,
@@ -292,23 +350,60 @@ def expected_asr_she_mc(eps: float, k: int, trials: int = 10 ** 6,
     """Monte Carlo estimate of Pr[1 + Z_x > max of the other k-1 Z_i] with
     Z i.i.d. Laplace(0, 2/eps): sample, compare, average.
 
-    Each trial takes the next k draws of `rng`, and `_she_hits` decides it on
-    the raw draws, so the estimate is the one a full transform of every
-    draw gives, bit for bit, at about two transforms per trial.
+    Each trial takes the next k draws of `rng`, which advances by trials x k.
+    The draws are mixed in passes of about 3 PASS_SIZE draws through reused
+    buffers, and only to their pre-final states; each trial keeps column 0's
+    state and the largest state of the rest.  `_she_hits` decides the
+    trials, a group of at most PASS_SIZE / 2 at a time, from those two: the
+    final xor-shift keeps a state's top 31 bits, which place the others'
+    largest draw in a bucket and in a bracket, and only trials inside the
+    bracket's order margin are regenerated in full.  So the estimate is the
+    one a full transform of every draw gives, bit for bit.
     """
     if trials < 1:
         raise EmptyInput("trials must be >= 1")
+    check_eps(eps)
     if k == 1:
         return AsrResult(1.0, trials, 0.0)
+    check_k(k)
     if rng is None:
         rng = derive_stream(DEFAULT_ORACLE_SEED, 0, 0)
     b = 2.0 / eps
+    cuts = _bucket_cuts(b)
+    seed = rng.seed
+    c0 = rng.reserve(trials * k)
+    # trials per pass: about 3 PASS_SIZE draws (2 and 4 PASS_SIZE were 5-15%
+    # slower at k = 100 on a 2 MiB L2 x86_64 core), and whole passes per
+    # screen group of at most PASS_SIZE / 2 trials, whatever k is
+    per_pass = min(PASS_SIZE // 2, max(1, 3 * PASS_SIZE // k))
+    group = PASS_SIZE // 2 // per_pass * per_pass
+    # a pass holds column j of its i-th trial at [j, i], so that the row
+    # maximum is an elementwise maximum of contiguous rows.  The draw of
+    # counter c is mix64(seed + (c + 1) gamma): a pass starting at counter c
+    # adds seed + c gamma to these offsets
+    cols = np.arange(k, dtype=np.uint64)
+    offsets = np.arange(per_pass, dtype=np.uint64) * np.uint64(k)
+    offsets = (offsets + (cols + np.uint64(1))[:, None]) * np.uint64(GAMMA)
+    buf = np.empty(offsets.size, dtype=np.uint64)
+    scratch = np.empty_like(buf)
+    first = np.empty(group, dtype=np.uint64)
+    top = np.empty(group, dtype=np.uint64)
     hits = 0
-    done = 0
-    chunk = block_rows(k)
-    while done < trials:
-        m = min(chunk, trials - done)
-        hits += _she_hits(rng.u64s(m * k).reshape(m, k), b)[0]
-        done += m
+    for g0 in range(0, trials, group):
+        gm = min(group, trials - g0)
+        for lo in range(0, gm, per_pass):
+            m = min(per_pass, gm - lo)
+            c = c0 + (g0 + lo) * k
+            s = np.add(offsets[:, :m], np.uint64((seed + c * GAMMA) & MASK64),
+                       out=buf[:m * k].reshape(k, m))
+            mix64_rounds(buf[:m * k], scratch[:m * k])
+            first[lo:lo + m] = s[0]
+            np.max(s[1:], axis=0, out=top[lo:lo + m])
+
+        def rows(idx, g0=g0):
+            start = (idx.astype(np.uint64) + np.uint64(g0)) * np.uint64(k)
+            return draws_u64(seed, (start + np.uint64(c0))[:, None] + cols)
+
+        hits += _she_hits(first[:gm], top[:gm], b, cuts, rows)[0]
     asr = hits / trials
     return AsrResult(asr, trials, math.sqrt(asr * (1 - asr) / trials))

@@ -30,6 +30,9 @@ from .simulate import simulate_run
 # experiment run indices (which are < 2^32)
 _DATA_RUN_TAG = 1 << 32
 
+# most points a lo:hi:step grid may hold
+MAX_GRID_POINTS = 10 ** 6
+
 CSV_HEADER = ("protocol", "eps", "k", "param", "param_value", "analytic_asr",
               "analytic_mse", "empirical_asr", "empirical_asr_stderr",
               "empirical_mse", "n", "runs", "seed")
@@ -402,7 +405,8 @@ def _write_rows(rows, format: str, fh) -> None:
 
 def parse_grid(spec: str, integer: bool = False):
     """Parse "v" or "lo:hi:step" (inclusive of hi when it lands on the grid,
-    with 1e-9 slack) into a list of floats or ints."""
+    with 1e-9 slack, and of at most MAX_GRID_POINTS points) into a list of
+    floats or ints."""
     parts = str(spec).split(":")
     if len(parts) not in (1, 3):
         raise RangeError("grid", "v or lo:hi:step", spec)
@@ -418,7 +422,12 @@ def parse_grid(spec: str, integer: bool = False):
             raise RangeError("grid step", "> 0", step)
         if hi < lo:
             raise RangeError("grid", "hi >= lo", spec)
-        count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+        # the point count is bounded before any list is built; an infinite
+        # or NaN ratio fails the comparison too
+        span = (hi - lo) / step + 1e-9
+        if not span < MAX_GRID_POINTS:
+            raise RangeError("grid", f"at most {MAX_GRID_POINTS} points", spec)
+        count = int(math.floor(span)) + 1
         vals = [lo + i * step for i in range(count)]
     if integer:
         out = []

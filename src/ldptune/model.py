@@ -18,14 +18,14 @@ import numpy as np
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 # splitmix64 increment and finalizer multipliers
-_GAMMA = 0x9E3779B97F4A7C15
+GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _RUN_SALT = 0x8A183895E7EB0A7D
 _USER_SALT = 0xC2B2AE3D27D4EB4F
 
 _U64 = np.uint64
-_NP_GAMMA = _U64(_GAMMA)
+_NP_GAMMA = _U64(GAMMA)
 _NP_MIX1 = _U64(_MIX1)
 _NP_MIX2 = _U64(_MIX2)
 
@@ -126,6 +126,15 @@ def check_eps(eps) -> float:
     return eps
 
 
+def check_k(k) -> int:
+    """Return the domain size `k` when it is an integer >= 2; raise
+    RangeError otherwise."""
+    if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+            and k >= 2):
+        raise RangeError("k", "an integer >= 2", k)
+    return k
+
+
 def validate_config(cfg: ProtocolConfig) -> ProtocolConfig:
     """Check every invariant of `cfg`; return it unchanged when valid.
 
@@ -136,8 +145,7 @@ def validate_config(cfg: ProtocolConfig) -> ProtocolConfig:
     """
     fam = Family(cfg.family)
     check_eps(cfg.eps)
-    if not (isinstance(cfg.k, (int, np.integer)) and not isinstance(cfg.k, bool) and cfg.k >= 2):
-        raise RangeError("k", "an integer >= 2", cfg.k)
+    check_k(cfg.k)
 
     if fam is Family.SS:
         w = cfg.omega
@@ -239,20 +247,35 @@ def _passes(z: np.ndarray) -> list:
     return [flat[lo:lo + PASS_SIZE] for lo in range(0, flat.size, PASS_SIZE)]
 
 
+def mix64_rounds(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The first two rounds of the splitmix64 finalizer (xor-shift 30, x M1,
+    xor-shift 27, x M2) in place on the uint64 array `s`, with `t` a scratch
+    array of its shape; returns `s`, the pre-final state."""
+    np.right_shift(s, _U64(30), out=t)
+    s ^= t
+    s *= _NP_MIX1
+    np.right_shift(s, _U64(27), out=t)
+    s ^= t
+    s *= _NP_MIX2
+    return s
+
+
+def mix64_final(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The last round of the splitmix64 finalizer, xor-shift 31, in place on
+    the pre-final states `s`, with `t` a scratch array of its shape; returns
+    `s`, now the outputs.  It keeps bits 33..63 of each state."""
+    np.right_shift(s, _U64(31), out=t)
+    s ^= t
+    return s
+
+
 def mix64_inplace(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer applied in place to the contiguous uint64 array
     `z`, which the caller must own; returns `z`."""
     buf = np.empty(min(z.size, PASS_SIZE), dtype=_U64)
     for s in _passes(z):
         t = buf[:s.size]
-        np.right_shift(s, _U64(30), out=t)
-        s ^= t
-        s *= _NP_MIX1
-        np.right_shift(s, _U64(27), out=t)
-        s ^= t
-        s *= _NP_MIX2
-        np.right_shift(s, _U64(31), out=t)
-        s ^= t
+        mix64_final(mix64_rounds(s, t), t)
     return z
 
 
@@ -339,6 +362,13 @@ def order_margin(v):
     L(j1) - L(j2) on the rounded map is at most about (c + 1) 2^-51 |L(j2)|.
     The factor 2^-40 covers any c below 2^10 (glibc's `log1p` and numpy's
     SIMD loops stay within a few ulp); the 2^-60 floor covers samples at 0.
+
+    The argument holds for any 64-bit values j1 <= j2, drawn or not, so j2
+    may be an upper bound on draws that were never finished.  The SHE Monte
+    Carlo screen (`attacks._she_hits`) uses one: splitmix64's final
+    xor-shift 31 keeps bits 33..63 of the pre-final state, so no output of
+    a state s exceeds s with bits 0..32 set.  Bits 31 and 32 of the output
+    also take in bits 62 and 63, so the kept prefix is 31 bits, not 33.
     """
     return abs(v) * 2.0 ** -40 + 2.0 ** -60
 
@@ -365,17 +395,24 @@ class RngStream:
     def u64(self) -> int:
         c = self._count
         self._count = c + 1
-        return mix64((self.seed + ((c + 1) * _GAMMA)) & MASK64)
+        return mix64((self.seed + ((c + 1) * GAMMA)) & MASK64)
 
     def uniform(self) -> float:
         """One float64 in [0, 1)."""
         return (self.u64() >> 11) * 2.0 ** -53
 
+    def reserve(self, count: int) -> int:
+        """Advance the stream by `count` and return the counter of the first
+        skipped draw: the skipped draws are `draws_u64(seed, c)` for c in
+        [returned, returned + count)."""
+        c = self._count
+        self._count = c + count
+        return c
+
     def u64s(self, count: int) -> np.ndarray:
         """The next `count` raw draws, built in place on one array; advances
         the stream by `count`."""
-        c = self._count
-        self._count = c + count
+        c = self.reserve(count)
         z = np.arange(c + 1, c + 1 + count, dtype=_U64)
         z *= _NP_GAMMA
         z += _U64(self.seed)

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import Family, ProtocolConfig, RangeError, check_eps, validate_config
+from .model import (Family, ProtocolConfig, RangeError, check_eps, check_k,
+                    validate_config)
 from .optimizer import (
     ObjectiveWeights,
     OptimizationResult,
@@ -62,6 +63,7 @@ def resolve_protocol(name: str, eps: float, k: int,
     if name not in PROTOCOL_NAMES:
         raise RangeError("protocol", f"one of {', '.join(PROTOCOL_NAMES)}", name)
     check_eps(eps)
+    check_k(k)
     if not (isinstance(n, (int, float)) and not isinstance(n, bool)
             and 0 < n < math.inf):
         raise RangeError("n", "a finite real > 0", n)

@@ -191,6 +191,39 @@ def she_asr_mc(eps, k, trials, seed=0):
     return hits / trials
 
 
+def splitmix_draws(seed, first, count):
+    """Draws first, ..., first + count - 1 of the counter-based splitmix64
+    stream `seed` (Steele, Lea and Flood, OOPSLA 2014): draw c is the
+    splitmix64 finalizer of seed + (c + 1) 0x9E3779B97F4A7C15 mod 2^64."""
+    u = np.uint64
+    with np.errstate(over="ignore"):
+        z = u(seed) + np.arange(first + 1, first + 1 + count, dtype=u) * u(
+            0x9E3779B97F4A7C15)
+        z = (z ^ (z >> u(30))) * u(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> u(27))) * u(0x94D049BB133111EB)
+    return z ^ (z >> u(31))
+
+
+def she_mc_hits(eps, k, trials, seed, first):
+    """Attack hits of the SHE Monte Carlo with every draw transformed: trial
+    t takes draws first + t k, ..., first + t k + k - 1 of `splitmix_draws`;
+    each becomes the Laplace(0, 2/eps) sample of its 53-bit uniform
+    (j + 1/2) 2^-53 - 1/2, j capped at 2^53 - 2, and the trial hits when the
+    first coordinate's sample + 1 is its row's first maximum."""
+    b = 2.0 / eps
+    rows = max(1, 2 ** 18 // k)
+    hits = 0
+    for t0 in range(0, trials, rows):
+        m = min(rows, trials - t0)
+        z = splitmix_draws(seed, first + t0 * k, m * k).reshape(m, k)
+        j = np.minimum((z >> np.uint64(11)).astype(float), 2.0 ** 53 - 2)
+        u = (j + 0.5) * 2.0 ** -53 - 0.5
+        v = np.copysign(np.log1p(np.abs(u) * -2.0) * b, u)
+        v[:, 0] += 1.0
+        hits += int(np.count_nonzero(np.argmax(v, axis=1) == 0))
+    return hits
+
+
 def she_asr_exact(eps, k):
     """Pr[Z_0 + 1 > max of Z_1..Z_{k-1}] for Z i.i.d. Laplace(0, 2/eps), by
     quadrature of f(z) F(z + 1)^(k-1) over z, with f and F the Laplace

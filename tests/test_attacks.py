@@ -1,13 +1,16 @@
 """Distinguishability attacks and their expected success rates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import special
 
 import oracles as orc
+from ldptune import attacks
 from ldptune.attacks import (
+    _bucket_cuts,
     _she_hits,
     attack,
     bitvector_expected_asr,
@@ -24,6 +27,7 @@ from ldptune.model import (
     EmptyInput,
     Family,
     ProtocolConfig,
+    RangeError,
     RngStream,
     SubsetReport,
     UnsupportedFamily,
@@ -241,6 +245,14 @@ class TestSheMonteCarlo:
     def test_k_one_is_certain(self):
         assert expected_asr_she_mc(1.0, 1, 10).asr == 1.0
 
+    @pytest.mark.parametrize("eps,k,field", [(0.0, 10, "eps"), (-1.0, 10, "eps"),
+                                             (math.inf, 10, "eps"),
+                                             (2.0, 0, "k"), (2.0, -3, "k")])
+    def test_bad_eps_or_k_rejected(self, eps, k, field):
+        with pytest.raises(RangeError) as exc:
+            expected_asr_she_mc(eps, k, 100)
+        assert exc.value.field == field
+
     def test_bounds_and_monotonicity(self):
         lo = expected_asr_she_mc(0.5, 8, 30000, derive_stream(8, 0, 0)).asr
         hi = expected_asr_she_mc(6.0, 8, 30000, derive_stream(8, 0, 1)).asr
@@ -294,18 +306,40 @@ def _raw_rows(j, seed):
     return (np.asarray(j, dtype=np.uint64) << np.uint64(11)) | low
 
 
+def _states(y):
+    """The pre-final splitmix states whose final xor-shift 31 gives the raw
+    draws y: the inverse s = y ^ (y >> 31) ^ (y >> 62)."""
+    y = np.asarray(y, dtype=np.uint64)
+    return y ^ (y >> np.uint64(31)) ^ (y >> np.uint64(62))
+
+
+def _hi(y):
+    """The screen's upper bound for the rows y: the largest state among
+    columns 1..k-1 with bits 0..32 set."""
+    return _states(y)[:, 1:].max(axis=1) | np.uint64((1 << 33) - 1)
+
+
+def _screen(y, b):
+    """`_she_hits` on the rows of raw draws y, confirming from y itself."""
+    s = _states(y)
+    return _she_hits(s[:, 0].copy(), s[:, 1:].max(axis=1), b,
+                     _bucket_cuts(b), lambda idx: y[idx].copy())
+
+
 class TestSheScreen:
-    """`_she_hits` decides a trial on two transformed values unless the true
-    coordinate's sample lands within the order margin of the runner-up's."""
+    """`_she_hits` decides a trial from two pre-final states, the true
+    coordinate's and the others' largest: by the buckets of their top 12
+    bits, else by the true sample against a 31-bit bracket of the
+    runner-up's, else, inside that bracket's order margin, by the full row."""
 
     B = 1.0
     K = 5
 
-    def _band_rows(self):
+    def _band_rows(self, seed=3):
         # the others' largest draw jt sits in a random column, the rest
         # below it; the true draw j0 is the first whose sample + 1 reaches
-        # L(jt), which lands in the band [L(jt), L(jt) + margin)
-        rng = np.random.default_rng(3)
+        # L(jt), the runner-up's sample, which lands in the band
+        rng = np.random.default_rng(seed)
         n = 400
         jt = (6 << 50) + (np.arange(n, dtype=np.int64) << 20)
         j0 = _first_reaching(_laplace_of(jt, self.B), self.B)
@@ -323,10 +357,49 @@ class TestSheScreen:
         assert tie.any() and (~tie).any()
         assert np.all((v0 >= vt) & (v0 < vt + order_margin(vt)))
         z = _raw_rows(j, 4)
-        hits, confirmed = _she_hits(z.copy(), self.B)
+        hits, confirmed = _screen(z, self.B)
         assert confirmed == len(j)
         # ties go to the true coordinate, as argmax takes the first maximum
         assert hits == _full_hits(z, self.B) == len(j)
+
+    def test_rows_within_the_margin_of_the_bound_are_confirmed(self):
+        # the true sample lands in [L(hi), L(hi) + order_margin): above the
+        # bracket's bound, but within the margin that log1p's rounding allows
+        j, _, _ = self._band_rows(6)
+        z = _raw_rows(j, 7)
+        vh = laplace_inplace(_hi(z), self.B)
+        j0 = _first_reaching(vh, self.B)
+        z[:, 0] = _raw_rows(j0, 8)
+        v0 = _laplace_of(j0, self.B) + 1.0
+        assert np.all((v0 >= vh) & (v0 < vh + order_margin(vh)))
+        hits, confirmed = _screen(z, self.B)
+        assert confirmed == len(j)
+        assert hits == _full_hits(z, self.B) == len(j)
+
+    def test_bracket_keeps_31_bits(self):
+        # the final xor-shift 31 keeps bits 33..63 of a state, not 31..63:
+        # column 2's state is below column 1's (bits 31..32 read 00 < 01),
+        # but its draw is the larger (bits 31..32 read 11 > 10), because
+        # bits 62..63 are set.  The true draw sits above column 1's draw by
+        # twice the order margin and below column 2's, so the trial misses;
+        # only a bracket on 31 bits sends it to the confirm.
+        n = 50
+        prefix = (np.uint64(3) << np.uint64(29)) + np.arange(n, dtype=np.uint64)
+        high = prefix << np.uint64(33)
+        y = np.empty((n, self.K), dtype=np.uint64)
+        y[:, 1] = high | (np.uint64(0b10) << np.uint64(31))
+        y[:, 2] = high | (np.uint64(0b11) << np.uint64(31))
+        y[:, 3:] = _raw_rows(np.full((n, self.K - 3), 1 << 40), 9)
+        s = _states(y)
+        assert np.all((s[:, 2] < s[:, 1]) & (s[:, 1:].argmax(axis=1) == 0))
+        vb = laplace_inplace(y[:, 1].copy(), self.B)
+        j0 = _first_reaching(vb + 2 * order_margin(vb), self.B)
+        y[:, 0] = _raw_rows(j0, 10)
+        v0 = _laplace_of(j0, self.B) + 1.0
+        assert np.all(v0 < laplace_inplace(y[:, 2].copy(), self.B))
+        hits, confirmed = _screen(y, self.B)
+        assert confirmed == n
+        assert hits == _full_hits(y, self.B) == 0
 
     def test_sure_rows_skip_the_confirm(self):
         j, _, j0 = self._band_rows()
@@ -335,15 +408,77 @@ class TestSheScreen:
         # a row of equal draws: the true sample is 1 above the rest, a hit
         equal = np.full((7, self.K), 5 << 50)
         z = _raw_rows(np.vstack([j, equal]), 5)
-        hits, confirmed = _she_hits(z.copy(), self.B)
+        hits, confirmed = _screen(z, self.B)
         assert confirmed == 0
         assert hits == _full_hits(z, self.B) == len(equal)
+
+    @pytest.mark.parametrize("eps", [0.5, 2.0, 30.0, 1e-9])
+    def test_bucket_cuts_decide_only_certain_pairs(self, eps):
+        # at the hit cut the least true draw of its bucket beats the
+        # greatest other draw of the others' bucket, and one bucket below the
+        # miss cut the greatest true draw loses to the least other draw
+        b = 2.0 / eps
+        hit, miss = _bucket_cuts(b)
+        t = np.arange(1 << 12, dtype=np.uint64)
+        least = t << np.uint64(52)
+        most = least | np.uint64((1 << 52) - 1)
+        v_least = laplace_inplace(least.copy(), b)
+        v_most = laplace_inplace(most.copy(), b)
+        on = hit < t.size
+        assert on.any()
+        assert np.all(v_least[hit[on]] + 1.0 >= v_most[on])
+        on = miss > 0
+        assert on.any()
+        assert np.all(v_most[miss[on] - 1] + 1.0 < v_least[on])
 
     @pytest.mark.parametrize("eps", [0.5, 2.0, 10.0, 30.0])
     @pytest.mark.parametrize("k", [2, 3, 100])
     def test_equals_full_transform_on_stream_draws(self, eps, k):
         z = RngStream(17).u64s(4000 * k).reshape(4000, k)
-        assert _she_hits(z.copy(), 2.0 / eps)[0] == _full_hits(z, 2.0 / eps)
+        assert _screen(z, 2.0 / eps)[0] == _full_hits(z, 2.0 / eps)
+
+
+class TestSheMonteCarloStream:
+    """`expected_asr_she_mc` gives the hits of a full transform of every
+    draw (`oracles.she_mc_hits`) and advances the stream by trials x k."""
+
+    @pytest.mark.parametrize("eps", [0.5, 2.0, 14.0, 700.0])
+    @pytest.mark.parametrize("k,trials", [(2, 20001), (3, 20001),
+                                          (100, 20001), (1000, 3001),
+                                          (40000, 5)])
+    def test_hits_equal_full_transform(self, eps, k, trials):
+        # trials is not a multiple of the trials per pass or per screen, and
+        # the stream starts part-way through
+        seed, start = 12345 + k, 17
+        rng = RngStream(seed)
+        rng.u64s(start)
+        r = expected_asr_she_mc(eps, k, trials, rng)
+        assert r.asr == orc.she_mc_hits(eps, k, trials, seed, start) / trials
+        assert rng.u64() == int(orc.splitmix_draws(seed, start + trials * k,
+                                                   1)[0])
+
+    @pytest.mark.parametrize("k", [3, 100])
+    def test_confirm_regenerates_the_trials_rows(self, k, monkeypatch):
+        # with an infinite margin every trial that is not a sure miss is
+        # decided on its regenerated row, in each of three screen groups
+        monkeypatch.setattr(attacks, "order_margin", lambda v: np.inf)
+        seed, start, trials = 99, 5, 20001
+        rng = RngStream(seed)
+        rng.u64s(start)
+        r = expected_asr_she_mc(2.0, k, trials, rng)
+        assert r.asr == orc.she_mc_hits(2.0, k, trials, seed, start) / trials
+
+    @pytest.mark.parametrize("k", [2, 100])
+    def test_memory_bounded_in_trials(self, k):
+        # the screen works on groups of a bounded number of trials, whatever
+        # k is, and no pass holds more than about 2 PASS_SIZE draws
+        tracemalloc.start()
+        try:
+            expected_asr_she_mc(2.0, k, 4 * 10 ** 5 // k, RngStream(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
 
 class TestLocalHashingAsr:

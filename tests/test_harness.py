@@ -14,6 +14,7 @@ import pytest
 import oracles as orc
 from ldptune.harness import (
     CSV_HEADER,
+    MAX_GRID_POINTS,
     DataMismatch,
     Dataset,
     DirichletProvenance,
@@ -405,6 +406,31 @@ class TestParseGrid:
         with pytest.raises(RangeError):
             parse_grid("a:b:c")
 
+    def test_point_count_bounded_before_building(self):
+        # 1e300 points, and a ratio that overflows to inf: both are range
+        # errors before any list is built
+        for spec in ("2:3:1e-300", "0:1e308:1e-308"):
+            with pytest.raises(RangeError, match="points"):
+                parse_grid(spec)
+        assert len(parse_grid(f"1:{MAX_GRID_POINTS}:1",
+                              integer=True)) == MAX_GRID_POINTS
+        with pytest.raises(RangeError, match="points"):
+            parse_grid(f"1:{MAX_GRID_POINTS + 1}:1", integer=True)
+
+
+class TestResolveProtocol:
+    @pytest.mark.parametrize("k", [1, 0, -3])
+    def test_bad_k_rejected_before_any_optimizer(self, k, monkeypatch):
+        def no_optimizer(*args):
+            raise AssertionError("optimizer ran")
+        for attr in ("optimize_ass", "optimize_aue", "optimize_alh",
+                     "optimize_athe"):
+            monkeypatch.setattr(f"ldptune.presets.{attr}", no_optimizer)
+        for name in PROTOCOL_NAMES:
+            with pytest.raises(RangeError) as exc:
+                resolve_protocol(name, 2.0, k)
+            assert exc.value.field == "k"
+
 
 class TestCli:
     def _run(self, *args):
@@ -478,10 +504,28 @@ class TestCli:
                      "--n", value) for value in ("0", "-1", "inf", "nan")]
         extreme.append(("analyze", "--protocol", "grr", "--eps", "1:inf:1",
                         "--k", "10"))
+        # grids of 1e300 points, or whose point count overflows, are range
+        # errors before any list is built
+        extreme.append(("analyze", "--protocol", "grr", "--eps", "1",
+                        "--k", "2:3:1e-300"))
+        extreme.append(("analyze", "--protocol", "grr", "--eps",
+                        "0:1e308:1e-308", "--k", "10"))
         for argv in extreme:
             r = self._run(*argv)
             assert r.returncode == 2, argv
             assert "Traceback" not in r.stderr, argv
+        # a domain below 2 is a range error on k, before any optimizer runs
+        bad_k = [("optimize", "--protocol", "aue", "--eps", "2", "--k", "0"),
+                 ("optimize", "--protocol", "athe", "--eps", "2", "--k", "-3"),
+                 ("optimize", "--protocol", "alh", "--eps", "2", "--k", "1"),
+                 ("pareto", "--protocols", "the", "--eps", "2", "--k", "0"),
+                 ("simulate", "--protocol", "the", "--eps", "2", "--k", "0",
+                  "--n", "10", "--runs", "1")]
+        for argv in bad_k:
+            r = self._run(*argv)
+            assert r.returncode == 2, argv
+            assert "Traceback" not in r.stderr, argv
+            assert "k must be" in r.stderr, argv
         r = self._run("analyze", "--protocol", "she", "--eps", "1", "--k", "10",
                       "--she-trials", "0")
         assert r.returncode == 2 and "she-trials" in r.stderr
