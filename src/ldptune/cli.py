@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .attacks import expected_asr
 from .harness import (
     DataMismatch,
     EmptyAfterFiltering,
@@ -28,7 +27,6 @@ from .harness import (
 from .model import EmptyInput, NonFinite, RangeError, UnsupportedFamily
 from .optimizer import EmptyCandidates, ObjectiveWeights
 from .presets import ADAPTIVE_NAMES, PROTOCOL_NAMES, resolve_protocol
-from .protocols import analytic_mse
 
 _DATA_ERRORS = (MissingColumn, UnparsableRow, EmptyAfterFiltering, DataMismatch,
                 EmptyInput)
@@ -137,9 +135,8 @@ def cmd_optimize(args) -> int:
     rp = resolve_protocol(args.protocol, args.eps, args.k, weights, n=args.n)
     opt = rp.optimization
     row = ParetoRow(rp.name, float(args.eps), int(args.k), rp.param_name,
-                    rp.param_value, float(expected_asr(rp.config)),
-                    float(analytic_mse(rp.config, args.n)),
-                    None, None, None, None, None, None)
+                    rp.param_value, float(opt.asr_at_opt),
+                    float(opt.mse_at_opt), None, None, None, None, None, None)
     print(f"{rp.name}: {rp.param_name}={rp.param_value} "
           f"objective={opt.objective_value:.6g} asr={opt.asr_at_opt:.6g} "
           f"mse={opt.mse_at_opt:.6g} evaluations={opt.evaluations}",
@@ -193,7 +190,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (RangeError, UnsupportedFamily, EmptyCandidates, NonFinite,
-            ValueError) as exc:
+            ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -172,8 +172,6 @@ def load_csv_column(path: str, column: str, domain_spec=None) -> Dataset:
 def parse_data_spec(spec: str, k: int, n, seed: int) -> Dataset:
     """Materialize a CLI data spec: "dirichlet" or "csv:<path>:<column>"
     with an optional ":<lo>-<hi>" range suffix."""
-    if isinstance(spec, Dataset):
-        return spec
     if spec == "dirichlet":
         if n is None:
             raise RangeError("n", "required for dirichlet data", n)
@@ -362,10 +360,7 @@ def _fmt(v) -> str:
 
 
 def _row_values(row: ParetoRow):
-    return (row.protocol, row.eps, row.k, row.param, row.param_value,
-            row.analytic_asr, row.analytic_mse, row.empirical_asr,
-            row.empirical_asr_stderr, row.empirical_mse, row.n, row.runs,
-            row.seed)
+    return tuple(getattr(row, name) for name in CSV_HEADER)
 
 
 def export(rows, format: str, dest) -> None:

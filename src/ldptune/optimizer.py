@@ -35,10 +35,12 @@ from .model import (
     NonFinite,
     ProtocolConfig,
     RangeError,
+    check_k,
 )
 from .attacks import bitvector_asr_array, expected_asr, support_size_row
 from .protocols import (
     analytic_mse,
+    family_config,
     first_order_mse,
     olh_g,
     ss_default_omega,
@@ -230,8 +232,10 @@ def screened_grid_search(f, grid: np.ndarray, values, width: int = 1):
     return grid_search(f, grid[keep].tolist())
 
 
-def _result(cfg: ProtocolConfig, theta_star, weights: ObjectiveWeights,
-            n: float, evaluations: int) -> OptimizationResult:
+def _result(family: Family, eps: float, k: int, theta_star,
+            weights: ObjectiveWeights, n: float,
+            evaluations: int) -> OptimizationResult:
+    cfg = family_config(family, eps, k, theta_star)
     asr = expected_asr(cfg)
     mse = analytic_mse(cfg, n)
     return OptimizationResult(theta_star, weights.w_asr * asr + weights.w_mse * mse,
@@ -276,16 +280,6 @@ def array_objective(family: Family, eps: float, k: int,
     return values
 
 
-def _refine_cell(f, x0: float, f0: float, step: float, lo: float,
-                 hi: float):
-    """Bounded scalar refinement in the grid cell around x0, kept only when
-    strictly better than the grid point.  Returns (x*, objective calls)."""
-    g = _CountingObjective(f)
-    xr, fr = minimize_scalar_bounded(g, max(lo, x0 - step), min(hi, x0 + step),
-                                     REFINE_TOL)
-    return (xr if fr < f0 else x0), g.calls
-
-
 def optimize_ass(eps: float, k: int, weights: ObjectiveWeights,
                  n: float = 1) -> OptimizationResult:
     """Best subset size: integer grid search over omega in [1, k-1].
@@ -295,42 +289,47 @@ def optimize_ass(eps: float, k: int, weights: ObjectiveWeights,
     argmin of the first-order variance, whose flat left tail would otherwise
     drift to omega = 1.
     """
-    if k < 2:
-        raise RangeError("k", "an integer >= 2", k)
+    check_k(k)
     if weights.w_asr == 0:
-        w = ss_default_omega(eps, k)
-        cfg = ProtocolConfig(Family.SS, eps, k, omega=w)
-        return _result(cfg, w, weights, n, 1)
+        return _result(Family.SS, eps, k, ss_default_omega(eps, k), weights,
+                       n, 1)
 
     def f(w):
-        return objective(ProtocolConfig(Family.SS, eps, k, omega=w), weights, n)
+        return objective(family_config(Family.SS, eps, k, w), weights, n)
 
     w, _ = screened_grid_search(f, np.arange(1, k),
                                 array_objective(Family.SS, eps, k, weights, n))
-    cfg = ProtocolConfig(Family.SS, eps, k, omega=w)
-    return _result(cfg, w, weights, n, k - 1)
+    return _result(Family.SS, eps, k, w, weights, n, k - 1)
 
 
-def _cfg_ue(eps: float, k: int, p: float) -> ProtocolConfig:
-    p, q = ue_pair_from_p(eps, p)
-    return ProtocolConfig(Family.UE, eps, k, p=p, q=q)
+def _grid_then_refine(family: Family, eps: float, k: int,
+                      weights: ObjectiveWeights, n: float, grid: np.ndarray,
+                      cell: float, hi: float) -> OptimizationResult:
+    """Screened search of `grid` (from 0.5 up), then bounded refinement
+    within `cell` of its winner, clipped to [0.5, hi], kept only when
+    strictly better.  `cell` is the exact grid step, which numpy's spacing
+    of `grid` need not be."""
+
+    def f(x):
+        return objective(family_config(family, eps, k, x), weights, n)
+
+    x0, f0 = screened_grid_search(
+        f, grid, array_objective(family, eps, k, weights, n), k)
+    g = _CountingObjective(f)
+    xr, fr = minimize_scalar_bounded(g, max(0.5, x0 - cell), min(hi, x0 + cell),
+                                     REFINE_TOL)
+    return _result(family, eps, k, xr if fr < f0 else x0, weights, n,
+                   len(grid) + g.calls)
 
 
 def optimize_aue(eps: float, k: int, weights: ObjectiveWeights,
                  n: float = 1) -> OptimizationResult:
     """Best keep-probability p in [0.5, 1) with the tight q substituted in:
     1024-point coarse grid, then bounded refinement in the best grid cell."""
-
-    def f(p):
-        return objective(_cfg_ue(eps, k, p), weights, n)
-
+    check_k(k)
     grid = np.linspace(0.5, 1.0, COARSE_GRID_POINTS + 1)[:COARSE_GRID_POINTS]
-    p0, f0 = screened_grid_search(
-        f, grid, array_objective(Family.UE, eps, k, weights, n), k)
-    p_star, calls = _refine_cell(f, p0, f0, 0.5 / COARSE_GRID_POINTS, 0.5,
-                                 _P_CAP)
-    cfg = _cfg_ue(eps, k, p_star)
-    return _result(cfg, p_star, weights, n, len(grid) + calls)
+    return _grid_then_refine(Family.UE, eps, k, weights, n, grid,
+                             0.5 / COARSE_GRID_POINTS, _P_CAP)
 
 
 def optimize_alh(eps: float, k: int, weights: ObjectiveWeights,
@@ -347,10 +346,11 @@ def optimize_alh(eps: float, k: int, weights: ObjectiveWeights,
     winner and the bisection point with its two neighbours, ties to the
     smaller g.  `evaluations` counts the grid points and two per step.
     """
+    check_k(k)
     e = math.exp(eps)
 
     def f(g):
-        return objective(ProtocolConfig(Family.LH, eps, k, g=g), weights, n)
+        return objective(family_config(Family.LH, eps, k, g), weights, n)
 
     def rises(g):  # f(g+1) >= f(g), for g >= k
         h = g - 1
@@ -373,21 +373,13 @@ def optimize_alh(eps: float, k: int, weights: ObjectiveWeights,
             lo = mid + 1
     near = [g for g in (lo - 1, lo, lo + 1) if k <= g <= top]
     g, _ = grid_search(f, sorted({g_low, *near}))
-    cfg = ProtocolConfig(Family.LH, eps, k, g=g)
-    return _result(cfg, g, weights, n, k - 1 + 2 * steps)
+    return _result(Family.LH, eps, k, g, weights, n, k - 1 + 2 * steps)
 
 
 def optimize_athe(eps: float, k: int, weights: ObjectiveWeights,
                   n: float = 1) -> OptimizationResult:
     """Best threshold theta in [0.5, 1]: coarse grid plus bounded refinement."""
-
-    def f(t):
-        return objective(ProtocolConfig(Family.THE, eps, k, theta=t), weights, n)
-
+    check_k(k)
     grid = np.linspace(0.5, 1.0, COARSE_GRID_POINTS)
-    t0, f0 = screened_grid_search(
-        f, grid, array_objective(Family.THE, eps, k, weights, n), k)
-    t_star, calls = _refine_cell(f, t0, f0, 0.5 / (COARSE_GRID_POINTS - 1),
-                                 0.5, 1.0)
-    cfg = ProtocolConfig(Family.THE, eps, k, theta=t_star)
-    return _result(cfg, t_star, weights, n, len(grid) + calls)
+    return _grid_then_refine(Family.THE, eps, k, weights, n, grid,
+                             0.5 / (COARSE_GRID_POINTS - 1), 1.0)

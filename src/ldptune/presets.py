@@ -21,19 +21,17 @@ from .optimizer import (
     optimize_athe,
     optimize_aue,
 )
-from .protocols import olh_g, oue_params, ss_default_omega, sue_params, ue_pair_from_p
+from .protocols import (PARAM_NAME, family_config, olh_g, oue_params,
+                        ss_default_omega, sue_params)
 
-PROTOCOL_NAMES = ("grr", "ss", "sue", "oue", "blh", "olh", "she", "the",
-                  "ass", "aue", "alh", "athe")
-ADAPTIVE_NAMES = ("ass", "aue", "alh", "athe")
-
-_PARAM_NAME = {
-    "grr": "", "she": "",
-    "ss": "omega", "ass": "omega",
-    "sue": "p", "oue": "p", "aue": "p",
-    "blh": "g", "olh": "g", "alh": "g",
-    "the": "theta", "athe": "theta",
+# every name's family: the eight standard protocols, then the four adaptive
+FAMILIES = {
+    "grr": Family.GRR, "ss": Family.SS, "sue": Family.UE, "oue": Family.UE,
+    "blh": Family.LH, "olh": Family.LH, "she": Family.SHE, "the": Family.THE,
+    "ass": Family.SS, "aue": Family.UE, "alh": Family.LH, "athe": Family.THE,
 }
+PROTOCOL_NAMES = tuple(FAMILIES)
+ADAPTIVE_NAMES = PROTOCOL_NAMES[8:]
 
 DEFAULT_WEIGHTS = ObjectiveWeights(0.5, 0.5)
 
@@ -44,9 +42,17 @@ class ResolvedProtocol:
 
     name: str
     config: ProtocolConfig
-    param_name: str
-    param_value: object  # int, float, or None for parameter-free families
     optimization: OptimizationResult | None = None
+
+    @property
+    def param_name(self) -> str:
+        """The free parameter's field in `config`; "" for grr and she."""
+        return PARAM_NAME[Family(self.config.family)]
+
+    @property
+    def param_value(self):
+        """The free parameter (int or float); None for grr and she."""
+        return getattr(self.config, self.param_name) if self.param_name else None
 
 
 def resolve_protocol(name: str, eps: float, k: int,
@@ -57,10 +63,11 @@ def resolve_protocol(name: str, eps: float, k: int,
     `param` overrides the resolved free parameter (omega, p, g, or theta) and
     is rejected for grr/she, which have none.  Adaptive names optimize under
     `weights` (default (0.5, 0.5)) and the user count `n`, a finite real > 0,
-    unless `param` pins the value directly.
+    unless `param` pins the value directly.  `the` and the adaptive names
+    report the optimizer's own config.
     """
     name = name.lower()
-    if name not in PROTOCOL_NAMES:
+    if name not in FAMILIES:
         raise RangeError("protocol", f"one of {', '.join(PROTOCOL_NAMES)}", name)
     check_eps(eps)
     check_k(k)
@@ -72,14 +79,7 @@ def resolve_protocol(name: str, eps: float, k: int,
     if weights is None:
         weights = DEFAULT_WEIGHTS
 
-    if name in ("grr", "she"):
-        if param is not None:
-            raise RangeError("param", f"absent for {name}", param)
-        fam = Family.GRR if name == "grr" else Family.SHE
-        cfg = validate_config(ProtocolConfig(fam, eps, k))
-        return ResolvedProtocol(name, cfg, "", None)
-
-    opt = None
+    value = opt = None
     if param is not None:
         value = param
     elif name == "ss":
@@ -94,34 +94,13 @@ def resolve_protocol(name: str, eps: float, k: int,
         value = olh_g(eps)
     elif name == "the":
         opt = optimize_athe(eps, k, ObjectiveWeights(0.0, 1.0), n)
-        value = opt.theta_star
     elif name == "ass":
         opt = optimize_ass(eps, k, weights, n)
-        value = opt.theta_star
     elif name == "aue":
         opt = optimize_aue(eps, k, weights, n)
-        value = opt.theta_star
     elif name == "alh":
         opt = optimize_alh(eps, k, weights, n)
-        value = opt.theta_star
-    else:  # athe
+    elif name == "athe":
         opt = optimize_athe(eps, k, weights, n)
-        value = opt.theta_star
-
-    pname = _PARAM_NAME[name]
-    if pname in ("omega", "g") and abs(float(value) - round(float(value))) > 1e-9:
-        raise RangeError(pname, "an integer", value)
-    if pname == "omega":
-        value = int(round(float(value)))
-        cfg = ProtocolConfig(Family.SS, eps, k, omega=value)
-    elif pname == "p":
-        p, q = ue_pair_from_p(eps, float(value))
-        cfg = ProtocolConfig(Family.UE, eps, k, p=p, q=q)
-        value = float(value)
-    elif pname == "g":
-        value = int(round(float(value)))
-        cfg = ProtocolConfig(Family.LH, eps, k, g=value)
-    else:
-        cfg = ProtocolConfig(Family.THE, eps, k, theta=float(value))
-        value = float(value)
-    return ResolvedProtocol(name, validate_config(cfg), pname, value, opt)
+    cfg = opt.config if opt else family_config(FAMILIES[name], eps, k, value)
+    return ResolvedProtocol(name, validate_config(cfg), opt)

@@ -125,6 +125,41 @@ def ss_pure_pair(eps: float, k: int, omega):
     return p_star, q_star
 
 
+# each family's free parameter, as a ProtocolConfig field; "" for none
+PARAM_NAME = {Family.GRR: "", Family.SS: "omega", Family.UE: "p",
+              Family.LH: "g", Family.SHE: "", Family.THE: "theta"}
+
+
+def family_config(family: Family, eps: float, k: int,
+                  value=None) -> ProtocolConfig:
+    """The config of `family` at (eps, k) with free parameter `value`.
+
+    omega and g must be integers: ints pass through unchanged, and a float
+    within 1e-9 of one becomes that int.  p and theta are stored as floats,
+    and UE gets the tight q.  GRR and SHE take no value.  Nothing else is
+    checked here; `validate_config` does that.
+    """
+    fam = Family(family)
+    name = PARAM_NAME[fam]
+    if not name:
+        if value is not None:
+            raise RangeError("param", f"absent for {fam.value}", value)
+        return ProtocolConfig(fam, eps, k)
+    if fam is Family.UE:
+        p = float(value)
+        if not 0 < p < 1:  # outside, q's denominator can be 0
+            raise RangeError("p", "a real in (0, 1)", p)
+        p, q = ue_pair_from_p(eps, p)
+        return ProtocolConfig(fam, eps, k, p=p, q=q)
+    if fam is Family.THE:
+        return ProtocolConfig(fam, eps, k, theta=float(value))
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if abs(float(value) - round(float(value))) > 1e-9:
+            raise RangeError(name, "an integer", value)
+        value = int(round(float(value)))
+    return ProtocolConfig(fam, eps, k, **{name: value})
+
+
 def pure_params(cfg: ProtocolConfig) -> PureParams:
     """(p*, q*) of any pure family; SHE has none.
 

@@ -33,7 +33,7 @@ from ldptune.harness import (
 )
 from ldptune.model import Family, ProtocolConfig, RangeError, validate_config
 from ldptune.optimizer import ObjectiveWeights
-from ldptune.presets import PROTOCOL_NAMES, resolve_protocol
+from ldptune.presets import ADAPTIVE_NAMES, PROTOCOL_NAMES, resolve_protocol
 
 W_HALF = ObjectiveWeights(0.5, 0.5)
 
@@ -431,6 +431,16 @@ class TestResolveProtocol:
                 resolve_protocol(name, 2.0, k)
             assert exc.value.field == "k"
 
+    @pytest.mark.parametrize("name", ("the",) + ADAPTIVE_NAMES)
+    def test_reports_the_optimizers_config(self, name):
+        # past g = 2^53 a g rebuilt through a float would differ from the
+        # optimizer's
+        for eps in (2.0, 8.0, 40.0):
+            for k in (2, 10, 100):
+                rp = resolve_protocol(name, eps, k)
+                assert rp.config == rp.optimization.config
+                assert rp.param_value == rp.optimization.theta_star
+
 
 class TestCli:
     def _run(self, *args):
@@ -453,6 +463,30 @@ class TestCli:
                       "100")
         assert r.returncode == 0
         assert "omega=7" in r.stderr
+
+    def test_analyze_reports_exact_large_g(self):
+        r = self._run("analyze", "--protocol", "alh", "--eps", "40", "--k",
+                      "10")
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines()[1].split(",")[4] == "235385266837019999"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's")
+    @pytest.mark.parametrize("name", ["sue", "ass"])
+    def test_unallocatable_k_exits_2(self, name):
+        # the address-space cap makes the allocation fail whatever the
+        # host's overcommit policy
+        code = ("import resource, sys\n"
+                "cap = 2 * 1024 ** 3\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+                "from ldptune.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+        r = subprocess.run([sys.executable, "-c", code, "analyze", "--protocol",
+                            name, "--eps", "1", "--k", "1e12"],
+                           capture_output=True, text=True, env=env, timeout=60)
+        assert r.returncode == 2, r.stderr
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
     def test_simulate_writes_file(self, tmp_path):
         out = tmp_path / "sim.csv"

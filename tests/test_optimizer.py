@@ -19,6 +19,7 @@ from ldptune.model import (
     Family,
     NonFinite,
     ProtocolConfig,
+    RangeError,
     validate_config,
 )
 from ldptune.cli import main
@@ -26,7 +27,6 @@ from ldptune.optimizer import (
     _P_CAP,
     COARSE_GRID_POINTS,
     ObjectiveWeights,
-    _cfg_ue,
     array_objective,
     grid_search,
     minimize_scalar_bounded,
@@ -37,7 +37,8 @@ from ldptune.optimizer import (
     optimize_aue,
     screened_grid_search,
 )
-from ldptune.protocols import analytic_mse, olh_g, ss_default_omega
+from ldptune.protocols import (analytic_mse, family_config, olh_g,
+                               ss_default_omega)
 from ldptune.attacks import expected_asr
 
 W_HALF = ObjectiveWeights(0.5, 0.5)
@@ -56,6 +57,16 @@ class TestObjective:
         a = objective(cfg, W_MSE, n=1)
         b = objective(cfg, W_MSE, n=10)
         assert b == pytest.approx(a / 10, rel=1e-12)
+
+
+class TestBadDomain:
+    @pytest.mark.parametrize("solver", [optimize_ass, optimize_aue,
+                                        optimize_alh, optimize_athe])
+    @pytest.mark.parametrize("k", [1, 0, -3])
+    def test_k_below_two_is_a_range_error(self, solver, k):
+        with pytest.raises(RangeError) as exc:
+            solver(2.0, k, W_HALF)
+        assert exc.value.field == "k"
 
 
 class TestMinimizeScalarBounded:
@@ -103,7 +114,7 @@ class TestMinimizeScalarBounded:
         weights = ObjectiveWeights.from_w_asr(w)
 
         def ue_f(p):
-            return objective(_cfg_ue(eps, k, p), weights)
+            return objective(family_config(Family.UE, eps, k, p), weights)
 
         def the_f(t):
             return objective(ProtocolConfig(Family.THE, eps, k, theta=t),
@@ -318,7 +329,7 @@ def _scalar_objective(fam, eps, k, weights):
         if fam is Family.SS:
             return ProtocolConfig(fam, eps, k, omega=x)
         if fam is Family.UE:
-            return _cfg_ue(eps, k, x)
+            return family_config(Family.UE, eps, k, x)
         if fam is Family.LH:
             return ProtocolConfig(fam, eps, k, g=x)
         return ProtocolConfig(fam, eps, k, theta=x)

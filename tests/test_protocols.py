@@ -29,6 +29,7 @@ from ldptune.model import (
 from ldptune.protocols import (
     analytic_mse,
     estimate_frequencies,
+    family_config,
     generic_pure_mse,
     grr_params,
     grr_perturb,
@@ -108,6 +109,49 @@ class TestParameterRules:
         p, q = the_params(4.0, 0.816)
         assert p == pytest.approx(0.6539414091556348, abs=1e-15)
         assert q == pytest.approx(0.09776905328834747, abs=1e-15)
+
+
+class TestFamilyConfig:
+    def test_large_int_g_passes_unchanged(self):
+        g = 2 ** 53 + 1  # float(g) would round it to 2^53
+        for value in (g, np.int64(g)):
+            cfg = family_config(Family.LH, 40.0, 10, value)
+            assert cfg.g == g and type(cfg.g) is type(value)
+
+    def test_integral_float_becomes_int(self):
+        cfg = family_config(Family.SS, 2.0, 10, 3.0)
+        assert cfg.omega == 3 and type(cfg.omega) is int
+
+    @pytest.mark.parametrize("family,name", [(Family.SS, "omega"),
+                                             (Family.LH, "g")])
+    def test_fractional_integer_parameter_rejected(self, family, name):
+        with pytest.raises(RangeError) as exc:
+            family_config(family, 2.0, 10, 3.5)
+        assert exc.value.field == name
+
+    @pytest.mark.parametrize("family", [Family.GRR, Family.SHE])
+    @pytest.mark.parametrize("value", [0, 2, 0.5])
+    def test_parameter_free_families_reject_any_value(self, family, value):
+        with pytest.raises(RangeError) as exc:
+            family_config(family, 2.0, 10, value)
+        assert exc.value.field == "param"
+        assert family_config(family, 2.0, 10) == ProtocolConfig(family, 2.0, 10)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, math.e / (math.e - 1), -1.0])
+    def test_ue_p_outside_unit_interval_rejected(self, p):
+        # at p = e/(e - 1) and eps = 1 the tight q would divide by zero
+        with pytest.raises(RangeError) as exc:
+            family_config(Family.UE, 1.0, 10, p)
+        assert exc.value.field == "p"
+
+    def test_ue_gets_the_tight_q(self):
+        cfg = family_config(Family.UE, 2.0, 10, 0.7)
+        assert (cfg.p, cfg.q) == ue_pair_from_p(2.0, 0.7)
+        assert validate_config(cfg) is cfg
+
+    def test_theta_stored_as_float(self):
+        cfg = family_config(Family.THE, 2.0, 10, 1)
+        assert cfg.theta == 1.0 and type(cfg.theta) is float
 
 
 class TestPureParams:
