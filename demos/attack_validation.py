@@ -29,7 +29,7 @@ def main():
             if rp.config.family is lt.Family.LH:
                 exact = lt.lh_exact_expected_asr(eps, K, rp.config.g)
             stats = lt.run_experiment(
-                lt.ExperimentConfig(rp, N, RUNS, SEED, ds), workers=4)
+                rp, lt.ExperimentConfig(N, RUNS, SEED, ds), workers=4)
             emp = float(np.mean([s.empirical_asr for s in stats]))
             print(f"{name:8s} {eps:4.1f} {closed:12.6f} {exact:12.6f} "
                   f"{emp:12.6f}")

@@ -24,7 +24,7 @@ OUT = os.path.join(tempfile.gettempdir(), "frontier.csv")
 
 def main():
     eps_grid = lt.parse_grid(EPS_GRID)
-    exp = lt.ExperimentConfig(None, N, RUNS, SEED, "dirichlet")
+    exp = lt.ExperimentConfig(N, RUNS, SEED, "dirichlet")
     rows = lt.pareto_sweep(lt.PROTOCOL_NAMES, eps_grid, [K],
                            lt.DEFAULT_WEIGHTS, experiment=exp, workers=4,
                            she_trials=SHE_TRIALS)

@@ -26,7 +26,7 @@ def main():
     for name in lt.PROTOCOL_NAMES:
         rp = lt.resolve_protocol(name, EPS, K, lt.DEFAULT_WEIGHTS)
         stats = lt.run_experiment(
-            lt.ExperimentConfig(rp, N, 1, SEED, ds), workers=4)
+            rp, lt.ExperimentConfig(N, 1, SEED, ds), workers=4)
         err = float(np.abs(stats[0].f_hat - f_true).max())
         if rp.config.family is lt.Family.SHE:
             asr = lt.expected_asr_she_mc(EPS, K, 10 ** 5).asr

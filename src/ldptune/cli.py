@@ -32,12 +32,6 @@ _DATA_ERRORS = (MissingColumn, UnparsableRow, EmptyAfterFiltering, DataMismatch,
                 EmptyInput)
 
 
-def _weights(w_asr: float) -> ObjectiveWeights:
-    if not 0.0 <= w_asr <= 1.0:
-        raise RangeError("w-asr", "a weight in [0, 1]", w_asr)
-    return ObjectiveWeights(w_asr, 1.0 - w_asr)
-
-
 def _emit(rows, args) -> None:
     export(rows, args.format, sys.stdout if args.out is None else args.out)
 
@@ -54,7 +48,7 @@ def _experiment(args) -> ExperimentConfig:
             print(f"data: dropped {data.rejected} rows of "
                   f"{data.provenance.path} (column {data.provenance.column!r})",
                   file=sys.stderr)
-    return ExperimentConfig(None, args.n, args.runs, args.seed, data)
+    return ExperimentConfig(args.n, args.runs, args.seed, data)
 
 
 def _add_output(sp) -> None:
@@ -124,14 +118,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_analyze(args) -> int:
     rows = pareto_sweep([args.protocol], parse_grid(args.eps),
-                        parse_grid(args.k, integer=True), _weights(args.w_asr),
+                        parse_grid(args.k, integer=True),
+                        ObjectiveWeights.from_w_asr(args.w_asr),
                         she_trials=args.she_trials, param=args.param)
     _emit(rows, args)
     return 0
 
 
 def cmd_optimize(args) -> int:
-    weights = _weights(args.w_asr)
+    weights = ObjectiveWeights.from_w_asr(args.w_asr)
     rp = resolve_protocol(args.protocol, args.eps, args.k, weights, n=args.n)
     opt = rp.optimization
     row = ParetoRow(rp.name, float(args.eps), int(args.k), rp.param_name,
@@ -148,9 +143,9 @@ def cmd_optimize(args) -> int:
 def cmd_simulate(args) -> int:
     experiment = _experiment(args)
     rows = pareto_sweep([args.protocol], [args.eps], [args.k],
-                        _weights(args.w_asr), experiment=experiment,
-                        workers=args.workers, she_trials=args.she_trials,
-                        param=args.param)
+                        ObjectiveWeights.from_w_asr(args.w_asr),
+                        experiment=experiment, workers=args.workers,
+                        she_trials=args.she_trials, param=args.param)
     _emit(rows, args)
     return 0
 
@@ -167,7 +162,8 @@ def cmd_pareto(args) -> int:
     if args.runs is not None:
         experiment = _experiment(args)
     rows = pareto_sweep(names, parse_grid(args.eps),
-                        parse_grid(args.k, integer=True), _weights(args.w_asr),
+                        parse_grid(args.k, integer=True),
+                        ObjectiveWeights.from_w_asr(args.w_asr),
                         experiment=experiment, workers=args.workers,
                         she_trials=args.she_trials)
     _emit(rows, args)

@@ -1,11 +1,13 @@
 """Datasets, end-to-end seeded experiments, Pareto sweeps, and export.
 
 A Dataset is a fixed list of 1-based category values; experiments share it
-across runs so only protocol noise varies.  `run_experiment` executes
-(perturb -> estimate -> attack) per run through the vectorized kernels;
-`pareto_sweep` walks a (protocol, eps, k) grid, resolving parameters and
-attaching analytic and (optionally) empirical columns; `export` writes the
-rows as CSV or JSON with full float64 round-trip precision.
+across runs so only protocol noise varies.  `_experiment_at` is the one place
+an experiment's data (a Dataset or a spec for `parse_data_spec`) becomes the
+users of a run at domain size k.  `run_experiment(protocol, experiment)`
+executes (perturb -> estimate -> attack) per run through the vectorized
+kernels; `pareto_sweep` walks a (protocol, eps, k) grid, resolving parameters
+and attaching analytic and (optionally) empirical columns; `export` writes
+the rows as CSV or JSON with full float64 round-trip precision.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,13 +106,13 @@ def gen_dirichlet(k: int, n: int, seed: int) -> Dataset:
     return Dataset(values, k, DirichletProvenance(seed), base_frequencies=f)
 
 
-def load_csv_column(path: str, column: str, domain_spec=None) -> Dataset:
+def load_csv_column(path: str, column: str, domain=None) -> Dataset:
     """Read one column of a CSV file as a dataset.
 
-    domain_spec ("range", lo, hi) maps integer values v in [lo, hi] to
-    categories v-lo+1 with k = hi-lo+1, rejecting out-of-range rows with a
-    count; None or "categorical" maps distinct values to their sorted index.
-    Empty cells are filtered (counted) in both modes.
+    With domain (lo, hi), integer values v in [lo, hi] map to categories
+    v-lo+1 with k = hi-lo+1, and out-of-range rows are dropped with a count;
+    without it, distinct values map to their sorted index.  Empty cells are
+    dropped (counted) either way.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -124,15 +126,10 @@ def load_csv_column(path: str, column: str, domain_spec=None) -> Dataset:
 
         raw = []
         rejected = 0
-        is_range = isinstance(domain_spec, (tuple, list)) and len(domain_spec) == 3 \
-            and domain_spec[0] == "range"
-        if not is_range and domain_spec not in (None, "categorical"):
-            raise RangeError("domain_spec", "('range', lo, hi) or 'categorical'",
-                             domain_spec)
-        if is_range:
-            lo, hi = int(domain_spec[1]), int(domain_spec[2])
+        if domain is not None:
+            lo, hi = domain
             if hi < lo:
-                raise RangeError("domain_spec", "lo <= hi", domain_spec)
+                raise RangeError("data range", "lo <= hi", domain)
         for row in reader:
             line = reader.line_num
             if not row:
@@ -144,7 +141,7 @@ def load_csv_column(path: str, column: str, domain_spec=None) -> Dataset:
             if cell == "":
                 rejected += 1
                 continue
-            if is_range:
+            if domain is not None:
                 try:
                     v = int(cell)
                 except ValueError:
@@ -158,7 +155,7 @@ def load_csv_column(path: str, column: str, domain_spec=None) -> Dataset:
 
     if not raw:
         raise EmptyAfterFiltering(f"no usable rows in column {column!r}")
-    if is_range:
+    if domain is not None:
         values = np.asarray(raw, dtype=np.int64)
         k = hi - lo + 1
     else:
@@ -174,7 +171,7 @@ def parse_data_spec(spec: str, k: int, n, seed: int) -> Dataset:
     with an optional ":<lo>-<hi>" range suffix."""
     if spec == "dirichlet":
         if n is None:
-            raise RangeError("n", "required for dirichlet data", n)
+            raise RangeError("n", "given for dirichlet data", n)
         return gen_dirichlet(k, n, seed)
     if spec.startswith("csv:"):
         parts = spec.split(":")
@@ -183,24 +180,19 @@ def parse_data_spec(spec: str, k: int, n, seed: int) -> Dataset:
         if len(parts) == 4 and "-" in parts[3]:
             lo, _, hi = parts[3].partition("-")
             try:
-                return load_csv_column(parts[1], parts[2],
-                                       ("range", int(lo), int(hi)))
-            except ValueError as exc:
-                if isinstance(exc, (MissingColumn, UnparsableRow,
-                                    EmptyAfterFiltering, RangeError)):
-                    raise
+                domain = int(lo), int(hi)
+            except ValueError:
                 raise RangeError("data", "csv:<path>:<column>[:<lo>-<hi>]",
                                  spec) from None
+            return load_csv_column(parts[1], parts[2], domain)
     raise RangeError("data", "dirichlet or csv:<path>:<column>[:<lo>-<hi>]", spec)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One simulation request: protocol (a ProtocolConfig or a
-    ResolvedProtocol), user count, run count, master seed, and the data
-    source (Dataset or CLI-style spec)."""
+    """One simulation request: user count (None for the whole dataset), run
+    count, master seed, and the data source (Dataset or CLI-style spec)."""
 
-    protocol: object
     n: int | None
     runs: int
     master_seed: int
@@ -223,41 +215,44 @@ class RunStats:
     f_hat: np.ndarray
 
 
-def _resolve_config(cfg: ExperimentConfig) -> ProtocolConfig:
-    p = cfg.protocol
-    if isinstance(p, ProtocolConfig):
-        return p
-    if isinstance(p, ResolvedProtocol):
-        return p.config
-    raise RangeError("protocol", "ProtocolConfig or ResolvedProtocol", p)
-
-
-def _experiment_values(cfg: ExperimentConfig, k: int):
-    ds = cfg.data if isinstance(cfg.data, Dataset) else parse_data_spec(
-        cfg.data, k, cfg.n, cfg.master_seed)
+def _experiment_at(experiment: ExperimentConfig, k: int) -> ExperimentConfig:
+    """`experiment` with its data a Dataset of domain size k and its n the
+    users each run takes (the whole dataset when n is None).  A resolved
+    experiment resolves to itself without parsing anything."""
+    ds = experiment.data
+    if not isinstance(ds, Dataset):
+        ds = parse_data_spec(ds, k, experiment.n, experiment.master_seed)
     if ds.k != k:
         raise DataMismatch(f"dataset has k={ds.k}, protocol expects k={k}")
-    n = cfg.n if cfg.n is not None else len(ds.values)
+    n = len(ds.values) if experiment.n is None else experiment.n
     if n > len(ds.values):
         raise DataMismatch(f"n={n} exceeds dataset size {len(ds.values)}")
-    return ds.values[:n], n
+    return replace(experiment, n=n, data=ds)
 
 
-def run_experiment(cfg: ExperimentConfig, workers: int = 1):
-    """Simulate `runs` independent runs; returns a list of RunStats in run
+def run_experiment(protocol, experiment: ExperimentConfig, workers: int = 1):
+    """Simulate `experiment.runs` independent runs of `protocol` (a
+    ProtocolConfig or a ResolvedProtocol); returns a list of RunStats in run
     order, bitwise deterministic for a fixed master_seed regardless of
     `workers`."""
-    pcfg = _resolve_config(cfg)
-    values, n = _experiment_values(cfg, pcfg.k)
-    x0 = values - 1
-    f_true = np.bincount(x0, minlength=pcfg.k) / n
+    if isinstance(protocol, ResolvedProtocol):
+        protocol = protocol.config
+    elif not isinstance(protocol, ProtocolConfig):
+        raise RangeError("protocol", "ProtocolConfig or ResolvedProtocol",
+                         protocol)
+    if workers < 1:
+        raise RangeError("workers", "an integer >= 1", workers)
+    experiment = _experiment_at(experiment, protocol.k)
+    n, seed = experiment.n, experiment.master_seed
+    x0 = experiment.data.values[:n] - 1
+    f_true = np.bincount(x0, minlength=protocol.k) / n
 
     def one(run):
-        f_hat, successes = simulate_run(pcfg, x0, cfg.master_seed, run)
+        f_hat, successes = simulate_run(protocol, x0, seed, run)
         mse = float(np.mean((f_hat - f_true) ** 2))
         return RunStats(successes / n, mse, f_hat)
 
-    runs = range(cfg.runs)
+    runs = range(experiment.runs)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(one, runs))
@@ -296,51 +291,40 @@ def pareto_sweep(protocols, eps_grid, k_grid, weights: ObjectiveWeights,
 
     State-of-the-art names use their fixed parameter rules; adaptive names
     optimize under `weights`.  With an `experiment`, each point also runs the
-    Monte Carlo pipeline and attaches empirical columns (the experiment's
-    protocol field is ignored; its n/runs/master_seed/data apply to every
-    point).  `param` pins the free parameter of every point (single-protocol
-    sweeps only).
+    Monte Carlo pipeline and attaches empirical columns; its data is resolved
+    once per k, at that k's first point, and its n/runs/master_seed apply to
+    every point.  `param` pins the free parameter of every point
+    (single-protocol sweeps only).
     """
     if she_trials < 1:
         raise RangeError("she-trials", "an integer >= 1", she_trials)
     rows = []
-    dataset_cache = {}
+    experiment_at = {}
     for name in protocols:
-        for k in k_grid:
+        for k in map(int, k_grid):
             for eps in eps_grid:
-                rp = resolve_protocol(name, eps, int(k), weights, param=param)
+                rp = resolve_protocol(name, eps, k, weights, param=param)
                 if Family(rp.config.family) is Family.SHE:
-                    mc = expected_asr_she_mc(eps, int(k), she_trials,
-                                             _she_mc_rng(eps, int(k)))
+                    mc = expected_asr_she_mc(eps, k, she_trials,
+                                             _she_mc_rng(eps, k))
                     a_asr, mc_stderr = mc.asr, mc.stderr
                 else:
                     a_asr, mc_stderr = expected_asr(rp.config), None
                 easr = estderr = emse = None
                 n_col = runs_col = seed_col = None
                 if experiment is not None:
-                    key = (int(k), experiment.n)
-                    if key not in dataset_cache:
-                        ds = cfg_ds = experiment.data
-                        if not isinstance(cfg_ds, Dataset):
-                            ds = parse_data_spec(cfg_ds, int(k), experiment.n,
-                                                 experiment.master_seed)
-                        dataset_cache[key] = ds
-                    ecfg = ExperimentConfig(rp, experiment.n, experiment.runs,
-                                            experiment.master_seed,
-                                            dataset_cache[key])
-                    stats = run_experiment(ecfg, workers=workers)
-                    n_eff = experiment.n if experiment.n else len(dataset_cache[key].values)
-                    asr_mean = float(np.mean([s.empirical_asr for s in stats]))
-                    easr = asr_mean
-                    estderr = math.sqrt(asr_mean * (1 - asr_mean)
-                                        / (n_eff * experiment.runs))
+                    if k not in experiment_at:
+                        experiment_at[k] = _experiment_at(experiment, k)
+                    ek = experiment_at[k]
+                    stats = run_experiment(rp, ek, workers=workers)
+                    easr = float(np.mean([s.empirical_asr for s in stats]))
+                    estderr = math.sqrt(easr * (1 - easr) / (ek.n * ek.runs))
                     emse = float(np.mean([s.empirical_mse for s in stats]))
-                    n_col, runs_col = n_eff, experiment.runs
-                    seed_col = experiment.master_seed
+                    n_col, runs_col, seed_col = ek.n, ek.runs, ek.master_seed
                 elif mc_stderr is not None:
                     estderr = mc_stderr
                 a_mse = analytic_mse(rp.config, n_col if n_col else 1)
-                rows.append(ParetoRow(name, float(eps), int(k), rp.param_name,
+                rows.append(ParetoRow(name, float(eps), k, rp.param_name,
                                       rp.param_value, float(a_asr), float(a_mse),
                                       easr, estderr, emse, n_col, runs_col,
                                       seed_col))

@@ -106,7 +106,8 @@ def minimize_scalar_bounded(f, lo: float, hi: float, tol: float = REFINE_TOL):
     = tol and its 500-call cap, so it probes the same points and returns the
     same bits as `minimize_scalar(method="bounded")`.
 
-    Returns (x*, f*).  Raises NonFinite when any probe of f is not finite.
+    Returns (x*, f*, calls), calls being the probes of f (scipy's `nfev`).
+    Raises NonFinite when any probe of f is not finite.
     """
     if not lo < hi:
         raise RangeError("(lo, hi)", "lo < hi", (lo, hi))
@@ -175,19 +176,7 @@ def minimize_scalar_bounded(f, lo: float, hi: float, tol: float = REFINE_TOL):
         tol2 = 2.0 * tol1
         if calls >= 500:
             break
-    return float(xf), float(fx)
-
-
-class _CountingObjective:
-    """Wraps an objective, counting evaluations."""
-
-    def __init__(self, f):
-        self.f = f
-        self.calls = 0
-
-    def __call__(self, x):
-        self.calls += 1
-        return self.f(x)
+    return float(xf), float(fx), calls
 
 
 def grid_search(f, candidates):
@@ -315,11 +304,10 @@ def _grid_then_refine(family: Family, eps: float, k: int,
 
     x0, f0 = screened_grid_search(
         f, grid, array_objective(family, eps, k, weights, n), k)
-    g = _CountingObjective(f)
-    xr, fr = minimize_scalar_bounded(g, max(0.5, x0 - cell), min(hi, x0 + cell),
-                                     REFINE_TOL)
+    xr, fr, calls = minimize_scalar_bounded(f, max(0.5, x0 - cell),
+                                            min(hi, x0 + cell), REFINE_TOL)
     return _result(family, eps, k, xr if fr < f0 else x0, weights, n,
-                   len(grid) + g.calls)
+                   len(grid) + calls)
 
 
 def optimize_aue(eps: float, k: int, weights: ObjectiveWeights,

@@ -79,8 +79,8 @@ def sweep_results(sweep_dataset):
             else:
                 exact = expected
             stats = lt.run_experiment(
-                lt.ExperimentConfig(rp, SWEEP_N, SWEEP_RUNS, MASTER_SEED,
-                                    sweep_dataset),
+                rp, lt.ExperimentConfig(SWEEP_N, SWEEP_RUNS, MASTER_SEED,
+                                        sweep_dataset),
                 workers=WORKERS)
             out[name, eps] = {
                 "config": cfg,
@@ -104,8 +104,8 @@ def adjudication():
     rp = lt.resolve_protocol("ss", eps, k, param=omega)
     values = (np.arange(n) % k) + 1
     ds = lt.Dataset(values, k, "uniform")
-    stats = lt.run_experiment(lt.ExperimentConfig(rp, n, runs, MASTER_SEED,
-                                                  ds), workers=WORKERS)
+    stats = lt.run_experiment(rp, lt.ExperimentConfig(n, runs, MASTER_SEED, ds),
+                              workers=WORKERS)
     mc = float(np.mean([s.empirical_mse for s in stats]))
     pp = lt.pure_params(rp.config)
     generic = lt.generic_pure_mse(pp, n)
@@ -377,7 +377,7 @@ def test_criterion_09_pure_estimators_unbiased():
     for name in ("grr", "ss", "sue", "oue", "blh", "olh", "the"):
         rp = lt.resolve_protocol(name, eps, k, W_HALF)
         stats = lt.run_experiment(
-            lt.ExperimentConfig(rp, n, runs, MASTER_SEED, ds), workers=WORKERS)
+            rp, lt.ExperimentConfig(n, runs, MASTER_SEED, ds), workers=WORKERS)
         mean_hat = np.mean([s.f_hat for s in stats], axis=0)
         pp = lt.pure_params(rp.config)
         var = (f_true * pp.p_star * (1 - pp.p_star)

@@ -1,4 +1,5 @@
-"""Each script in demos/ runs to the end, at shrunken sizes."""
+"""Each script in demos/ runs to the end, at shrunken sizes, and the
+README's Quick start block runs as written."""
 
 import importlib.util
 from pathlib import Path
@@ -7,7 +8,8 @@ import pytest
 
 import ldptune as lt
 
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
 
 # module constants to shrink per demo
 SMALL = {
@@ -48,3 +50,12 @@ def test_demo_runs(name, monkeypatch, capsys, tmp_path):
     else:
         assert "nan" not in out
     assert out.count("\n") > 5
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert len(namespace["stats"]) == 20

@@ -86,19 +86,19 @@ class TestLoadCsvColumn:
 
     def test_range_mode_offset_mapping(self, tmp_path):
         path = self._write(tmp_path, "age\n30\n30\n45\n")
-        ds = load_csv_column(path, "age", ("range", 0, 99))
+        ds = load_csv_column(path, "age", (0, 99))
         assert ds.k == 100
         assert list(ds.values) == [31, 31, 46]
 
     def test_range_mode_rejects_out_of_range(self, tmp_path):
         path = self._write(tmp_path, "age\n30\n150\n-2\n41\n")
-        ds = load_csv_column(path, "age", ("range", 0, 99))
+        ds = load_csv_column(path, "age", (0, 99))
         assert list(ds.values) == [31, 42]
         assert ds.rejected == 2
 
     def test_empty_cells_filtered_and_counted(self, tmp_path):
         path = self._write(tmp_path, "age\n30\n\n45\n")
-        ds = load_csv_column(path, "age", ("range", 0, 99))
+        ds = load_csv_column(path, "age", (0, 99))
         assert list(ds.values) == [31, 46]
         assert ds.rejected == 1
 
@@ -111,7 +111,7 @@ class TestLoadCsvColumn:
     def test_unparsable_row_cites_line_number(self, tmp_path):
         path = self._write(tmp_path, "age\n30\nforty\n50\n")
         with pytest.raises(UnparsableRow) as exc:
-            load_csv_column(path, "age", ("range", 0, 99))
+            load_csv_column(path, "age", (0, 99))
         assert exc.value.line == 3
         assert "3" in str(exc.value)
 
@@ -124,7 +124,7 @@ class TestLoadCsvColumn:
     def test_empty_after_filtering(self, tmp_path):
         path = self._write(tmp_path, "age\n150\n200\n")
         with pytest.raises(EmptyAfterFiltering):
-            load_csv_column(path, "age", ("range", 0, 99))
+            load_csv_column(path, "age", (0, 99))
 
     def test_missing_file_is_os_error(self, tmp_path):
         with pytest.raises(OSError):
@@ -153,15 +153,16 @@ class TestParseDataSpec:
 
 
 class TestRunExperiment:
+    GRR8 = validate_config(ProtocolConfig(Family.GRR, 2.0, 8))
+
     def _cfg(self, **kw):
-        base = dict(protocol=validate_config(ProtocolConfig(Family.GRR, 2.0, 8)),
-                    n=2000, runs=3, master_seed=5, data="dirichlet")
+        base = dict(n=2000, runs=3, master_seed=5, data="dirichlet")
         base.update(kw)
         return ExperimentConfig(**base)
 
     def test_deterministic(self):
-        a = run_experiment(self._cfg())
-        b = run_experiment(self._cfg())
+        a = run_experiment(self.GRR8, self._cfg())
+        b = run_experiment(self.GRR8, self._cfg())
         assert len(a) == 3
         for ra, rb in zip(a, b):
             assert ra.empirical_asr == rb.empirical_asr
@@ -169,35 +170,55 @@ class TestRunExperiment:
             assert np.array_equal(ra.f_hat, rb.f_hat)
 
     def test_worker_count_does_not_change_results(self):
-        a = run_experiment(self._cfg(runs=6), workers=1)
-        b = run_experiment(self._cfg(runs=6), workers=4)
+        a = run_experiment(self.GRR8, self._cfg(runs=6), workers=1)
+        b = run_experiment(self.GRR8, self._cfg(runs=6), workers=4)
         for ra, rb in zip(a, b):
             assert ra.empirical_asr == rb.empirical_asr
             assert np.array_equal(ra.f_hat, rb.f_hat)
 
     def test_adaptive_resolved_protocol(self):
-        cfg = ExperimentConfig(resolve_protocol("ass", 2.0, 8, W_HALF), 500,
-                               2, 1)
-        stats = run_experiment(cfg)
+        stats = run_experiment(resolve_protocol("ass", 2.0, 8, W_HALF),
+                               ExperimentConfig(500, 2, 1))
         assert len(stats) == 2
 
     def test_protocol_must_be_a_config(self):
         with pytest.raises(RangeError, match="ResolvedProtocol"):
-            run_experiment(self._cfg(protocol=("ass", 2.0, 8)))
+            run_experiment(("ass", 2.0, 8), self._cfg())
 
-    def test_dataset_k_mismatch(self):
-        ds = gen_dirichlet(5, 100, 0)
-        with pytest.raises(DataMismatch):
-            run_experiment(self._cfg(data=ds, n=100))
+    def test_workers_below_one_is_a_range_error(self, monkeypatch):
+        def no_runs(*args):
+            raise AssertionError("a run started before the check")
+        monkeypatch.setattr("ldptune.harness.simulate_run", no_runs)
+        for workers in (0, -2):
+            with pytest.raises(RangeError, match="workers"):
+                run_experiment(self.GRR8, self._cfg(), workers=workers)
 
-    def test_n_larger_than_dataset(self):
-        ds = gen_dirichlet(8, 100, 0)
-        with pytest.raises(DataMismatch):
-            run_experiment(self._cfg(data=ds, n=200))
+    def test_dataset_k_mismatch(self, tmp_path):
+        # a Dataset, and a CSV spec whose file holds 3 categories; the sweep
+        # takes the same path as run_experiment
+        path = tmp_path / "three.csv"
+        path.write_text("a\n1\n2\n3\n", encoding="utf-8")
+        for data in (gen_dirichlet(5, 100, 0), f"csv:{path}:a"):
+            with pytest.raises(DataMismatch):
+                run_experiment(self.GRR8, self._cfg(data=data, n=100))
+            with pytest.raises(DataMismatch):
+                pareto_sweep(["grr"], [2.0], [8], W_HALF,
+                             experiment=self._cfg(data=data, n=100))
+
+    def test_n_larger_than_dataset(self, tmp_path):
+        path = tmp_path / "eight.csv"
+        path.write_text("a\n" + "".join(f"{v}\n" for v in range(1, 9)),
+                        encoding="utf-8")
+        for data in (gen_dirichlet(8, 100, 0), f"csv:{path}:a"):
+            with pytest.raises(DataMismatch):
+                run_experiment(self.GRR8, self._cfg(data=data, n=200))
+            with pytest.raises(DataMismatch):
+                pareto_sweep(["grr"], [2.0], [8], W_HALF,
+                             experiment=self._cfg(data=data, n=200))
 
     def test_n_none_uses_dataset_length(self):
         ds = gen_dirichlet(8, 300, 0)
-        stats = run_experiment(self._cfg(data=ds, n=None, runs=1))
+        stats = run_experiment(self.GRR8, self._cfg(data=ds, n=None, runs=1))
         assert len(stats) == 1
 
     def test_grr_uniform_closed_form_example(self):
@@ -206,7 +227,7 @@ class TestRunExperiment:
         cfg = validate_config(ProtocolConfig(Family.GRR, eps, k))
         values = (np.arange(n) % k) + 1
         ds = Dataset(values, k, "uniform")
-        stats = run_experiment(ExperimentConfig(cfg, n, runs, 7, ds), workers=4)
+        stats = run_experiment(cfg, ExperimentConfig(n, runs, 7, ds), workers=4)
         mean_asr = float(np.mean([s.empirical_asr for s in stats]))
         expect = math.exp(2.0) / (math.exp(2.0) + 15)
         stderr = math.sqrt(expect * (1 - expect) / (n * runs))
@@ -222,7 +243,7 @@ class TestRunExperiment:
         eps, k, n, runs = 4.0, 100, 5 * 10 ** 4, 100
         rp = resolve_protocol("oue", eps, k)
         ds = gen_dirichlet(k, n, 7)
-        stats = run_experiment(ExperimentConfig(rp, n, runs, 7, ds), workers=4)
+        stats = run_experiment(rp, ExperimentConfig(n, runs, 7, ds), workers=4)
         mean_mse = float(np.mean([s.empirical_mse for s in stats]))
         from ldptune.protocols import analytic_mse, pure_params
         approx = analytic_mse(rp.config, n)
@@ -240,7 +261,7 @@ class TestRunExperiment:
         for name in ("grr", "oue", "olh"):
             rp = resolve_protocol(name, 2.0, 50)
             ds = gen_dirichlet(50, 2 * 10 ** 4, 3)
-            stats = run_experiment(ExperimentConfig(rp, 2 * 10 ** 4, 30, 3, ds),
+            stats = run_experiment(rp, ExperimentConfig(2 * 10 ** 4, 30, 3, ds),
                                    workers=4)
             mean_asr = float(np.mean([s.empirical_asr for s in stats]))
             from ldptune.attacks import expected_asr
@@ -253,7 +274,7 @@ class TestRunExperiment:
         for n in (2000, 4000):
             values = (np.arange(n) % k) + 1
             ds = Dataset(values, k, "uniform")
-            stats = run_experiment(ExperimentConfig(cfg, n, runs, 11, ds),
+            stats = run_experiment(cfg, ExperimentConfig(n, runs, 11, ds),
                                    workers=4)
             out[n] = float(np.mean([s.empirical_mse for s in stats]))
         ratio = out[2000] / out[4000]
@@ -304,12 +325,30 @@ class TestParetoSweep:
         assert all(r.analytic_asr < 0.25 for r in rows)
 
     def test_empirical_columns_attached(self):
-        exp = ExperimentConfig(None, 1000, 2, 9, "dirichlet")
+        exp = ExperimentConfig(1000, 2, 9, "dirichlet")
         row = pareto_sweep(["grr"], [2.0], [8], W_HALF, experiment=exp)[0]
         assert row.empirical_asr is not None
         assert row.empirical_mse is not None
         assert row.n == 1000 and row.runs == 2 and row.seed == 9
         assert 0 <= row.empirical_asr <= 1
+
+    def test_data_resolved_once_per_k(self, monkeypatch):
+        seen = []
+
+        def counted(spec, k, n, seed):
+            seen.append(k)
+            return parse_data_spec(spec, k, n, seed)
+        monkeypatch.setattr("ldptune.harness.parse_data_spec", counted)
+        exp = ExperimentConfig(500, 1, 3)
+        rows = pareto_sweep(["grr", "oue", "she"], [2.0, 4.0], [8, 10], W_HALF,
+                            experiment=exp)
+        assert seen == [8, 10]
+        # one point's empirical columns are those of a direct run, bit for bit
+        row = next(r for r in rows if (r.protocol, r.eps, r.k) == ("oue", 4.0, 10))
+        stats = run_experiment(resolve_protocol("oue", 4.0, 10, W_HALF), exp)
+        assert row.empirical_asr == float(np.mean([s.empirical_asr for s in stats]))
+        assert row.empirical_mse == float(np.mean([s.empirical_mse for s in stats]))
+        assert (row.n, row.runs, row.seed) == (500, 1, 3)
 
     def test_param_override(self):
         row = pareto_sweep(["ss"], [2.0], [10], W_HALF, param=3)[0]
@@ -544,6 +583,10 @@ class TestCli:
                         "--k", "2:3:1e-300"))
         extreme.append(("analyze", "--protocol", "grr", "--eps",
                         "0:1e308:1e-308", "--k", "10"))
+        # a worker count below 1 is a range error before any run
+        extreme += [("simulate", "--protocol", "grr", "--eps", "2", "--k", "10",
+                     "--runs", "1", "--n", "50", "--workers", value)
+                    for value in ("0", "-2")]
         for argv in extreme:
             r = self._run(*argv)
             assert r.returncode == 2, argv
@@ -603,6 +646,18 @@ class TestCli:
         r2 = self._run("simulate", "--protocol", "grr", "--eps", "2", "--k",
                        "8", "--runs", "1", "--data", f"csv:{path}:a")
         assert r2.returncode == 4
+
+    def test_data_errors_name_the_input(self, tmp_path):
+        path = tmp_path / "ages.csv"
+        path.write_text("age\n5\n", encoding="utf-8")
+        cases = [(f"csv:{path}:age:9-0", "data range must be lo <= hi, got (9, 0)"),
+                 ("dirichlet", "n must be given for dirichlet data")]
+        for data, message in cases:
+            r = self._run("simulate", "--protocol", "grr", "--eps", "2", "--k",
+                          "10", "--runs", "1", "--data", data)
+            assert r.returncode == 2, data
+            assert "Traceback" not in r.stderr and "domain_spec" not in r.stderr
+            assert message in r.stderr, r.stderr
 
     def test_dropped_rows_reported_on_stderr(self, tmp_path):
         # the row with an empty cell is dropped; the results are those of

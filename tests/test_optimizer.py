@@ -71,19 +71,22 @@ class TestBadDomain:
 
 class TestMinimizeScalarBounded:
     def test_quadratic(self):
-        x, f = minimize_scalar_bounded(lambda t: (t - 2.0) ** 2, 0.0, 5.0,
-                                       tol=1e-6)
+        x, f, _ = minimize_scalar_bounded(lambda t: (t - 2.0) ** 2, 0.0, 5.0,
+                                          tol=1e-6)
         assert abs(x - 2.0) < 1e-4
         assert f < 1e-8
 
     def test_boundary_minimum(self):
-        x, f = minimize_scalar_bounded(lambda t: t, 1.0, 3.0, tol=1e-6)
+        x, f, _ = minimize_scalar_bounded(lambda t: t, 1.0, 3.0, tol=1e-6)
         assert abs(x - 1.0) < 1e-4
         assert f == pytest.approx(x)
 
-    def test_returns_pair(self):
-        out = minimize_scalar_bounded(lambda t: t * t, -1.0, 1.0)
-        assert isinstance(out, tuple) and len(out) == 2
+    def test_returns_point_value_and_calls(self):
+        probes = []
+        out = minimize_scalar_bounded(lambda t: probes.append(t) or t * t,
+                                      -1.0, 1.0)
+        assert isinstance(out, tuple) and len(out) == 3
+        assert out[2] == len(probes)
 
     def test_non_finite_objective_rejected(self):
         with pytest.raises(NonFinite):
@@ -92,13 +95,14 @@ class TestMinimizeScalarBounded:
     @staticmethod
     def _assert_same_as_scipy(f, lo, hi):
         ours, ref = [], []
-        x, fx = minimize_scalar_bounded(lambda t: ours.append(t) or f(t),
-                                        lo, hi, 1e-6)
+        x, fx, calls = minimize_scalar_bounded(
+            lambda t: ours.append(t) or f(t), lo, hi, 1e-6)
         res = minimize_scalar(lambda t: ref.append(t) or f(t),
                               bounds=(lo, hi), method="bounded",
                               options={"xatol": 1e-6})
         assert ours == ref  # the same probes, so the same call count
         assert (x, fx) == (float(res.x), float(res.fun))
+        assert calls == res.nfev == len(ours)
 
     @pytest.mark.parametrize("f,lo,hi", [
         (lambda t: (t - 2.0) ** 2, -10.0, 10.0),
