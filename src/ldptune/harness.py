@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import EmptyInput, Family, ProtocolConfig, RangeError, derive_stream
+from .model import (MASK64, DataError, Family, ProtocolConfig, RangeError,
+                    derive_stream)
 from .attacks import DEFAULT_ORACLE_SEED, expected_asr, expected_asr_she_mc
 from .optimizer import ObjectiveWeights
 from .presets import ResolvedProtocol, resolve_protocol
@@ -40,24 +41,24 @@ CSV_HEADER = ("protocol", "eps", "k", "param", "param_value", "analytic_asr",
               "empirical_mse", "n", "runs", "seed")
 
 
-class MissingColumn(ValueError):
+class MissingColumn(DataError):
     def __init__(self, column, available):
         self.column = column
         self.available = available
         super().__init__(f"column {column!r} not in header {available}")
 
 
-class UnparsableRow(ValueError):
+class UnparsableRow(DataError):
     def __init__(self, line, detail):
         self.line = line
         super().__init__(f"line {line}: {detail}")
 
 
-class EmptyAfterFiltering(ValueError):
+class EmptyAfterFiltering(DataError):
     pass
 
 
-class DataMismatch(ValueError):
+class DataMismatch(DataError):
     """Dataset shape conflicts with the experiment's (k, n)."""
 
 
@@ -106,6 +107,16 @@ def gen_dirichlet(k: int, n: int, seed: int) -> Dataset:
     return Dataset(values, k, DirichletProvenance(seed), base_frequencies=f)
 
 
+def _rows(reader, path: str):
+    """The rows of a csv `reader` over `path`; a cell past the csv module's
+    field limit, or bytes that are not UTF-8, raise UnparsableRow at the
+    line the reader reached."""
+    try:
+        yield from reader
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise UnparsableRow(reader.line_num, f"cannot read {path}: {exc}") from None
+
+
 def load_csv_column(path: str, column: str, domain=None) -> Dataset:
     """Read one column of a CSV file as a dataset.
 
@@ -116,8 +127,9 @@ def load_csv_column(path: str, column: str, domain=None) -> Dataset:
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
+        rows = _rows(reader, path)
         try:
-            header = next(reader)
+            header = next(rows)
         except StopIteration:
             raise EmptyAfterFiltering(f"{path} is empty") from None
         if column not in header:
@@ -130,7 +142,7 @@ def load_csv_column(path: str, column: str, domain=None) -> Dataset:
             lo, hi = domain
             if hi < lo:
                 raise RangeError("data range", "lo <= hi", domain)
-        for row in reader:
+        for row in rows:
             line = reader.line_num
             if not row:
                 rejected += 1
@@ -203,6 +215,9 @@ class ExperimentConfig:
             raise RangeError("runs", "an integer >= 1", self.runs)
         if self.n is not None and self.n < 1:
             raise RangeError("n", "an integer >= 1 (or None for CSV length)", self.n)
+        # streams take the seed mod 2^64, so a seed outside would alias one inside
+        if not 0 <= self.master_seed <= MASK64:
+            raise RangeError("seed", "an integer in [0, 2^64)", self.master_seed)
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,11 @@ class UnsupportedFamily(ValueError):
     """Operation not defined for this protocol family."""
 
 
-class EmptyInput(ValueError):
+class DataError(ValueError):
+    """The input data cannot serve the request; the CLI exits 4 on it."""
+
+
+class EmptyInput(DataError):
     """An operation received an empty collection."""
 
 
@@ -279,12 +283,6 @@ def mix64_inplace(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def mix64_np(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer on a uint64 array (wrapping multiplies); the
-    input is left untouched."""
-    return mix64_inplace(np.array(z, dtype=_U64))
-
-
 def _stream_seed(master_seed: int, run: int, user: int) -> int:
     return mix64(master_seed ^ mix64((run + _RUN_SALT) & MASK64)
                  ^ mix64((user + _USER_SALT) & MASK64))
@@ -292,8 +290,7 @@ def _stream_seed(master_seed: int, run: int, user: int) -> int:
 
 def stream_seeds(master_seed: int, run: int, users: np.ndarray) -> np.ndarray:
     """Vectorized stream seeds for many users of one (master_seed, run)."""
-    base = _U64(master_seed & MASK64) ^ mix64_np(
-        np.asarray((run + _RUN_SALT) & MASK64, dtype=_U64))
+    base = _U64((master_seed & MASK64) ^ mix64((run + _RUN_SALT) & MASK64))
     salted = np.array(users, dtype=_U64)
     salted += _U64(_USER_SALT)
     mix64_inplace(salted)

@@ -41,7 +41,6 @@ from .model import (
     UnsupportedFamily,
     mix64,
     mix64_inplace,
-    mix64_np,
     validate_config,
 )
 
@@ -64,8 +63,9 @@ def hash_buckets(seeds, xs, g: int) -> np.ndarray:
 
     `xs` are 1-based categories, as in the scalar form.
     """
-    xs = np.asarray(xs, dtype=_U64)
-    h = np.asarray(np.asarray(seeds, dtype=_U64) ^ mix64_np(xs * _U64(_HGAMMA)))
+    hx = np.array(xs, dtype=_U64)
+    hx *= _U64(_HGAMMA)
+    h = np.asarray(np.asarray(seeds, dtype=_U64) ^ mix64_inplace(hx))
     mix64_inplace(h)
     if g & (g - 1):
         np.remainder(h, _U64(g), out=h)

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
+from ldptune import cli
 from ldptune.harness import (
     CSV_HEADER,
     MAX_GRID_POINTS,
@@ -481,6 +483,18 @@ class TestResolveProtocol:
                 assert rp.param_value == rp.optimization.theta_star
 
 
+def _main(capsys, *argv):
+    """`cli.main` in-process: its exit code (argparse's, for a usage error)
+    and what it wrote to stdout and stderr.  Any other exception escapes,
+    as it would escape the command line as a traceback."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
 class TestCli:
     def _run(self, *args):
         return subprocess.run([sys.executable, "-m", "ldptune.cli", *args],
@@ -555,13 +569,15 @@ class TestCli:
         assert payload[0]["protocol"] == "ss"
         assert payload[0]["param"] == "omega"
 
-    def test_config_error_exit_2(self):
-        assert self._run("analyze", "--protocol", "grr", "--eps", "-1",
-                         "--k", "8").returncode == 2
-        assert self._run("analyze", "--protocol", "grr", "--eps", "nope",
-                         "--k", "8").returncode == 2
-        assert self._run("simulate", "--protocol", "grr", "--eps", "2",
-                         "--k", "8", "--runs", "2", "--param", "3").returncode == 2
+    def test_config_error_exit_2(self, capsys):
+        # in-process: an exception escaping main fails the test, as a
+        # traceback would from the command line
+        assert _main(capsys, "analyze", "--protocol", "grr", "--eps", "-1",
+                     "--k", "8")[0] == 2
+        assert _main(capsys, "analyze", "--protocol", "grr", "--eps", "nope",
+                     "--k", "8")[0] == 2
+        assert _main(capsys, "simulate", "--protocol", "grr", "--eps", "2",
+                     "--k", "8", "--runs", "2", "--param", "3")[0] == 2
         # budgets where e^eps overflows, or where the OLH hash range g
         # (5.2e21 at eps 50) does not fit the 64-bit hash, are range errors
         extreme = [("analyze", "--protocol", name, "--eps", "800", "--k", "10")
@@ -588,9 +604,7 @@ class TestCli:
                      "--runs", "1", "--n", "50", "--workers", value)
                     for value in ("0", "-2")]
         for argv in extreme:
-            r = self._run(*argv)
-            assert r.returncode == 2, argv
-            assert "Traceback" not in r.stderr, argv
+            assert _main(capsys, *argv)[0] == 2, argv
         # a domain below 2 is a range error on k, before any optimizer runs
         bad_k = [("optimize", "--protocol", "aue", "--eps", "2", "--k", "0"),
                  ("optimize", "--protocol", "athe", "--eps", "2", "--k", "-3"),
@@ -599,13 +613,12 @@ class TestCli:
                  ("simulate", "--protocol", "the", "--eps", "2", "--k", "0",
                   "--n", "10", "--runs", "1")]
         for argv in bad_k:
-            r = self._run(*argv)
-            assert r.returncode == 2, argv
-            assert "Traceback" not in r.stderr, argv
-            assert "k must be" in r.stderr, argv
-        r = self._run("analyze", "--protocol", "she", "--eps", "1", "--k", "10",
-                      "--she-trials", "0")
-        assert r.returncode == 2 and "she-trials" in r.stderr
+            code, _, err = _main(capsys, *argv)
+            assert code == 2, argv
+            assert "k must be" in err, argv
+        code, _, err = _main(capsys, "analyze", "--protocol", "she", "--eps",
+                             "1", "--k", "10", "--she-trials", "0")
+        assert code == 2 and "she-trials" in err
 
     def test_traced_pareto_covers_every_layer(self, tmp_path):
         # the benchmark's tracer wraps package attributes by name, so a
@@ -678,3 +691,109 @@ class TestCli:
     def test_unknown_protocol_exit_2(self):
         assert self._run("analyze", "--protocol", "zzz", "--eps", "1",
                          "--k", "8").returncode == 2
+
+    def test_unreadable_csv_exits_4_naming_the_file(self, tmp_path, capsys):
+        # a cell past the csv module's 131,072-character limit, and bytes
+        # that are not UTF-8, are data errors like any other bad row
+        big, binary = tmp_path / "big.csv", tmp_path / "binary.csv"
+        big.write_text("a\n" + "1" * 200_000 + "\n", encoding="utf-8")
+        binary.write_bytes(b"\xff\xfe")
+        for path in (big, binary):
+            code, out, err = _main(capsys, "simulate", "--protocol", "grr",
+                                   "--eps", "2", "--k", "2", "--runs", "1",
+                                   "--data", f"csv:{path}:a")
+            assert code == 4, err
+            assert out == "" and err.startswith("error: ")
+            assert err.count("\n") == 1 and str(path) in err
+
+    def test_seed_outside_64_bits_exits_2(self, capsys):
+        # streams take the seed mod 2^64, so 2^64 + 7 would run seed 7's
+        # stream under another name
+        argv = ("simulate", "--protocol", "oue", "--eps", "2", "--k", "10",
+                "--runs", "1", "--n", "50", "--seed")
+        for seed in (-1, 2 ** 64 + 7):
+            code, out, err = _main(capsys, *argv, str(seed))
+            assert code == 2 and out == ""
+            assert err == f"error: seed must be an integer in [0, 2^64), got {seed}\n"
+        code, out, _ = _main(capsys, *argv, str(2 ** 64 - 1))
+        assert code == 0 and out.splitlines()[1].endswith(f",{2 ** 64 - 1}")
+
+    def test_fuzzed_argv_exit_cleanly(self, tmp_path, capsys):
+        # seeded argv: each starts valid, then up to two flags take a value
+        # from a pool of boundaries, non-finite and malformed values, or go
+        # missing.  Every one must end in an answer or in exit 2, 3 or 4.
+        # Sizes stay small: k <= 16 (or 1e30, which numpy refuses before
+        # allocating), n <= 500, runs <= 2, she-trials <= 1000, and never
+        # more than 2 workers.
+        good, text = tmp_path / "good.csv", tmp_path / "text.csv"
+        good.write_text("a,b\n1,x\n,y\n2,z\n3,w\n", encoding="utf-8")
+        text.write_text("a\n1\nx\n", encoding="utf-8")
+        big, binary = tmp_path / "big.csv", tmp_path / "binary.csv"
+        big.write_text("a\n" + "1" * 200_000 + "\n", encoding="utf-8")
+        binary.write_bytes(b"\xff\xfe")
+        empty = tmp_path / "empty.csv"
+        empty.write_text("", encoding="utf-8")
+        point = {"--eps": ["0.5", "2", "8"], "--k": ["2", "3", "10", "16"]}
+        grid = {"--eps": [*point["--eps"], "1:3:1", "2:8:3"],
+                "--k": [*point["--k"], "2:16:7"]}
+        common = {"--w-asr": ["0", "0.5", "1"], "--format": ["csv", "json"],
+                  "--out": [None, str(tmp_path / "o.csv")]}
+        she = {"--she-trials": ["1", "100", "1000"]}
+        experiment = {"--n": ["50", "500"], "--runs": ["1", "2"],
+                      "--seed": ["0", "7", str(2 ** 64 - 1)],
+                      "--data": ["dirichlet", f"csv:{good}:a:1-3"],
+                      "--workers": ["1", "2"]}
+        commands = {
+            "analyze": {"--protocol": PROTOCOL_NAMES, **grid, **common, **she},
+            "optimize": {"--protocol": ADAPTIVE_NAMES, **point, **common,
+                         "--n": ["1", "500"]},
+            "simulate": {"--protocol": PROTOCOL_NAMES, **point, **common,
+                         **she, **experiment},
+            "pareto": {"--protocols": ["all", "grr,oue", "she,athe",
+                                       " ss , the "],
+                       **grid, **common, **she, **experiment},
+        }
+        bad = {
+            "--protocol": ["zzz"], "--protocols": ["", ",", "grr,zzz"],
+            "--eps": ["0", "-1", "1e-300", "800", "inf", "nan", "nope",
+                      "1:inf:1", "3:1:1", "1:2:0", "1:2", "0:1e308:1e-308"],
+            "--k": ["1", "0", "-3", "2.5", "1e30", "nan", "x", "2:3:1e-300"],
+            "--param": ["0.3", "2", "3", "1", "0", "-1", "1e30", "inf", "nan"],
+            "--w-asr": ["-0.1", "1.5", "inf", "nan"],
+            "--n": ["0", "-1", "1e30", "inf", "nan", "x"],
+            "--runs": ["0", "-1"], "--seed": [str(2 ** 64), "-1", "x"],
+            "--workers": ["0", "-2"], "--she-trials": ["0", "-5"],
+            "--data": [f"csv:{good}:a", f"csv:{good}:b", f"csv:{good}:missing",
+                       f"csv:{good}:a:9-0", f"csv:{good}:a:x-y",
+                       f"csv:{text}:a:1-3", f"csv:{big}:a", f"csv:{binary}:a",
+                       f"csv:{empty}:a", f"csv:{tmp_path / 'absent.csv'}:a",
+                       "csv:", "bogus"],
+            "--format": ["xml"],
+            "--out": ["/nonexistent-dir/o.csv", str(tmp_path)],
+        }
+        rng = random.Random(20261019)
+        codes = []
+        for _ in range(200):
+            command = rng.choice(list(commands))
+            pools = commands[command]
+            args = {flag: rng.choice(pool) for flag, pool in pools.items()}
+            # --param is optional where it exists, and unknown elsewhere
+            mutated = rng.sample([*pools, "--param"], rng.choice((0, 1, 1, 2)))
+            for flag in mutated:
+                # the default of 10^6 trials costs 0.4 s per SHE point
+                if flag != "--she-trials" and rng.random() < 0.2:
+                    args[flag] = None
+                else:
+                    args[flag] = rng.choice(bad[flag])
+            argv = [command]
+            for flag, value in args.items():
+                if value is not None:
+                    argv += [flag, value]
+            try:
+                code, _, _ = _main(capsys, *argv)
+            except Exception as exc:
+                pytest.fail(f"{argv} raised {exc!r}")
+            assert code in (0, 2, 3, 4), argv
+            codes.append(code)
+        # the draws reach answers and every error class
+        assert set(codes) == {0, 2, 3, 4}
