@@ -24,6 +24,7 @@ from .model import (
     EmptyInput,
     Family,
     ProtocolConfig,
+    RangeError,
     RealVectorReport,
     RngStream,
     UnsupportedFamily,
@@ -35,7 +36,6 @@ from .model import (
     mix64_final,
     mix64_rounds,
     order_margin,
-    validate_config,
 )
 from .protocols import support, the_params
 
@@ -140,7 +140,7 @@ def attack(report, cfg: ProtocolConfig, rng: RngStream) -> int:
     Subset, bit-vector, and hashed attacks consume exactly one uniform draw;
     category and real-vector attacks consume none.
     """
-    fam = Family(cfg.family)
+    fam = cfg.family
     if fam is Family.GRR:
         if not isinstance(report, CategoryReport):
             raise UnsupportedFamily("report does not match family grr")
@@ -151,11 +151,9 @@ def attack(report, cfg: ProtocolConfig, rng: RngStream) -> int:
         if not sup:
             return min(int(u * cfg.k), cfg.k - 1) + 1
         return sup[min(int(u * len(sup)), len(sup) - 1)]
-    if fam is Family.SHE:
-        if not isinstance(report, RealVectorReport):
-            raise UnsupportedFamily("report does not match family she")
-        return int(np.argmax(report.values)) + 1
-    raise UnsupportedFamily(str(cfg.family))
+    if not isinstance(report, RealVectorReport):
+        raise UnsupportedFamily("report does not match family she")
+    return int(np.argmax(report.values)) + 1
 
 
 def empirical_asr(pairs) -> AsrResult:
@@ -242,8 +240,7 @@ def expected_asr(cfg: ProtocolConfig) -> float:
     denominator overflows.  SHE has no closed form; use
     `expected_asr_she_mc`.
     """
-    validate_config(cfg)
-    fam = Family(cfg.family)
+    fam = cfg.family
     e = math.exp(cfg.eps)
     if fam is Family.GRR:
         return e / (e + cfg.k - 1)
@@ -351,6 +348,8 @@ def expected_asr_she_mc(eps: float, k: int, trials: int = 10 ** 6,
     Z i.i.d. Laplace(0, 2/eps): sample, compare, average.
 
     Each trial takes the next k draws of `rng`, which advances by trials x k.
+    Without `rng` the draws come from the stream of this (eps, k) point, the
+    one every sweep uses, so equal arguments give equal estimates.
     The draws are mixed in passes of about 3 PASS_SIZE draws through reused
     buffers, and only to their pre-final states; each trial keeps column 0's
     state and the largest state of the rest.  `_she_hits` decides the
@@ -361,13 +360,14 @@ def expected_asr_she_mc(eps: float, k: int, trials: int = 10 ** 6,
     one a full transform of every draw gives, bit for bit.
     """
     if trials < 1:
-        raise EmptyInput("trials must be >= 1")
+        raise RangeError("trials", "an integer >= 1", trials)
     check_eps(eps)
     if k == 1:
         return AsrResult(1.0, trials, 0.0)
     check_k(k)
     if rng is None:
-        rng = derive_stream(DEFAULT_ORACLE_SEED, 0, 0)
+        rng = derive_stream(DEFAULT_ORACLE_SEED,
+                            int(round(eps * 10 ** 6)) & ((1 << 32) - 1), k)
     b = 2.0 / eps
     cuts = _bucket_cuts(b)
     seed = rng.seed

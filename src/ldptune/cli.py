@@ -31,10 +31,14 @@ def _emit(rows, args) -> None:
     export(rows, args.format, sys.stdout if args.out is None else args.out)
 
 
-def _experiment(args) -> ExperimentConfig:
-    """The experiment of a `simulate` or `pareto` command.  CSV data is
-    loaded here, once, so that the rows it dropped can be reported on
-    stderr; the sweep uses the loaded dataset as it would the spec."""
+def _experiment(args) -> ExperimentConfig | None:
+    """The experiment of a sweep with runs; None without, once --n and
+    --seed pass the checks they meet with runs.  CSV data is loaded here,
+    once, so that the rows it dropped can be reported on stderr; the sweep
+    uses the loaded dataset as it would the spec."""
+    if args.runs is None:
+        ExperimentConfig(args.n, 1, args.seed)
+        return None
     data = args.data
     if data.startswith("csv:"):
         # a CSV dataset's domain and size come from the file, not k or n
@@ -64,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="users per run (default: dataset size for CSV data)")
     experiment.add_argument("--seed", type=int, default=0)
     experiment.add_argument("--data", default="dirichlet",
-                            help="dirichlet or csv:<path>:<column>[:<lo>-<hi>]")
+                            help="dirichlet or csv:<path>:<column>[:<lo>-<hi>]; "
+                                 "read only with --runs")
     experiment.add_argument("--workers", type=int, default=1)
 
     p = argparse.ArgumentParser(
@@ -80,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--eps", required=True, help="value or lo:hi:step")
     a.add_argument("--k", required=True, help="value or lo:hi:step (integers)")
     a.add_argument("--param", type=float, help="pin the free parameter")
-    a.set_defaults(run=_sweep, grid=parse_grid, runs=None, workers=1)
+    a.set_defaults(run=_sweep, grid=parse_grid, runs=None, workers=1, n=None,
+                   seed=0)
 
     o = sub.add_parser("optimize", parents=[common],
                        help="solve one adaptive protocol instance")
@@ -120,7 +126,7 @@ def _sweep(args) -> int:
              else [s.strip() for s in spec.split(",") if s.strip()])
     if not names:
         raise RangeError("protocols", "a non-empty name list or 'all'", spec)
-    experiment = None if args.runs is None else _experiment(args)
+    experiment = _experiment(args)
     rows = pareto_sweep(names, args.grid(args.eps),
                         args.grid(args.k, integer=True),
                         ObjectiveWeights.from_w_asr(args.w_asr),
@@ -136,7 +142,7 @@ def _optimize(args) -> int:
     opt = rp.optimization
     row = ParetoRow(rp.name, float(args.eps), int(args.k), rp.param_name,
                     rp.param_value, float(opt.asr_at_opt),
-                    float(opt.mse_at_opt), None, None, None, None, None, None)
+                    float(opt.mse_at_opt))
     print(f"{rp.name}: {rp.param_name}={rp.param_value} "
           f"objective={opt.objective_value:.6g} asr={opt.asr_at_opt:.6g} "
           f"mse={opt.mse_at_opt:.6g} evaluations={opt.evaluations}",

@@ -17,13 +17,13 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
 from .model import (MASK64, DataError, Family, ProtocolConfig, RangeError,
                     derive_stream)
-from .attacks import DEFAULT_ORACLE_SEED, expected_asr, expected_asr_she_mc
+from .attacks import expected_asr, expected_asr_she_mc
 from .optimizer import ObjectiveWeights
 from .presets import ResolvedProtocol, resolve_protocol
 from .protocols import analytic_mse
@@ -35,10 +35,6 @@ _DATA_RUN_TAG = 1 << 32
 
 # most points a lo:hi:step grid may hold
 MAX_GRID_POINTS = 10 ** 6
-
-CSV_HEADER = ("protocol", "eps", "k", "param", "param_value", "analytic_asr",
-              "analytic_mse", "empirical_asr", "empirical_asr_stderr",
-              "empirical_mse", "n", "runs", "seed")
 
 
 class MissingColumn(DataError):
@@ -276,9 +272,10 @@ def run_experiment(protocol, experiment: ExperimentConfig, workers: int = 1):
 
 @dataclass(frozen=True)
 class ParetoRow:
-    """One sweep point; empirical fields are None for analytic-only rows.
-    For SHE rows the analytic ASR is a Monte Carlo estimate, and on
-    analytic-only rows its stderr is carried in empirical_asr_stderr."""
+    """One sweep point; its fields, in order, are the export's 13 columns.
+    The empirical fields default to None, as on analytic-only rows.  For SHE
+    rows the analytic ASR is a Monte Carlo estimate, and on analytic-only
+    rows its stderr is carried in empirical_asr_stderr."""
 
     protocol: str
     eps: float
@@ -287,16 +284,15 @@ class ParetoRow:
     param_value: object
     analytic_asr: float
     analytic_mse: float
-    empirical_asr: float | None
-    empirical_asr_stderr: float | None
-    empirical_mse: float | None
-    n: int | None
-    runs: int | None
-    seed: int | None
+    empirical_asr: float | None = None
+    empirical_asr_stderr: float | None = None
+    empirical_mse: float | None = None
+    n: int | None = None
+    runs: int | None = None
+    seed: int | None = None
 
 
-def _she_mc_rng(eps: float, k: int):
-    return derive_stream(DEFAULT_ORACLE_SEED, int(round(eps * 10 ** 6)) & ((1 << 32) - 1), k)
+CSV_HEADER = tuple(f.name for f in fields(ParetoRow))
 
 
 def pareto_sweep(protocols, eps_grid, k_grid, weights: ObjectiveWeights,
@@ -309,24 +305,25 @@ def pareto_sweep(protocols, eps_grid, k_grid, weights: ObjectiveWeights,
     Monte Carlo pipeline and attaches empirical columns; its data is resolved
     once per k, at that k's first point, and its n/runs/master_seed apply to
     every point.  `param` pins the free parameter of every point
-    (single-protocol sweeps only).
+    (single-protocol sweeps only).  `workers` is checked even without an
+    experiment.
     """
     if she_trials < 1:
         raise RangeError("she-trials", "an integer >= 1", she_trials)
+    if workers < 1:
+        raise RangeError("workers", "an integer >= 1", workers)
     rows = []
     experiment_at = {}
     for name in protocols:
         for k in map(int, k_grid):
             for eps in eps_grid:
                 rp = resolve_protocol(name, eps, k, weights, param=param)
-                if Family(rp.config.family) is Family.SHE:
-                    mc = expected_asr_she_mc(eps, k, she_trials,
-                                             _she_mc_rng(eps, k))
-                    a_asr, mc_stderr = mc.asr, mc.stderr
+                if rp.config.family is Family.SHE:
+                    mc = expected_asr_she_mc(eps, k, she_trials)
+                    a_asr, estderr = mc.asr, mc.stderr
                 else:
-                    a_asr, mc_stderr = expected_asr(rp.config), None
-                easr = estderr = emse = None
-                n_col = runs_col = seed_col = None
+                    a_asr, estderr = expected_asr(rp.config), None
+                easr = emse = n_col = runs_col = seed_col = None
                 if experiment is not None:
                     if k not in experiment_at:
                         experiment_at[k] = _experiment_at(experiment, k)
@@ -336,8 +333,6 @@ def pareto_sweep(protocols, eps_grid, k_grid, weights: ObjectiveWeights,
                     estderr = math.sqrt(easr * (1 - easr) / (ek.n * ek.runs))
                     emse = float(np.mean([s.empirical_mse for s in stats]))
                     n_col, runs_col, seed_col = ek.n, ek.runs, ek.master_seed
-                elif mc_stderr is not None:
-                    estderr = mc_stderr
                 a_mse = analytic_mse(rp.config, n_col if n_col else 1)
                 rows.append(ParetoRow(name, float(eps), k, rp.param_name,
                                       rp.param_value, float(a_asr), float(a_mse),
@@ -356,10 +351,6 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return format(v, ".17g")
     return str(v)
-
-
-def _row_values(row: ParetoRow):
-    return tuple(getattr(row, name) for name in CSV_HEADER)
 
 
 def export(rows, format: str, dest) -> None:
@@ -383,12 +374,12 @@ def _write_rows(rows, format: str, fh) -> None:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(CSV_HEADER)
         for row in rows:
-            w.writerow([_fmt(v) for v in _row_values(row)])
+            w.writerow([_fmt(v) for v in astuple(row)])
     else:
         payload = []
         for row in rows:
             obj = {}
-            for key, v in zip(CSV_HEADER, _row_values(row)):
+            for key, v in zip(CSV_HEADER, astuple(row)):
                 if isinstance(v, (np.integer, np.floating)):
                     v = v.item()
                 obj[key] = v

@@ -90,7 +90,9 @@ class EmptyCandidates(ValueError):
 @dataclass(frozen=True)
 class ProtocolConfig:
     """One protocol instance: family tag, privacy budget, domain size, and the
-    family-specific free parameter.
+    family-specific free parameter.  Construction turns `family` into a
+    Family and checks every invariant below (`validate_config`), so a
+    config that exists is valid.
 
     Parameters
     ----------
@@ -119,6 +121,10 @@ class ProtocolConfig:
     g: int | None = None
     theta: float | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "family", Family(self.family))
+        validate_config(self)
+
 
 def check_eps(eps) -> float:
     """Return `eps` when it is a real in (0, MAX_EPS], so that e^eps is
@@ -141,13 +147,14 @@ def check_k(k) -> int:
 
 def validate_config(cfg: ProtocolConfig) -> ProtocolConfig:
     """Check every invariant of `cfg`; return it unchanged when valid.
+    Every ProtocolConfig runs it on construction.
 
     Raises
     ------
     RangeError
         Naming the violated field, the allowed range, and the actual value.
     """
-    fam = Family(cfg.family)
+    fam = cfg.family
     check_eps(cfg.eps)
     check_k(cfg.k)
 

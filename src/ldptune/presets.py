@@ -1,9 +1,9 @@
 """Named protocol instantiations and parameter resolution.
 
-Twelve names: the eight standard protocols (grr, ss, sue, oue, blh, olh, she,
-the) resolve their parameter from (eps, k) by the usual fixed rules, and the
-four adaptive ones (ass, aue, alh, athe) resolve it by minimizing the
-weighted ASR+MSE objective.
+Twelve names, each a row of `PROTOCOLS`: the eight standard protocols (grr,
+ss, sue, oue, blh, olh, she, the) resolve their parameter from (eps, k) by
+the usual fixed rules, and the four adaptive ones (ass, aue, alh, athe)
+resolve it by minimizing the weighted ASR+MSE objective.
 """
 
 from __future__ import annotations
@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import (Family, ProtocolConfig, RangeError, check_eps, check_k,
-                    validate_config)
+from .model import Family, ProtocolConfig, RangeError, check_eps, check_k
 from .optimizer import (
     ObjectiveWeights,
     OptimizationResult,
@@ -24,16 +23,31 @@ from .optimizer import (
 from .protocols import (PARAM_NAME, family_config, olh_g, oue_params,
                         ss_default_omega, sue_params)
 
-# every name's family: the eight standard protocols, then the four adaptive
-FAMILIES = {
-    "grr": Family.GRR, "ss": Family.SS, "sue": Family.UE, "oue": Family.UE,
-    "blh": Family.LH, "olh": Family.LH, "she": Family.SHE, "the": Family.THE,
-    "ass": Family.SS, "aue": Family.UE, "alh": Family.LH, "athe": Family.THE,
-}
-PROTOCOL_NAMES = tuple(FAMILIES)
-ADAPTIVE_NAMES = PROTOCOL_NAMES[8:]
-
 DEFAULT_WEIGHTS = ObjectiveWeights(0.5, 0.5)
+_MSE_ONLY = ObjectiveWeights(0.0, 1.0)
+
+# every name's family and the rule that fixes its free parameter from
+# (eps, k, weights, n): a value, or an OptimizationResult whose config is the
+# point's.  The eight standard protocols come first, then the four adaptive.
+# The rules look the optimizers up when called, so a wrapper set on this
+# module's attribute sees every call.
+PROTOCOLS = {
+    "grr": (Family.GRR, lambda eps, k, w, n: None),
+    "ss": (Family.SS, lambda eps, k, w, n: ss_default_omega(eps, k)),
+    "sue": (Family.UE, lambda eps, k, w, n: sue_params(eps)[0]),
+    "oue": (Family.UE, lambda eps, k, w, n: oue_params(eps)[0]),
+    "blh": (Family.LH, lambda eps, k, w, n: 2),
+    "olh": (Family.LH, lambda eps, k, w, n: olh_g(eps)),
+    "she": (Family.SHE, lambda eps, k, w, n: None),
+    "the": (Family.THE,
+            lambda eps, k, w, n: optimize_athe(eps, k, _MSE_ONLY, n)),
+    "ass": (Family.SS, lambda eps, k, w, n: optimize_ass(eps, k, w, n)),
+    "aue": (Family.UE, lambda eps, k, w, n: optimize_aue(eps, k, w, n)),
+    "alh": (Family.LH, lambda eps, k, w, n: optimize_alh(eps, k, w, n)),
+    "athe": (Family.THE, lambda eps, k, w, n: optimize_athe(eps, k, w, n)),
+}
+PROTOCOL_NAMES = tuple(PROTOCOLS)
+ADAPTIVE_NAMES = PROTOCOL_NAMES[8:]
 
 
 @dataclass(frozen=True)
@@ -47,7 +61,7 @@ class ResolvedProtocol:
     @property
     def param_name(self) -> str:
         """The free parameter's field in `config`; "" for grr and she."""
-        return PARAM_NAME[Family(self.config.family)]
+        return PARAM_NAME[self.config.family]
 
     @property
     def param_value(self):
@@ -67,7 +81,7 @@ def resolve_protocol(name: str, eps: float, k: int,
     report the optimizer's own config.
     """
     name = name.lower()
-    if name not in FAMILIES:
+    if name not in PROTOCOLS:
         raise RangeError("protocol", f"one of {', '.join(PROTOCOL_NAMES)}", name)
     check_eps(eps)
     check_k(k)
@@ -78,29 +92,8 @@ def resolve_protocol(name: str, eps: float, k: int,
         raise RangeError("param", "a finite real", param)
     if weights is None:
         weights = DEFAULT_WEIGHTS
-
-    value = opt = None
-    if param is not None:
-        value = param
-    elif name == "ss":
-        value = ss_default_omega(eps, k)
-    elif name == "sue":
-        value = sue_params(eps)[0]
-    elif name == "oue":
-        value = oue_params(eps)[0]
-    elif name == "blh":
-        value = 2
-    elif name == "olh":
-        value = olh_g(eps)
-    elif name == "the":
-        opt = optimize_athe(eps, k, ObjectiveWeights(0.0, 1.0), n)
-    elif name == "ass":
-        opt = optimize_ass(eps, k, weights, n)
-    elif name == "aue":
-        opt = optimize_aue(eps, k, weights, n)
-    elif name == "alh":
-        opt = optimize_alh(eps, k, weights, n)
-    elif name == "athe":
-        opt = optimize_athe(eps, k, weights, n)
-    cfg = opt.config if opt else family_config(FAMILIES[name], eps, k, value)
-    return ResolvedProtocol(name, validate_config(cfg), opt)
+    family, rule = PROTOCOLS[name]
+    value = rule(eps, k, weights, n) if param is None else param
+    if isinstance(value, OptimizationResult):
+        return ResolvedProtocol(name, value.config, value)
+    return ResolvedProtocol(name, family_config(family, eps, k, value))

@@ -41,7 +41,6 @@ from .model import (
     UnsupportedFamily,
     mix64,
     mix64_inplace,
-    validate_config,
 )
 
 _U64 = np.uint64
@@ -71,7 +70,7 @@ def hash_buckets(seeds, xs, g: int) -> np.ndarray:
         np.remainder(h, _U64(g), out=h)
     else:  # a power of two: the same remainder, without a division
         np.bitwise_and(h, _U64(g - 1), out=h)
-    # buckets are below g <= 2^63 (validate_config), so they fit int64
+    # buckets are below g <= 2^63 (a config's own check), so they fit int64
     return h.view(np.int64)
 
 
@@ -136,8 +135,8 @@ def family_config(family: Family, eps: float, k: int,
 
     omega and g must be integers: ints pass through unchanged, and a float
     within 1e-9 of one becomes that int.  p and theta are stored as floats,
-    and UE gets the tight q.  GRR and SHE take no value.  Nothing else is
-    checked here; `validate_config` does that.
+    and UE gets the tight q.  GRR and SHE take no value.  The config checks
+    the rest on construction.
     """
     fam = Family(family)
     name = PARAM_NAME[fam]
@@ -168,8 +167,7 @@ def pure_params(cfg: ProtocolConfig) -> PureParams:
     UnsupportedFamily
         For SHE.
     """
-    validate_config(cfg)
-    fam = Family(cfg.family)
+    fam = cfg.family
     if fam is Family.GRR:
         return grr_params(cfg.eps, cfg.k)
     if fam is Family.SS:
@@ -241,18 +239,14 @@ def ue_perturb(x: int, p: float, q: float, k: int, rng: RngStream) -> BitVectorR
 
 
 def lh_perturb(x: int, eps: float, k: int, g: int, rng: RngStream) -> HashedReport:
-    """Draw a fresh hash seed, bucket x, then randomize the bucket over 1..g."""
+    """Draw a fresh hash seed, bucket x, then GRR over the g buckets."""
     if g < 2:
         raise RangeError("g", "an integer >= 2", g)
     if not 1 <= x <= k:
         raise RangeError("x", f"in [1, {k}]", x)
     seed = rng.u64()
-    b = hash_bucket(seed, x, g)
-    p = math.exp(eps) / (math.exp(eps) + g - 1)
-    u = rng.uniform()
-    if u < p:
-        return HashedReport(seed, b)
-    return HashedReport(seed, _uniform_other((u - p) / (1 - p), b - 1, g) + 1)
+    bucket = grr_perturb(hash_bucket(seed, x, g), eps, g, rng)
+    return HashedReport(seed, bucket.value)
 
 
 def she_perturb(x: int, eps: float, k: int, rng: RngStream) -> RealVectorReport:
@@ -280,7 +274,7 @@ def the_perturb(x: int, eps: float, k: int, theta: float, rng: RngStream) -> Bit
 
 def perturb(x: int, cfg: ProtocolConfig, rng: RngStream):
     """Dispatch to the family's perturbation."""
-    fam = Family(cfg.family)
+    fam = cfg.family
     if fam is Family.GRR:
         return grr_perturb(x, cfg.eps, cfg.k, rng)
     if fam is Family.SS:
@@ -291,9 +285,7 @@ def perturb(x: int, cfg: ProtocolConfig, rng: RngStream):
         return lh_perturb(x, cfg.eps, cfg.k, cfg.g, rng)
     if fam is Family.SHE:
         return she_perturb(x, cfg.eps, cfg.k, rng)
-    if fam is Family.THE:
-        return the_perturb(x, cfg.eps, cfg.k, cfg.theta, rng)
-    raise UnsupportedFamily(str(cfg.family))
+    return the_perturb(x, cfg.eps, cfg.k, cfg.theta, rng)
 
 
 # -- support and estimation ---------------------------------------------------
@@ -304,7 +296,7 @@ def support(report, cfg: ProtocolConfig) -> frozenset:
     LH recomputes the hash of all k candidates, an intentional O(k) cost.
     SHE reports support no discrete set.
     """
-    fam = Family(cfg.family)
+    fam = cfg.family
     if fam is Family.GRR:
         if not isinstance(report, CategoryReport):
             raise UnsupportedFamily("report does not match family grr")
@@ -373,7 +365,6 @@ def analytic_mse(cfg: ProtocolConfig, n: float = 1) -> float:
     form, though it cannot tell this one from the exact variance).  SHE is
     exact: 8/(n eps^2).
     """
-    validate_config(cfg)
-    if Family(cfg.family) is Family.SHE:
+    if cfg.family is Family.SHE:
         return 8.0 / (n * cfg.eps ** 2)
     return generic_pure_mse(pure_params(cfg), n)

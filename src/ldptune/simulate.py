@@ -258,7 +258,7 @@ def simulate_run(cfg: ProtocolConfig, x0: np.ndarray, master_seed: int,
     """
     x0 = np.asarray(x0, dtype=np.int64)
     n, k = x0.size, cfg.k
-    fam = Family(cfg.family)
+    fam = cfg.family
     kernel = _KERNELS[fam]
     total = np.zeros(k, dtype=np.float64 if fam is Family.SHE else np.int64)
     succ = 0

@@ -24,6 +24,7 @@ from ldptune.attacks import (
 from ldptune.model import (
     BitVectorReport,
     CategoryReport,
+    DataError,
     EmptyInput,
     Family,
     ProtocolConfig,
@@ -252,6 +253,14 @@ class TestSheMonteCarlo:
         with pytest.raises(RangeError) as exc:
             expected_asr_she_mc(eps, k, 100)
         assert exc.value.field == field
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_is_a_config_error(self, trials):
+        # a RangeError exits 2, as a configuration error; a DataError exits 4
+        with pytest.raises(RangeError) as exc:
+            expected_asr_she_mc(2.0, 10, trials)
+        assert exc.value.field == "trials"
+        assert not isinstance(exc.value, DataError)
 
     def test_bounds_and_monotonicity(self):
         lo = expected_asr_she_mc(0.5, 8, 30000, derive_stream(8, 0, 0)).asr

@@ -314,6 +314,10 @@ class TestParetoSweep:
         with pytest.raises(RangeError, match="she-trials"):
             pareto_sweep(["she"], [1.0], [10], W_HALF, she_trials=0)
 
+    def test_workers_below_one_is_a_range_error_without_experiment(self):
+        with pytest.raises(RangeError, match="workers"):
+            pareto_sweep(["grr"], [1.0], [10], W_HALF, workers=0)
+
     def test_adaptive_mse_only_duplicates_baselines(self):
         w = ObjectiveWeights(0.0, 1.0)
         rows = {r.protocol: r for r in pareto_sweep(
@@ -367,6 +371,15 @@ class TestExport:
         text = path.read_text(encoding="utf-8")
         assert text.splitlines()[0] == ",".join(CSV_HEADER)
         assert "\r" not in text
+        assert CSV_HEADER == (
+            "protocol", "eps", "k", "param", "param_value", "analytic_asr",
+            "analytic_mse", "empirical_asr", "empirical_asr_stderr",
+            "empirical_mse", "n", "runs", "seed")
+
+    def test_empirical_fields_default_to_none(self):
+        row = ParetoRow("grr", 1.0, 8, "", None, 0.5, 0.25)
+        assert row.empirical_asr is row.empirical_asr_stderr is None
+        assert row.empirical_mse is row.n is row.runs is row.seed is None
 
     def test_empty_rows_header_only(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -717,6 +730,20 @@ class TestCli:
             assert err == f"error: seed must be an integer in [0, 2^64), got {seed}\n"
         code, out, _ = _main(capsys, *argv, str(2 ** 64 - 1))
         assert code == 0 and out.splitlines()[1].endswith(f",{2 ** 64 - 1}")
+
+    def test_pareto_checks_experiment_flags_without_runs(self, capsys):
+        # without --runs pareto uses none of these flags, but an
+        # out-of-range value still exits 2, as it does with --runs
+        argv = ("pareto", "--protocols", "grr,ss", "--eps", "2", "--k", "6")
+        for flag, value in (("--n", "0"), ("--seed", "-1"),
+                            ("--seed", str(2 ** 64)), ("--workers", "0")):
+            code, out, err = _main(capsys, *argv, flag, value)
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: {flag[2:]} must be"), err
+        _, plain, _ = _main(capsys, *argv)
+        code, out, _ = _main(capsys, *argv, "--n", "50", "--seed",
+                             str(2 ** 64 - 1), "--workers", "2")
+        assert code == 0 and out == plain
 
     def test_fuzzed_argv_exit_cleanly(self, tmp_path, capsys):
         # seeded argv: each starts valid, then up to two flags take a value

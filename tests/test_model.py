@@ -92,6 +92,19 @@ class TestValidateConfig:
         with pytest.raises(RangeError):
             validate_config(_cfg(Family.SHE, theta=0.8))
 
+    def test_invalid_config_cannot_be_built(self):
+        # construction runs validate_config, so every config is valid
+        with pytest.raises(RangeError) as exc:
+            ProtocolConfig(Family.GRR, -1.0, 4)
+        assert exc.value.field == "eps"
+        with pytest.raises(RangeError):
+            ProtocolConfig(Family.SS, 1.0, 4, omega=4)
+
+    def test_family_name_becomes_a_family(self):
+        assert ProtocolConfig("ss", 1.0, 4, omega=2).family is Family.SS
+        with pytest.raises(ValueError):
+            ProtocolConfig("zzz", 1.0, 4)
+
     def test_range_error_carries_field_allowed_got(self):
         with pytest.raises(RangeError) as exc:
             validate_config(ProtocolConfig(Family.GRR, -2.0, 4))

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
+from ldptune.attacks import expected_asr_she_mc
 from ldptune.model import (
     BitVectorReport,
     CategoryReport,
@@ -540,17 +541,22 @@ class TestTheCuts:
 # stream for each eps (perfbench/reference/analytic_frontier.csv)
 _SHE_MC_HITS = {2: 2747, 4: 7482, 6: 19327, 8: 41220, 10: 64439}
 
+
+def test_she_mc_default_stream_is_the_sweeps():
+    # with no stream of its own, the estimate is the one pareto rows carry
+    for eps, hits in _SHE_MC_HITS.items():
+        assert expected_asr_she_mc(eps, 100, 10 ** 5).asr == hits / 10 ** 5
+
 _DISPATCH_PROBE = """
 import hashlib, json, sys
 import numpy as np
 from ldptune.attacks import expected_asr_she_mc
-from ldptune.harness import _she_mc_rng
 from ldptune.presets import resolve_protocol
 from ldptune.simulate import simulate_run
 x0 = np.random.default_rng(2024).integers(0, 100, size=50_000)
 f_hat, successes = simulate_run(resolve_protocol("the", 4.0, 100).config,
                                 x0, 12345, 1)
-hits = {eps: expected_asr_she_mc(eps, 100, 10 ** 5, _she_mc_rng(eps, 100)).asr
+hits = {eps: expected_asr_she_mc(eps, 100, 10 ** 5).asr
         for eps in (2, 4, 6, 8, 10)}
 json.dump({"the": hashlib.sha256(f_hat.tobytes()
                                  + str(int(successes)).encode()).hexdigest(),
