@@ -27,7 +27,7 @@ def main():
             closed = lt.expected_asr(rp.config)
             exact = closed
             if rp.config.family is lt.Family.LH:
-                exact = lt.lh_exact_expected_asr(eps, K, rp.config.g)
+                exact = lt.lh_exact_expected_asr(eps, K, rp.config.param)
             stats = lt.run_experiment(
                 rp, lt.ExperimentConfig(N, RUNS, SEED, ds), workers=4)
             emp = float(np.mean([s.empirical_asr for s in stats]))

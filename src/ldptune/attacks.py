@@ -32,12 +32,13 @@ from .model import (
     check_k,
     derive_stream,
     draws_u64,
+    is_int,
     laplace_inplace,
     mix64_final,
     mix64_rounds,
     order_margin,
 )
-from .protocols import support, the_params
+from .protocols import pure_params, support
 
 # seed of the stream used when a caller does not supply one (keeps analytic
 # sweeps deterministic without a --seed flag)
@@ -245,19 +246,17 @@ def expected_asr(cfg: ProtocolConfig) -> float:
     if fam is Family.GRR:
         return e / (e + cfg.k - 1)
     if fam is Family.SS:
-        return e / (cfg.omega * e + cfg.k - cfg.omega)
-    if fam is Family.UE:
-        return bitvector_expected_asr(cfg.p, cfg.q, cfg.k)
-    if fam is Family.THE:
-        p, q = the_params(cfg.eps, cfg.theta)
-        return bitvector_expected_asr(p, q, cfg.k)
+        return e / (cfg.param * e + cfg.k - cfg.param)
     if fam is Family.LH:
-        hashed, preimage = e + cfg.g - 1, max(cfg.k / cfg.g, 1.0)
+        hashed, preimage = e + cfg.param - 1, max(cfg.k / cfg.param, 1.0)
         if math.isinf(hashed * preimage):  # only near the eps cap
             return e / hashed / preimage
         return e / (hashed * preimage)
-    raise UnsupportedFamily("SHE expected ASR is Monte Carlo; "
-                            "use expected_asr_she_mc")
+    if fam is Family.SHE:
+        raise UnsupportedFamily("SHE expected ASR is Monte Carlo; "
+                                "use expected_asr_she_mc")
+    pp = pure_params(cfg)  # UE, THE
+    return bitvector_expected_asr(pp.p_star, pp.q_star, cfg.k)
 
 
 # top bits of a raw draw that pick its bucket in the first SHE screen; the
@@ -359,7 +358,7 @@ def expected_asr_she_mc(eps: float, k: int, trials: int = 10 ** 6,
     bracket's order margin are regenerated in full.  So the estimate is the
     one a full transform of every draw gives, bit for bit.
     """
-    if trials < 1:
+    if not (is_int(trials) and trials >= 1):
         raise RangeError("trials", "an integer >= 1", trials)
     check_eps(eps)
     if k == 1:

@@ -22,7 +22,7 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from .model import (MASK64, DataError, Family, ProtocolConfig, RangeError,
-                    derive_stream)
+                    derive_stream, is_int)
 from .attacks import expected_asr, expected_asr_she_mc
 from .optimizer import ObjectiveWeights
 from .presets import ResolvedProtocol, resolve_protocol
@@ -207,13 +207,15 @@ class ExperimentConfig:
     data: object = "dirichlet"
 
     def __post_init__(self):
-        if self.runs < 1:
+        if not (is_int(self.runs) and self.runs >= 1):
             raise RangeError("runs", "an integer >= 1", self.runs)
-        if self.n is not None and self.n < 1:
+        if self.n is not None and not (is_int(self.n) and self.n >= 1):
             raise RangeError("n", "an integer >= 1 (or None for CSV length)", self.n)
         # streams take the seed mod 2^64, so a seed outside would alias one inside
-        if not 0 <= self.master_seed <= MASK64:
+        if not (is_int(self.master_seed) and 0 <= self.master_seed <= MASK64):
             raise RangeError("seed", "an integer in [0, 2^64)", self.master_seed)
+        # a numpy seed would overflow the streams' python-int arithmetic
+        object.__setattr__(self, "master_seed", int(self.master_seed))
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,11 @@ class Family(str, Enum):
     THE = "the"
 
 
+# each family's free parameter, as messages and exports name it; "" for none
+PARAM_NAME = {Family.GRR: "", Family.SS: "omega", Family.UE: "p",
+              Family.LH: "g", Family.SHE: "", Family.THE: "theta"}
+
+
 class RangeError(ValueError):
     """A config field is outside its allowed range."""
 
@@ -90,9 +95,9 @@ class EmptyCandidates(ValueError):
 @dataclass(frozen=True)
 class ProtocolConfig:
     """One protocol instance: family tag, privacy budget, domain size, and the
-    family-specific free parameter.  Construction turns `family` into a
-    Family and checks every invariant below (`validate_config`), so a
-    config that exists is valid.
+    family's one free parameter.  Construction turns `family` into a Family,
+    coerces `param` to the family's type and checks every invariant below
+    (`validate_config`), so a config that exists is valid.
 
     Parameters
     ----------
@@ -101,29 +106,46 @@ class ProtocolConfig:
         Privacy budget in nats, in (0, MAX_EPS], so that e^eps is finite.
     k : int
         Domain size, >= 2.
-    omega : int, optional
-        Subset size for SS, 1 <= omega < k.
-    p, q : float, optional
-        Bit-keep / bit-flip probabilities for UE, each in (0, 1) and tight
-        for eps: ln(p(1-q)/((1-p)q)) = eps within 1e-9.
-    g : int, optional
-        Hash range for LH, in [2, 2^63], so that buckets fit the 64-bit hash.
-    theta : float, optional
-        Threshold for THE, in [0.5, 1].
+    param : int or float, optional
+        SS's subset size omega, an int in [1, k); UE's bit-keep probability
+        p, a float in (0, 1) whose derived q (`pure_params`) makes the pair
+        tight for eps within 1e-9; LH's hash range g, an int in [2, 2^63],
+        so that buckets fit the 64-bit hash; THE's threshold theta, a float
+        in [0.5, 1]; none for GRR and SHE.  For omega and g a float within
+        1e-9 of an integer becomes that int.
     """
 
     family: Family
     eps: float
     k: int
-    omega: int | None = None
-    p: float | None = None
-    q: float | None = None
-    g: int | None = None
-    theta: float | None = None
+    param: int | float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "family", Family(self.family))
+        fam = Family(self.family)
+        object.__setattr__(self, "family", fam)
+        object.__setattr__(self, "param", _coerce_param(fam, self.param))
         validate_config(self)
+
+
+def is_int(v) -> bool:
+    """Whether `v` is an integer: a python or numpy int, not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _coerce_param(fam: Family, value):
+    """`value` as `fam` stores it (see ProtocolConfig), or else unchanged."""
+    if fam in (Family.UE, Family.THE) and (is_int(value)
+                                           or isinstance(value, float)):
+        return float(value)
+    if (fam in (Family.SS, Family.LH) and isinstance(value, float)
+            and math.isfinite(value) and abs(value - round(value)) <= 1e-9):
+        return int(round(value))
+    return value
+
+
+def ue_pair_from_p(eps: float, p: float) -> tuple:
+    """The tight UE pair with keep-probability p: q = p/(e^eps(1-p)+p)."""
+    return p, p / (math.exp(eps) * (1 - p) + p)
 
 
 def check_eps(eps) -> float:
@@ -139,8 +161,7 @@ def check_eps(eps) -> float:
 def check_k(k) -> int:
     """Return the domain size `k` when it is an integer >= 2; raise
     RangeError otherwise."""
-    if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool)
-            and k >= 2):
+    if not (is_int(k) and k >= 2):
         raise RangeError("k", "an integer >= 2", k)
     return k
 
@@ -154,39 +175,31 @@ def validate_config(cfg: ProtocolConfig) -> ProtocolConfig:
     RangeError
         Naming the violated field, the allowed range, and the actual value.
     """
-    fam = cfg.family
+    fam, v = cfg.family, cfg.param
     check_eps(cfg.eps)
     check_k(cfg.k)
-
-    if fam is Family.SS:
-        w = cfg.omega
-        if not (isinstance(w, (int, np.integer)) and not isinstance(w, bool)
-                and 1 <= w < cfg.k):
-            raise RangeError("omega", f"an integer in [1, {cfg.k - 1}]", w)
-    elif fam is Family.UE:
-        for name, v in (("p", cfg.p), ("q", cfg.q)):
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and 0 < v < 1):
-                raise RangeError(name, "a real in (0, 1)", v)
-        gap = abs(math.log(cfg.p * (1 - cfg.q) / ((1 - cfg.p) * cfg.q)) - cfg.eps)
-        if gap > UE_TIGHTNESS_TOL:
-            raise RangeError("(p, q)",
-                             f"tight for eps={cfg.eps} within {UE_TIGHTNESS_TOL}",
-                             (cfg.p, cfg.q))
+    name = PARAM_NAME[fam]
+    if not name:
+        if v is not None:
+            raise RangeError("param", f"absent for {fam.value}", v)
+    elif fam is Family.SS:
+        if not (is_int(v) and 1 <= v < cfg.k):
+            raise RangeError(name, f"an integer in [1, {cfg.k - 1}]", v)
     elif fam is Family.LH:
-        if not (isinstance(cfg.g, (int, np.integer)) and not isinstance(cfg.g, bool)
-                and 2 <= cfg.g <= MAX_G):
-            raise RangeError("g", "an integer in [2, 2^63]", cfg.g)
-    elif fam is Family.THE:
-        t = cfg.theta
-        if not (isinstance(t, (int, float)) and math.isfinite(t) and 0.5 <= t <= 1.0):
-            raise RangeError("theta", "a real in [0.5, 1]", t)
-    # GRR and SHE carry no extra parameter; reject stray ones to keep
-    # validation total
-    if fam in (Family.GRR, Family.SHE):
-        for name in ("omega", "p", "q", "g", "theta"):
-            if getattr(cfg, name) is not None:
-                raise RangeError(name, f"absent for family {fam.value}",
-                                 getattr(cfg, name))
+        if not (is_int(v) and 2 <= v <= MAX_G):
+            raise RangeError(name, "an integer in [2, 2^63]", v)
+    elif fam is Family.UE:
+        if not (isinstance(v, float) and 0 < v < 1):
+            raise RangeError(name, "a real in (0, 1)", v)
+        # q is derived, but rounds: as p nears 1 the pair's own budget drifts
+        # from eps, either way (by up to 0.1 nats at eps = 1)
+        q = ue_pair_from_p(cfg.eps, v)[1]
+        if not (q > 0 and abs(math.log(v * (1 - q) / ((1 - v) * q)) - cfg.eps)
+                <= UE_TIGHTNESS_TOL):
+            raise RangeError("(p, q)", f"tight for eps={cfg.eps} within "
+                             f"{UE_TIGHTNESS_TOL}", (v, q))
+    elif not (isinstance(v, float) and 0.5 <= v <= 1):  # THE
+        raise RangeError(name, "a real in [0.5, 1]", v)
     return cfg
 
 

@@ -40,7 +40,6 @@ from .model import (
 from .attacks import bitvector_asr_array, expected_asr, support_size_row
 from .protocols import (
     analytic_mse,
-    family_config,
     first_order_mse,
     olh_g,
     ss_default_omega,
@@ -53,7 +52,7 @@ REFINE_TOL = 1e-6
 # relative margin of the array-form screen over its smallest value
 SCREEN_RTOL = 1e-9
 # continuous UE keep-probabilities approach but never reach 1; this cap keeps
-# the tightness identity numerically stable at the boundary
+# the derived q = p/(e^eps(1-p)+p) numerically stable at the boundary
 _P_CAP = 1.0 - 1e-6
 
 
@@ -224,7 +223,7 @@ def screened_grid_search(f, grid: np.ndarray, values, width: int = 1):
 def _result(family: Family, eps: float, k: int, theta_star,
             weights: ObjectiveWeights, n: float,
             evaluations: int) -> OptimizationResult:
-    cfg = family_config(family, eps, k, theta_star)
+    cfg = ProtocolConfig(family, eps, k, theta_star)
     asr = expected_asr(cfg)
     mse = analytic_mse(cfg, n)
     return OptimizationResult(theta_star, weights.w_asr * asr + weights.w_mse * mse,
@@ -284,7 +283,7 @@ def optimize_ass(eps: float, k: int, weights: ObjectiveWeights,
                        n, 1)
 
     def f(w):
-        return objective(family_config(Family.SS, eps, k, w), weights, n)
+        return objective(ProtocolConfig(Family.SS, eps, k, w), weights, n)
 
     w, _ = screened_grid_search(f, np.arange(1, k),
                                 array_objective(Family.SS, eps, k, weights, n))
@@ -300,7 +299,7 @@ def _grid_then_refine(family: Family, eps: float, k: int,
     of `grid` need not be."""
 
     def f(x):
-        return objective(family_config(family, eps, k, x), weights, n)
+        return objective(ProtocolConfig(family, eps, k, x), weights, n)
 
     x0, f0 = screened_grid_search(
         f, grid, array_objective(family, eps, k, weights, n), k)
@@ -338,7 +337,7 @@ def optimize_alh(eps: float, k: int, weights: ObjectiveWeights,
     e = math.exp(eps)
 
     def f(g):
-        return objective(family_config(Family.LH, eps, k, g), weights, n)
+        return objective(ProtocolConfig(Family.LH, eps, k, g), weights, n)
 
     def rises(g):  # f(g+1) >= f(g), for g >= k
         h = g - 1

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import Family, ProtocolConfig, RangeError, check_eps, check_k
+from .model import (PARAM_NAME, Family, ProtocolConfig, RangeError, check_eps,
+                    check_k)
 from .optimizer import (
     ObjectiveWeights,
     OptimizationResult,
@@ -20,8 +21,7 @@ from .optimizer import (
     optimize_athe,
     optimize_aue,
 )
-from .protocols import (PARAM_NAME, family_config, olh_g, oue_params,
-                        ss_default_omega, sue_params)
+from .protocols import olh_g, oue_params, ss_default_omega, sue_params
 
 DEFAULT_WEIGHTS = ObjectiveWeights(0.5, 0.5)
 _MSE_ONLY = ObjectiveWeights(0.0, 1.0)
@@ -60,13 +60,13 @@ class ResolvedProtocol:
 
     @property
     def param_name(self) -> str:
-        """The free parameter's field in `config`; "" for grr and she."""
+        """The free parameter's name; "" for grr and she."""
         return PARAM_NAME[self.config.family]
 
     @property
     def param_value(self):
         """The free parameter (int or float); None for grr and she."""
-        return getattr(self.config, self.param_name) if self.param_name else None
+        return self.config.param
 
 
 def resolve_protocol(name: str, eps: float, k: int,
@@ -96,4 +96,4 @@ def resolve_protocol(name: str, eps: float, k: int,
     value = rule(eps, k, weights, n) if param is None else param
     if isinstance(value, OptimizationResult):
         return ResolvedProtocol(name, value.config, value)
-    return ResolvedProtocol(name, family_config(family, eps, k, value))
+    return ResolvedProtocol(name, ProtocolConfig(family, eps, k, value))

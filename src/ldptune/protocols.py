@@ -41,6 +41,7 @@ from .model import (
     UnsupportedFamily,
     mix64,
     mix64_inplace,
+    ue_pair_from_p,
 )
 
 _U64 = np.uint64
@@ -93,11 +94,6 @@ def oue_params(eps: float) -> tuple:
     return 0.5, 1 / (math.exp(eps) + 1)
 
 
-def ue_pair_from_p(eps: float, p: float) -> tuple:
-    """The tight UE pair with keep-probability p: q = p/(e^eps(1-p)+p)."""
-    return p, p / (math.exp(eps) * (1 - p) + p)
-
-
 def ss_default_omega(eps: float, k: int) -> int:
     """Variance-minimizing subset size, round(k/(e^eps+1)) clipped to >= 1."""
     return max(1, round_half_away(k / (math.exp(eps) + 1)))
@@ -124,43 +120,8 @@ def ss_pure_pair(eps: float, k: int, omega):
     return p_star, q_star
 
 
-# each family's free parameter, as a ProtocolConfig field; "" for none
-PARAM_NAME = {Family.GRR: "", Family.SS: "omega", Family.UE: "p",
-              Family.LH: "g", Family.SHE: "", Family.THE: "theta"}
-
-
-def family_config(family: Family, eps: float, k: int,
-                  value=None) -> ProtocolConfig:
-    """The config of `family` at (eps, k) with free parameter `value`.
-
-    omega and g must be integers: ints pass through unchanged, and a float
-    within 1e-9 of one becomes that int.  p and theta are stored as floats,
-    and UE gets the tight q.  GRR and SHE take no value.  The config checks
-    the rest on construction.
-    """
-    fam = Family(family)
-    name = PARAM_NAME[fam]
-    if not name:
-        if value is not None:
-            raise RangeError("param", f"absent for {fam.value}", value)
-        return ProtocolConfig(fam, eps, k)
-    if fam is Family.UE:
-        p = float(value)
-        if not 0 < p < 1:  # outside, q's denominator can be 0
-            raise RangeError("p", "a real in (0, 1)", p)
-        p, q = ue_pair_from_p(eps, p)
-        return ProtocolConfig(fam, eps, k, p=p, q=q)
-    if fam is Family.THE:
-        return ProtocolConfig(fam, eps, k, theta=float(value))
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        if abs(float(value) - round(float(value))) > 1e-9:
-            raise RangeError(name, "an integer", value)
-        value = int(round(float(value)))
-    return ProtocolConfig(fam, eps, k, **{name: value})
-
-
 def pure_params(cfg: ProtocolConfig) -> PureParams:
-    """(p*, q*) of any pure family; SHE has none.
+    """(p*, q*) of any pure family, UE's q derived from p; SHE has none.
 
     Raises
     ------
@@ -171,15 +132,14 @@ def pure_params(cfg: ProtocolConfig) -> PureParams:
     if fam is Family.GRR:
         return grr_params(cfg.eps, cfg.k)
     if fam is Family.SS:
-        return PureParams(*ss_pure_pair(cfg.eps, cfg.k, cfg.omega))
+        return PureParams(*ss_pure_pair(cfg.eps, cfg.k, cfg.param))
     if fam is Family.UE:
-        return PureParams(cfg.p, cfg.q)
+        return PureParams(*ue_pair_from_p(cfg.eps, cfg.param))
     if fam is Family.LH:
         e = math.exp(cfg.eps)
-        return PureParams(e / (e + cfg.g - 1), 1 / cfg.g)
+        return PureParams(e / (e + cfg.param - 1), 1 / cfg.param)
     if fam is Family.THE:
-        p, q = the_params(cfg.eps, cfg.theta)
-        return PureParams(p, q)
+        return PureParams(*the_params(cfg.eps, cfg.param))
     raise UnsupportedFamily("SHE is not pure; it has no (p*, q*)")
 
 
@@ -278,14 +238,15 @@ def perturb(x: int, cfg: ProtocolConfig, rng: RngStream):
     if fam is Family.GRR:
         return grr_perturb(x, cfg.eps, cfg.k, rng)
     if fam is Family.SS:
-        return ss_perturb(x, cfg.eps, cfg.k, cfg.omega, rng)
+        return ss_perturb(x, cfg.eps, cfg.k, cfg.param, rng)
     if fam is Family.UE:
-        return ue_perturb(x, cfg.p, cfg.q, cfg.k, rng)
+        pp = pure_params(cfg)
+        return ue_perturb(x, pp.p_star, pp.q_star, cfg.k, rng)
     if fam is Family.LH:
-        return lh_perturb(x, cfg.eps, cfg.k, cfg.g, rng)
+        return lh_perturb(x, cfg.eps, cfg.k, cfg.param, rng)
     if fam is Family.SHE:
         return she_perturb(x, cfg.eps, cfg.k, rng)
-    return the_perturb(x, cfg.eps, cfg.k, cfg.theta, rng)
+    return the_perturb(x, cfg.eps, cfg.k, cfg.param, rng)
 
 
 # -- support and estimation ---------------------------------------------------
@@ -313,7 +274,7 @@ def support(report, cfg: ProtocolConfig) -> frozenset:
         if not isinstance(report, HashedReport):
             raise UnsupportedFamily("report does not match family lh")
         cats = np.arange(1, cfg.k + 1)
-        buckets = hash_buckets(_U64(report.seed), cats, cfg.g) + 1
+        buckets = hash_buckets(_U64(report.seed), cats, cfg.param) + 1
         return frozenset(int(c) for c in cats[buckets == report.value])
     raise UnsupportedFamily("SHE reports have no support set")
 
@@ -363,8 +324,15 @@ def analytic_mse(cfg: ProtocolConfig, n: float = 1) -> float:
     the published per-family closed forms reduce to it algebraically; for SS
     the Monte Carlo of acceptance criterion 8 rejects a longer alternative
     form, though it cannot tell this one from the exact variance).  SHE is
-    exact: 8/(n eps^2).
+    exact: 8/(n eps^2).  Raises RangeError where (eps, n) make the value
+    overflow or divide by zero.
     """
-    if cfg.family is Family.SHE:
-        return 8.0 / (n * cfg.eps ** 2)
-    return generic_pure_mse(pure_params(cfg), n)
+    try:
+        mse = (8.0 / (n * cfg.eps ** 2) if cfg.family is Family.SHE
+               else generic_pure_mse(pure_params(cfg), n))
+    except ZeroDivisionError:
+        mse = math.inf
+    if not math.isfinite(mse):
+        raise RangeError("(eps, n)", "such that the analytic MSE is finite",
+                         (cfg.eps, n))
+    return mse

@@ -86,9 +86,7 @@ def _rank_attack_success(bits: np.ndarray, x0: np.ndarray, u_att: np.ndarray,
 
 
 def _grr(cfg, x0, seeds, counts):
-    k = cfg.k
-    e = math.exp(cfg.eps)
-    p = e / (e + k - 1)
+    k, p = cfg.k, pure_params(cfg).p_star
     u = draws_uniform(seeds, 0)
     keep = u < p
     y0 = np.where(keep, x0, _pick_other((u - p) / (1 - p), x0, k))
@@ -97,10 +95,8 @@ def _grr(cfg, x0, seeds, counts):
 
 
 def _ss(cfg, x0, seeds, counts):
-    k, omega = cfg.k, cfg.omega
-    e = math.exp(cfg.eps)
-    p_inc = omega * e / (omega * e + k - omega)
-    include = draws_uniform(seeds, 0) < p_inc
+    k, omega = cfg.k, cfg.param
+    include = draws_uniform(seeds, 0) < pure_params(cfg).p_star
     keys = draws_u64(seeds[:, None], np.arange(1, k)[None, :])
     # included rows take the omega-1 smallest keys, excluded rows the omega
     # smallest; the per-row thresholds come from partitioning a slice of rows
@@ -127,21 +123,19 @@ def _ss(cfg, x0, seeds, counts):
 
 
 def _ue(cfg, x0, seeds, counts):
-    k = cfg.k
+    k, pp = cfg.k, pure_params(cfg)
     rows = np.arange(x0.size)
     z = draws_u64(seeds[:, None], np.arange(k)[None, :])
     z >>= np.uint64(11)
     # for the 53-bit uniform u = z 2^-53, u < t is z < ceil(t 2^53)
-    bits = z < np.uint64(math.ceil(cfg.q * 2.0 ** 53))
-    bits[rows, x0] = z[rows, x0] < np.uint64(math.ceil(cfg.p * 2.0 ** 53))
+    bits = z < np.uint64(math.ceil(pp.q_star * 2.0 ** 53))
+    bits[rows, x0] = z[rows, x0] < np.uint64(math.ceil(pp.p_star * 2.0 ** 53))
     counts += bits.sum(axis=0, dtype=np.int32)
     return _rank_attack_success(bits, x0, draws_uniform(seeds, k), k)
 
 
 def _lh(cfg, x0, seeds, counts):
-    k, g = cfg.k, cfg.g
-    e = math.exp(cfg.eps)
-    p = e / (e + g - 1)
+    k, g, p = cfg.k, cfg.param, pure_params(cfg).p_star
     # one call for the three per-user draws: hash seed, perturbation, pick
     z = draws_u64(seeds[:, None], np.arange(3)[None, :])
     buckets = hash_buckets(z[:, :1], np.arange(1, k + 1)[None, :], g)
@@ -235,7 +229,7 @@ def _the(cfg, x0, seeds, counts):
     # at theta: both tests are integer compares of the draws' 53-bit values
     k = cfg.k
     rows = np.arange(x0.size)
-    others, true = _the_cuts(cfg.eps, cfg.theta)
+    others, true = _the_cuts(cfg.eps, cfg.param)
     z = draws_u64(seeds[:, None], np.arange(k)[None, :])
     z >>= np.uint64(11)
     bits = _at_or_past(z, *others)

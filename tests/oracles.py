@@ -316,17 +316,23 @@ def ss_outcome_prob(eps, k, omega, x, subset):
 def enumerated_asr(cfg, x):
     """Expected attack success for true value x, as the sum over the report
     space of Pr[report] Pr[guess = x | report], for a GRR, SS, UE or THE
-    config (read by attribute: family, eps, k and its parameter)."""
+    config (read by attribute: family, eps, k and its one parameter; UE's
+    q is derived here from p, by the tightness identity)."""
     if cfg.family == "grr":
         # the guess is the report itself
         return grr_pq(cfg.eps, cfg.k)[0]
     if cfg.family == "ss":
         # uniform over the reported subset
-        return sum(ss_outcome_prob(cfg.eps, cfg.k, cfg.omega, x, set(sub))
-                   / cfg.omega
-                   for sub in combinations(range(1, cfg.k + 1), cfg.omega)
+        omega = cfg.param
+        return sum(ss_outcome_prob(cfg.eps, cfg.k, omega, x, set(sub)) / omega
+                   for sub in combinations(range(1, cfg.k + 1), omega)
                    if x in sub)
-    p, q = (cfg.p, cfg.q) if cfg.family == "ue" else the_pq(cfg.eps, cfg.theta)
+    if cfg.family == "ue":
+        # q solves p(1-q)/((1-p)q) = e^eps
+        p = cfg.param
+        q = p / (p + (1 - p) * math.exp(cfg.eps))
+    else:
+        p, q = the_pq(cfg.eps, cfg.param)
     # uniform over the set bits; by symmetry the same for every x
     return ue_asr_subset_enum(p, q, cfg.k)
 

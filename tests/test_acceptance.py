@@ -75,7 +75,7 @@ def sweep_results(sweep_dataset):
             else:
                 expected = lt.expected_asr(cfg)
             if cfg.family is lt.Family.LH:
-                exact = lt.lh_exact_expected_asr(eps, SWEEP_K, cfg.g)
+                exact = lt.lh_exact_expected_asr(eps, SWEEP_K, cfg.param)
             else:
                 exact = expected
             stats = lt.run_experiment(
@@ -171,14 +171,12 @@ def test_criterion_03_closed_forms_match_enumeration():
         check(lt.validate_config(lt.ProtocolConfig(lt.Family.GRR, eps, k)))
         for omega in range(1, k):
             check(lt.validate_config(
-                lt.ProtocolConfig(lt.Family.SS, eps, k, omega=omega)))
+                lt.ProtocolConfig(lt.Family.SS, eps, k, omega)))
         for p in p_grid:
-            pq = lt.ue_pair_from_p(eps, p)
-            check(lt.validate_config(
-                lt.ProtocolConfig(lt.Family.UE, eps, k, p=pq[0], q=pq[1])))
+            check(lt.validate_config(lt.ProtocolConfig(lt.Family.UE, eps, k, p)))
         for theta in theta_grid:
             check(lt.validate_config(
-                lt.ProtocolConfig(lt.Family.THE, eps, k, theta=theta)))
+                lt.ProtocolConfig(lt.Family.THE, eps, k, theta)))
 
     lh_worst_z = 0.0
     for eps in eps_grid:
@@ -238,7 +236,7 @@ def test_criterion_05_empirical_mse_tracks_analytic(sweep_results,
     for (name, eps), row in sweep_results.items():
         cfg = row["config"]
         if cfg.family is lt.Family.SS and adjudication["selected"] == "alternative":
-            amse = orc.ss_alt_variance(eps, cfg.k, cfg.omega, SWEEP_N)
+            amse = orc.ss_alt_variance(eps, cfg.k, cfg.param, SWEEP_N)
         else:
             amse = lt.analytic_mse(cfg, SWEEP_N)
         exact = amse + _dropped_mse_term(cfg, SWEEP_N)

@@ -40,8 +40,8 @@ from ldptune.model import (
 from ldptune.protocols import hash_buckets, perturb, sue_params, ue_pair_from_p
 
 
-def _vc(family, eps, k, **kw):
-    return validate_config(ProtocolConfig(family, eps, k, **kw))
+def _vc(family, eps, k, param=None):
+    return validate_config(ProtocolConfig(family, eps, k, param))
 
 
 class TestAttackBehavior:
@@ -51,23 +51,21 @@ class TestAttackBehavior:
         assert attack(CategoryReport(3), cfg, rng) == 3
 
     def test_ss_attack_picks_inside_subset(self):
-        cfg = _vc(Family.SS, 1.0, 6, omega=3)
+        cfg = _vc(Family.SS, 1.0, 6, 3)
         rep = SubsetReport(frozenset({2, 5, 6}))
         for u in range(200):
             g = attack(rep, cfg, derive_stream(1, 0, u))
             assert g in {2, 5, 6}
 
     def test_ue_attack_picks_support_or_uniform(self):
-        p, q = ue_pair_from_p(1.0, 0.7)
-        cfg = _vc(Family.UE, 1.0, 5, p=p, q=q)
+        cfg = _vc(Family.UE, 1.0, 5, 0.7)
         rep = BitVectorReport(np.asarray([0, 1, 0, 1, 0]))
         for u in range(200):
             assert attack(rep, cfg, derive_stream(2, 0, u)) in {2, 4}
 
     def test_ue_attack_empty_support_uniform_fallback(self):
-        p, q = ue_pair_from_p(1.0, 0.7)
         k = 5
-        cfg = _vc(Family.UE, 1.0, k, p=p, q=q)
+        cfg = _vc(Family.UE, 1.0, k, 0.7)
         rep = BitVectorReport(np.zeros(k, dtype=np.int64))
         counts = np.zeros(k)
         n = 20000
@@ -78,7 +76,7 @@ class TestAttackBehavior:
         assert np.all(np.abs(counts - n / k) < 5 * sigma)
 
     def test_attack_uniform_over_subset(self):
-        cfg = _vc(Family.SS, 1.0, 6, omega=3)
+        cfg = _vc(Family.SS, 1.0, 6, 3)
         rep = SubsetReport(frozenset({2, 5, 6}))
         counts = {2: 0, 5: 0, 6: 0}
         n = 30000
@@ -136,12 +134,12 @@ class TestClosedForms:
         for k in (2, 5, 10):
             assert expected_asr(_vc(Family.GRR, 1e-9, k)) == pytest.approx(
                 1 / k, abs=1e-9)
-            assert expected_asr(_vc(Family.SS, 1e-9, k, omega=max(1, k // 2))
+            assert expected_asr(_vc(Family.SS, 1e-9, k, max(1, k // 2))
                                 ) == pytest.approx(1 / k, abs=1e-9)
 
     def test_ss_asr_equals_p_star_over_omega(self):
         eps, k, omega = 1.0, 8, 3
-        cfg = _vc(Family.SS, eps, k, omega=omega)
+        cfg = _vc(Family.SS, eps, k, omega)
         ps, _ = orc.ss_pure(eps, k, omega)
         assert expected_asr(cfg) == pytest.approx(ps / omega, abs=1e-15)
 
@@ -160,10 +158,10 @@ class TestClosedForms:
 
     def test_lh_asr_near_eps_cap(self):
         # e^eps is finite but (e^eps + g - 1) max(k/g, 1) overflows
-        assert expected_asr(_vc(Family.LH, 709.78, 10, g=2)) == 0.2
+        assert expected_asr(_vc(Family.LH, 709.78, 10, 2)) == 0.2
         for eps, k, g in [(1.0, 10, 2), (4.0, 100, 55), (30.0, 10, 10 ** 6)]:
             e = math.exp(eps)
-            assert expected_asr(_vc(Family.LH, eps, k, g=g)) == (
+            assert expected_asr(_vc(Family.LH, eps, k, g)) == (
                 e / ((e + g - 1) * max(k / g, 1.0)))
 
     def test_she_analytic_asr_unsupported(self):
@@ -213,26 +211,25 @@ class TestBruteForce:
     """The closed forms against `oracles.enumerated_asr`, which sums over
     the report space."""
 
-    @pytest.mark.parametrize("family,kw", [
-        (Family.GRR, {}),
-        (Family.SS, {"omega": 2}),
-        (Family.THE, {"theta": 0.8}),
+    @pytest.mark.parametrize("family,param", [
+        pytest.param(Family.GRR, None, id="grr-kw0"),
+        pytest.param(Family.SS, 2, id="ss-kw1"),
+        pytest.param(Family.THE, 0.8, id="the-kw2"),
     ])
-    def test_matches_closed_form(self, family, kw):
-        cfg = _vc(family, 1.0, 5, **kw)
+    def test_matches_closed_form(self, family, param):
+        cfg = _vc(family, 1.0, 5, param)
         for x in (1, 3, 5):
             assert orc.enumerated_asr(cfg, x) == pytest.approx(
                 expected_asr(cfg), abs=1e-12)
 
     def test_ue_matches_closed_form(self):
-        p, q = sue_params(1.0)
-        cfg = _vc(Family.UE, 1.0, 5, p=p, q=q)
+        cfg = _vc(Family.UE, 1.0, 5, sue_params(1.0)[0])
         assert orc.enumerated_asr(cfg, 2) == pytest.approx(
             expected_asr(cfg), abs=1e-12)
 
     def test_asr_is_prior_independent(self):
         # the expected ASR does not depend on which value is true
-        cfg = _vc(Family.SS, 0.7, 6, omega=2)
+        cfg = _vc(Family.SS, 0.7, 6, 2)
         vals = {orc.enumerated_asr(cfg, x) for x in range(1, 7)}
         assert max(vals) - min(vals) < 1e-12
 
@@ -261,6 +258,13 @@ class TestSheMonteCarlo:
             expected_asr_she_mc(2.0, 10, trials)
         assert exc.value.field == "trials"
         assert not isinstance(exc.value, DataError)
+
+    @pytest.mark.parametrize("trials", [1e3, 2.5, True])
+    def test_trials_must_be_an_integer(self, trials):
+        with pytest.raises(RangeError) as exc:
+            expected_asr_she_mc(2.0, 10, trials)
+        assert exc.value.field == "trials"
+        assert expected_asr_she_mc(2.0, 10, np.int64(5)).n == 5
 
     def test_bounds_and_monotonicity(self):
         lo = expected_asr_she_mc(0.5, 8, 30000, derive_stream(8, 0, 0)).asr
@@ -508,7 +512,7 @@ class TestLocalHashingAsr:
     def test_pinned_approximation_overshoots_at_small_k(self):
         # the simple closed form ignores preimage collisions; document the gap
         eps, k, g = 2.0, 2, 2
-        approx = expected_asr(_vc(Family.LH, eps, k, g=g))
+        approx = expected_asr(_vc(Family.LH, eps, k, g))
         exact = lh_exact_expected_asr(eps, k, g)
         assert approx - exact > 0.15
 
@@ -533,8 +537,8 @@ class TestPrivacyProperty:
             return {y: (p if y == x else q) for y in range(1, cfg.k + 1)}
         if fam is Family.SS:
             probs = {}
-            for comb in itertools.combinations(range(1, cfg.k + 1), cfg.omega):
-                probs[comb] = orc.ss_outcome_prob(cfg.eps, cfg.k, cfg.omega,
+            for comb in itertools.combinations(range(1, cfg.k + 1), cfg.param):
+                probs[comb] = orc.ss_outcome_prob(cfg.eps, cfg.k, cfg.param,
                                                   x, set(comb))
             return probs
         raise AssertionError

@@ -183,6 +183,22 @@ class TestRunExperiment:
                                ExperimentConfig(500, 2, 1))
         assert len(stats) == 2
 
+    @pytest.mark.parametrize("field,counts", [
+        ("n", (50.5, 1, 0)), ("runs", (50, 1.5, 0)), ("seed", (50, 1, 0.5)),
+        ("n", (True, 1, 0)), ("runs", (50, False, 0)), ("seed", (50, 1, True)),
+    ])
+    def test_counts_must_be_integers(self, field, counts):
+        with pytest.raises(RangeError) as exc:
+            ExperimentConfig(*counts)
+        assert exc.value.field == field
+        # numpy integers are counts too, and a numpy seed names the same
+        # streams as the python int
+        want = run_experiment(self.GRR8, ExperimentConfig(50, 1, 7))[0]
+        for seed in (np.int64(7), np.uint64(7)):
+            exp = ExperimentConfig(np.int64(50), np.int32(1), seed)
+            got = run_experiment(self.GRR8, exp)[0]
+            assert np.array_equal(got.f_hat, want.f_hat)
+
     def test_protocol_must_be_a_config(self):
         with pytest.raises(RangeError, match="ResolvedProtocol"):
             run_experiment(("ass", 2.0, 8), self._cfg())
@@ -604,6 +620,12 @@ class TestCli:
                     for name in ("olh", "ss", "alh") for value in ("inf", "nan")]
         extreme += [("optimize", "--protocol", "aue", "--eps", "2", "--k", "10",
                      "--n", value) for value in ("0", "-1", "inf", "nan")]
+        # budgets and user counts so small that the analytic MSE overflows
+        # or divides by zero
+        extreme += [("analyze", "--protocol", "she", "--eps", eps, "--k", "10")
+                    for eps in ("1e-200", "1e-160")]
+        extreme += [("optimize", "--protocol", name, "--eps", "2", "--k", "10",
+                     "--n", "1e-320") for name in ("aue", "alh")]
         extreme.append(("analyze", "--protocol", "grr", "--eps", "1:inf:1",
                         "--k", "10"))
         # grids of 1e300 points, or whose point count overflows, are range

@@ -19,23 +19,22 @@ from ldptune.model import (
     stream_seeds,
     validate_config,
 )
-from ldptune.protocols import ue_pair_from_p
+from ldptune.protocols import pure_params
 
 
-def _cfg(family, eps=1.0, k=4, **kw):
-    return ProtocolConfig(family, eps, k, **kw)
+def _cfg(family, param=None, eps=1.0, k=4):
+    return ProtocolConfig(family, eps, k, param)
 
 
 class TestValidateConfig:
     def test_valid_configs_pass_through(self):
-        p, q = ue_pair_from_p(1.0, 0.7)
         good = [
             _cfg(Family.GRR),
-            _cfg(Family.SS, omega=2),
-            _cfg(Family.UE, p=p, q=q),
-            _cfg(Family.LH, g=3),
+            _cfg(Family.SS, 2),
+            _cfg(Family.UE, 0.7),
+            _cfg(Family.LH, 3),
             _cfg(Family.SHE),
-            _cfg(Family.THE, theta=0.8),
+            _cfg(Family.THE, 0.8),
         ]
         for cfg in good:
             assert validate_config(cfg) is cfg
@@ -56,41 +55,45 @@ class TestValidateConfig:
     @pytest.mark.parametrize("omega", [0, 4, 5, -1, 1.5, None])
     def test_bad_omega(self, omega):
         with pytest.raises(RangeError) as exc:
-            validate_config(_cfg(Family.SS, omega=omega))
+            validate_config(_cfg(Family.SS, omega))
         assert exc.value.field == "omega"
 
     def test_omega_full_domain_rejected(self):
         # omega = k would make every report support everything
         with pytest.raises(RangeError):
-            validate_config(ProtocolConfig(Family.SS, 1.0, 4, omega=4))
+            validate_config(ProtocolConfig(Family.SS, 1.0, 4, 4))
 
     @pytest.mark.parametrize("g", [1, 0, 2.5, None, 2 ** 63 + 1])
     def test_bad_g(self, g):
         with pytest.raises(RangeError) as exc:
-            validate_config(_cfg(Family.LH, g=g))
+            validate_config(_cfg(Family.LH, g))
         assert exc.value.field == "g"
 
     @pytest.mark.parametrize("theta", [0.4, 1.1, -0.5, None])
     def test_bad_theta(self, theta):
         with pytest.raises(RangeError) as exc:
-            validate_config(_cfg(Family.THE, theta=theta))
+            validate_config(_cfg(Family.THE, theta))
         assert exc.value.field == "theta"
 
     def test_ue_pair_must_match_budget(self):
-        p, q = ue_pair_from_p(1.0, 0.7)
-        validate_config(_cfg(Family.UE, p=p, q=q))
-        with pytest.raises(RangeError):
-            validate_config(_cfg(Family.UE, p=p, q=q + 1e-6))
+        # UE's q is derived from p, but rounds: near p = 1 the pair's own
+        # budget misses eps (1.95 nats at eps 2 for the float below 1)
+        assert _cfg(Family.UE, 1 - 1e-6, eps=2.0).param == 1 - 1e-6
+        with pytest.raises(RangeError) as exc:
+            _cfg(Family.UE, 0.9999999999999999, eps=2.0)
+        assert exc.value.field == "(p, q)"
 
     def test_ue_requires_p_greater_than_q(self):
-        with pytest.raises(RangeError):
-            validate_config(_cfg(Family.UE, p=0.3, q=0.3))
+        # where e^eps rounds to 1 the derived q equals p: no pure pair
+        with pytest.raises(RangeError) as exc:
+            pure_params(_cfg(Family.UE, 0.3, eps=1e-17))
+        assert exc.value.field == "p_star"
 
     def test_stray_params_rejected(self):
-        with pytest.raises(RangeError):
-            validate_config(_cfg(Family.GRR, omega=2))
-        with pytest.raises(RangeError):
-            validate_config(_cfg(Family.SHE, theta=0.8))
+        for family, value in ((Family.GRR, 2), (Family.SHE, 0.8)):
+            with pytest.raises(RangeError) as exc:
+                _cfg(family, value)
+            assert exc.value.field == "param"
 
     def test_invalid_config_cannot_be_built(self):
         # construction runs validate_config, so every config is valid
@@ -98,10 +101,10 @@ class TestValidateConfig:
             ProtocolConfig(Family.GRR, -1.0, 4)
         assert exc.value.field == "eps"
         with pytest.raises(RangeError):
-            ProtocolConfig(Family.SS, 1.0, 4, omega=4)
+            ProtocolConfig(Family.SS, 1.0, 4, 4)
 
     def test_family_name_becomes_a_family(self):
-        assert ProtocolConfig("ss", 1.0, 4, omega=2).family is Family.SS
+        assert ProtocolConfig("ss", 1.0, 4, 2).family is Family.SS
         with pytest.raises(ValueError):
             ProtocolConfig("zzz", 1.0, 4)
 

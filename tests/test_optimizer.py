@@ -37,8 +37,7 @@ from ldptune.optimizer import (
     optimize_aue,
     screened_grid_search,
 )
-from ldptune.protocols import (analytic_mse, family_config, olh_g,
-                               ss_default_omega)
+from ldptune.protocols import analytic_mse, olh_g, ss_default_omega
 from ldptune.attacks import expected_asr
 
 W_HALF = ObjectiveWeights(0.5, 0.5)
@@ -118,10 +117,10 @@ class TestMinimizeScalarBounded:
         weights = ObjectiveWeights.from_w_asr(w)
 
         def ue_f(p):
-            return objective(family_config(Family.UE, eps, k, p), weights)
+            return objective(ProtocolConfig(Family.UE, eps, k, p), weights)
 
         def the_f(t):
-            return objective(ProtocolConfig(Family.THE, eps, k, theta=t),
+            return objective(ProtocolConfig(Family.THE, eps, k, t),
                              weights)
 
         cell = 0.5 / COARSE_GRID_POINTS
@@ -234,7 +233,7 @@ class TestFrozenOptima:
         r = optimize_ass(4.0, 100, W_HALF)
         assert r.objective_value == pytest.approx(
             0.5 * r.asr_at_opt + 0.5 * r.mse_at_opt, rel=1e-12)
-        assert r.config.omega == r.theta_star
+        assert r.config.param == r.theta_star
         assert r.evaluations == 99
 
     def test_ass_mse_only_shortcut(self):
@@ -257,7 +256,7 @@ class TestGridExhaustiveness:
         w = ObjectiveWeights(0.7, 0.3)
         r = optimize_ass(eps, k, w)
         for omega in range(1, k):
-            cfg = validate_config(ProtocolConfig(Family.SS, eps, k, omega=omega))
+            cfg = validate_config(ProtocolConfig(Family.SS, eps, k, omega))
             assert objective(cfg, w) >= r.objective_value - 1e-12
 
     def test_alh_no_better_candidate(self):
@@ -266,7 +265,7 @@ class TestGridExhaustiveness:
         r = optimize_alh(eps, k, w)
         hi = max(k, olh_g(eps))
         for g in range(2, hi + 1):
-            cfg = validate_config(ProtocolConfig(Family.LH, eps, k, g=g))
+            cfg = validate_config(ProtocolConfig(Family.LH, eps, k, g))
             assert objective(cfg, w) >= r.objective_value - 1e-12
 
 
@@ -276,10 +275,8 @@ class TestContinuousSanity:
         r = optimize_aue(eps, k, W_HALF)
         rng = np.random.default_rng(0)
         probes = list(0.5 + rng.random(64) * (1 - 1e-6 - 0.5)) + [0.5, 1 - 1e-6]
-        from ldptune.protocols import ue_pair_from_p
-        for p0 in probes:
-            p, q = ue_pair_from_p(eps, p0)
-            cfg = validate_config(ProtocolConfig(Family.UE, eps, k, p=p, q=q))
+        for p in probes:
+            cfg = validate_config(ProtocolConfig(Family.UE, eps, k, p))
             assert objective(cfg, W_HALF) >= r.objective_value - 1e-9
 
     def test_athe_beats_probes_and_endpoints(self):
@@ -288,7 +285,7 @@ class TestContinuousSanity:
         rng = np.random.default_rng(1)
         probes = list(0.5 + rng.random(64) * 0.5) + [0.5, 1.0]
         for theta in probes:
-            cfg = validate_config(ProtocolConfig(Family.THE, eps, k, theta=theta))
+            cfg = validate_config(ProtocolConfig(Family.THE, eps, k, theta))
             assert objective(cfg, W_HALF) >= r.objective_value - 1e-9
 
     def test_returned_params_in_bounds(self):
@@ -329,15 +326,8 @@ SCREEN_CASES = [(k, eps, w) for k in (2, 10, 100) for eps in (1.0, 4.0, 10.0)
 
 def _scalar_objective(fam, eps, k, weights):
     """The package's scalar objective at one parameter value, memoized."""
-    def cfg(x):
-        if fam is Family.SS:
-            return ProtocolConfig(fam, eps, k, omega=x)
-        if fam is Family.UE:
-            return family_config(Family.UE, eps, k, x)
-        if fam is Family.LH:
-            return ProtocolConfig(fam, eps, k, g=x)
-        return ProtocolConfig(fam, eps, k, theta=x)
-    return functools.cache(lambda x: objective(cfg(x), weights))
+    return functools.cache(
+        lambda x: objective(ProtocolConfig(fam, eps, k, x), weights))
 
 
 class TestScreenedGrids:
@@ -418,7 +408,7 @@ class TestBoundedAlh:
         probes = set(range(2, k + 1)) | {top, top - 1}
         probes |= {int(x) for x in np.geomspace(k, top, 200)}
         for g in sorted(probes):
-            cfg = ProtocolConfig(Family.LH, eps, k, g=min(g, top))
+            cfg = ProtocolConfig(Family.LH, eps, k, min(g, top))
             assert objective(cfg, w) >= r.objective_value, g
 
     def test_asr_survives_near_eps_cap(self):

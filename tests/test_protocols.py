@@ -30,7 +30,6 @@ from ldptune.model import (
 from ldptune.protocols import (
     analytic_mse,
     estimate_frequencies,
-    family_config,
     generic_pure_mse,
     grr_params,
     grr_perturb,
@@ -63,8 +62,8 @@ from ldptune.simulate import (
 )
 
 
-def _vc(family, eps, k, **kw):
-    return validate_config(ProtocolConfig(family, eps, k, **kw))
+def _vc(family, eps, k, param=None):
+    return validate_config(ProtocolConfig(family, eps, k, param))
 
 
 class TestParameterRules:
@@ -113,46 +112,57 @@ class TestParameterRules:
 
 
 class TestFamilyConfig:
+    """A family's config built from its one free parameter."""
+
     def test_large_int_g_passes_unchanged(self):
         g = 2 ** 53 + 1  # float(g) would round it to 2^53
         for value in (g, np.int64(g)):
-            cfg = family_config(Family.LH, 40.0, 10, value)
-            assert cfg.g == g and type(cfg.g) is type(value)
+            cfg = ProtocolConfig(Family.LH, 40.0, 10, value)
+            assert cfg.param == g and type(cfg.param) is type(value)
 
     def test_integral_float_becomes_int(self):
-        cfg = family_config(Family.SS, 2.0, 10, 3.0)
-        assert cfg.omega == 3 and type(cfg.omega) is int
+        cfg = ProtocolConfig(Family.SS, 2.0, 10, 3.0)
+        assert cfg.param == 3 and type(cfg.param) is int
+        assert ProtocolConfig(Family.LH, 2.0, 10, 4.0 + 1e-10).param == 4
 
     @pytest.mark.parametrize("family,name", [(Family.SS, "omega"),
                                              (Family.LH, "g")])
     def test_fractional_integer_parameter_rejected(self, family, name):
         with pytest.raises(RangeError) as exc:
-            family_config(family, 2.0, 10, 3.5)
+            ProtocolConfig(family, 2.0, 10, 3.5)
+        assert exc.value.field == name
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("family,name", [(Family.SS, "omega"),
+                                             (Family.LH, "g")])
+    def test_non_finite_integer_parameter_rejected(self, family, name, value):
+        with pytest.raises(RangeError) as exc:
+            ProtocolConfig(family, 2.0, 10, param=value)
         assert exc.value.field == name
 
     @pytest.mark.parametrize("family", [Family.GRR, Family.SHE])
     @pytest.mark.parametrize("value", [0, 2, 0.5])
     def test_parameter_free_families_reject_any_value(self, family, value):
         with pytest.raises(RangeError) as exc:
-            family_config(family, 2.0, 10, value)
+            ProtocolConfig(family, 2.0, 10, value)
         assert exc.value.field == "param"
-        assert family_config(family, 2.0, 10) == ProtocolConfig(family, 2.0, 10)
+        assert ProtocolConfig(family, 2.0, 10).param is None
 
     @pytest.mark.parametrize("p", [0.0, 1.0, math.e / (math.e - 1), -1.0])
     def test_ue_p_outside_unit_interval_rejected(self, p):
-        # at p = e/(e - 1) and eps = 1 the tight q would divide by zero
+        # at p = e/(e - 1) and eps = 1 the derived q would divide by zero
         with pytest.raises(RangeError) as exc:
-            family_config(Family.UE, 1.0, 10, p)
+            ProtocolConfig(Family.UE, 1.0, 10, p)
         assert exc.value.field == "p"
 
     def test_ue_gets_the_tight_q(self):
-        cfg = family_config(Family.UE, 2.0, 10, 0.7)
-        assert (cfg.p, cfg.q) == ue_pair_from_p(2.0, 0.7)
-        assert validate_config(cfg) is cfg
+        cfg = ProtocolConfig(Family.UE, 2.0, 10, 0.7)
+        pp = pure_params(cfg)
+        assert (pp.p_star, pp.q_star) == ue_pair_from_p(2.0, 0.7)
 
     def test_theta_stored_as_float(self):
-        cfg = family_config(Family.THE, 2.0, 10, 1)
-        assert cfg.theta == 1.0 and type(cfg.theta) is float
+        cfg = ProtocolConfig(Family.THE, 2.0, 10, 1)
+        assert cfg.param == 1.0 and type(cfg.param) is float
 
 
 class TestPureParams:
@@ -167,21 +177,21 @@ class TestPureParams:
     @pytest.mark.parametrize("k,omega", [(4, 1), (4, 2), (4, 3), (8, 3), (10, 5)])
     def test_ss_matches_oracle(self, k, omega):
         eps = 1.3
-        pp = pure_params(_vc(Family.SS, eps, k, omega=omega))
+        pp = pure_params(_vc(Family.SS, eps, k, omega))
         ps, qs = orc.ss_pure(eps, k, omega)
         assert pp.p_star == pytest.approx(ps, abs=1e-15)
         assert pp.q_star == pytest.approx(qs, abs=1e-15)
 
     def test_ss_omega_one_equals_grr(self):
         for eps in (0.5, 2.0):
-            a = pure_params(_vc(Family.SS, eps, 6, omega=1))
+            a = pure_params(_vc(Family.SS, eps, 6, 1))
             b = pure_params(_vc(Family.GRR, eps, 6))
             assert a.p_star == pytest.approx(b.p_star, abs=1e-15)
             assert a.q_star == pytest.approx(b.q_star, abs=1e-15)
 
     def test_lh_pure_params(self):
         eps, g = 1.5, 4
-        pp = pure_params(_vc(Family.LH, eps, 10, g=g))
+        pp = pure_params(_vc(Family.LH, eps, 10, g))
         ps, qs = orc.lh_pq(eps, g)
         assert pp.p_star == pytest.approx(ps, abs=1e-15)
         assert pp.q_star == pytest.approx(qs, abs=1e-15)
@@ -189,7 +199,7 @@ class TestPureParams:
 
     def test_the_pure_params(self):
         eps, theta = 2.0, 0.8
-        pp = pure_params(_vc(Family.THE, eps, 5, theta=theta))
+        pp = pure_params(_vc(Family.THE, eps, 5, theta))
         ps, qs = orc.the_pq(eps, theta)
         assert pp.p_star == pytest.approx(ps, abs=1e-15)
         assert pp.q_star == pytest.approx(qs, abs=1e-15)
@@ -271,7 +281,7 @@ class TestPerturbStructure:
         assert np.isfinite(v).all()
 
     def test_the_is_thresholded_she(self):
-        cfg = _vc(Family.THE, 1.0, 4, theta=0.8)
+        cfg = _vc(Family.THE, 1.0, 4, 0.8)
         rep = the_perturb(2, 1.0, 4, 0.8, derive_stream(8, 0, 3))
         noisy = she_perturb(2, 1.0, 4, derive_stream(8, 0, 3))
         assert np.array_equal(np.asarray(rep.bits),
@@ -280,13 +290,12 @@ class TestPerturbStructure:
                               (np.asarray(noisy.values) > 0.8).astype(np.int64))
 
     def test_perturb_dispatch_matches_family_kernels(self):
-        p, q = ue_pair_from_p(1.0, 0.7)
         cases = [
             (_vc(Family.GRR, 1.0, 4), CategoryReport),
-            (_vc(Family.SS, 1.0, 4, omega=2), SubsetReport),
-            (_vc(Family.UE, 1.0, 4, p=p, q=q), BitVectorReport),
-            (_vc(Family.LH, 1.0, 4, g=2), HashedReport),
-            (_vc(Family.THE, 1.0, 4, theta=0.8), BitVectorReport),
+            (_vc(Family.SS, 1.0, 4, 2), SubsetReport),
+            (_vc(Family.UE, 1.0, 4, 0.7), BitVectorReport),
+            (_vc(Family.LH, 1.0, 4, 2), HashedReport),
+            (_vc(Family.THE, 1.0, 4, 0.8), BitVectorReport),
         ]
         for cfg, typ in cases:
             assert isinstance(perturb(2, cfg, derive_stream(9, 0, 0)), typ)
@@ -305,17 +314,16 @@ class TestSupport:
         assert support(CategoryReport(3), cfg) == frozenset({3})
 
     def test_ss_support_is_subset(self):
-        cfg = _vc(Family.SS, 1.0, 6, omega=3)
+        cfg = _vc(Family.SS, 1.0, 6, 3)
         assert support(SubsetReport(frozenset({1, 4, 5})), cfg) == frozenset({1, 4, 5})
 
     def test_ue_support_is_set_bits(self):
-        p, q = ue_pair_from_p(1.0, 0.7)
-        cfg = _vc(Family.UE, 1.0, 5, p=p, q=q)
+        cfg = _vc(Family.UE, 1.0, 5, 0.7)
         rep = BitVectorReport(np.asarray([1, 0, 0, 1, 0]))
         assert support(rep, cfg) == frozenset({1, 4})
 
     def test_lh_support_is_hash_preimage(self):
-        cfg = _vc(Family.LH, 1.0, 12, g=3)
+        cfg = _vc(Family.LH, 1.0, 12, 3)
         rep = lh_perturb(5, 1.0, 12, 3, derive_stream(10, 0, 0))
         sup = support(rep, cfg)
         for v in range(1, 13):
@@ -334,8 +342,7 @@ class TestEstimators:
     def test_estimator_inverts_known_counts(self):
         # hand-build UE reports with known support counts and check the
         # debias formula (C_i - n q*) / (n (p* - q*))
-        p, q = ue_pair_from_p(1.0, 0.7)
-        cfg = _vc(Family.UE, 1.0, 3, p=p, q=q)
+        cfg = _vc(Family.UE, 1.0, 3, 0.7)
         reports = [BitVectorReport(np.asarray(b)) for b in
                    ([1, 0, 0], [1, 1, 0], [0, 0, 1], [1, 0, 0])]
         f_hat = estimate_frequencies(reports, cfg)
@@ -376,7 +383,7 @@ class TestVarianceForms:
     def test_adjudication_point_values(self):
         eps = math.log(2.0)
         assert orc.ss_alt_variance(eps, 10, 2, 1) == pytest.approx(9.6875, rel=1e-9)
-        cfg = _vc(Family.SS, eps, 10, omega=2)
+        cfg = _vc(Family.SS, eps, 10, 2)
         assert analytic_mse(cfg, 1) == pytest.approx(6.875, rel=1e-9)
         assert generic_pure_mse(pure_params(cfg), 1) == pytest.approx(6.875, rel=1e-9)
 
@@ -387,12 +394,12 @@ class TestVarianceForms:
 
 
 _BULK_CASES = [
-    (Family.GRR, {}),
-    (Family.SS, {"omega": 3}),
-    (Family.UE, {}),
-    (Family.LH, {"g": 4}),
-    (Family.SHE, {}),
-    (Family.THE, {"theta": 0.8}),
+    (Family.GRR, None),
+    (Family.SS, 3),
+    (Family.UE, sue_params(1.5)[0]),
+    (Family.LH, 4),
+    (Family.SHE, None),
+    (Family.THE, 0.8),
 ]
 
 
@@ -406,20 +413,17 @@ class TestScalarBulkEquivalence:
     """The vectorized per-run kernels replay exactly the draws the scalar
     primitives consume, so both pipelines must agree bit for bit."""
 
-    @pytest.mark.parametrize("family,kw,k,n", [
-        *(pytest.param(f, kw, 7, 300, id=f"{f.value}-kw{i}")
-          for i, (f, kw) in enumerate(_BULK_CASES)),
-        *(pytest.param(f, kw, 4096, _spanning_n(f, 4096),
+    @pytest.mark.parametrize("family,param,k,n", [
+        *(pytest.param(f, v, 7, 300, id=f"{f.value}-kw{i}")
+          for i, (f, v) in enumerate(_BULK_CASES)),
+        *(pytest.param(f, v, 4096, _spanning_n(f, 4096),
                        id=f"{f.value}-kw{i}-blocks")
-          for i, (f, kw) in enumerate(_BULK_CASES)),
+          for i, (f, v) in enumerate(_BULK_CASES)),
     ])
-    def test_pipelines_agree_bitwise(self, family, kw, k, n):
+    def test_pipelines_agree_bitwise(self, family, param, k, n):
         from ldptune.attacks import attack
         eps = 1.5
-        if family is Family.UE:
-            p, q = sue_params(eps)
-            kw = {"p": p, "q": q}
-        cfg = _vc(family, eps, k, **kw)
+        cfg = _vc(family, eps, k, param)
         x0 = np.random.default_rng(5).integers(0, k, size=n)
         f_bulk, s_bulk = simulate_run(cfg, x0, 99, 3)
 
