@@ -34,6 +34,7 @@ from .model import (
     draws_u64,
     is_int,
     laplace_inplace,
+    libm,
     mix64_final,
     mix64_rounds,
     order_margin,
@@ -65,12 +66,10 @@ def _lgam(first: int, last: int) -> np.ndarray:
     last bit on a few inputs.  The arithmetic is numpy's, in Cephes' order;
     each step rounds as the scalar one does.
     """
-    j = range(first, last + 1)
     x = np.arange(first, last + 1, dtype=float)
-    logx = np.fromiter(map(math.log, j), float, len(j))
-    q = (x - 0.5) * logx - x + _LS2PI
+    q = (x - 0.5) * libm(math.log, x) - x + _LS2PI
     p = 1.0 / (x * x)
-    poly = np.full(len(j), _LGAM_A[0])
+    poly = np.full(len(x), _LGAM_A[0])
     for c in _LGAM_A[1:]:
         poly = poly * p + c
     three = ((7.9365079365079365079365e-4 * p
@@ -168,53 +167,33 @@ def empirical_asr(pairs) -> AsrResult:
     return AsrResult(asr, n, math.sqrt(asr * (1 - asr) / n))
 
 
-def bitvector_expected_asr(p: float, q: float, k: int) -> float:
+def bitvector_expected_asr(p, q, k: int):
     """Expected ASR of the uniform-over-set-bits attack on randomized one-hot
     reports with keep probability p and flip-on probability q.
 
     (1-p)(1-q)^(k-1)/k for the empty-support fallback, plus the sum over
     support sizes m of p C(k-1,m-1) q^(m-1) (1-q)^(k-m) / m, evaluated in log
-    space so k = 10^4 stays stable.
+    space so k = 10^4 stays stable.  p and q may be floats, or equal-length
+    arrays: then each pair's ASR, to the bit as a call per pair gives it,
+    with len(p) x k temporaries.
     """
-    if q == 0.0:
-        return p + (1 - p) / k
-    m = np.arange(1, k + 1, dtype=float)
-    lgam = lgamma_table(k)
-    logs = (math.log(p)
-            + lgam[-1] - lgam - lgam[::-1]
-            + (m - 1) * math.log(q) + (k - m) * math.log1p(-q)
-            - np.log(m))
-    hit = math.exp(logsumexp(logs))
-    miss = (1 - p) * math.exp((k - 1) * math.log1p(-q)) / k
-    return hit + miss
-
-
-def support_size_row(k: int) -> np.ndarray:
-    """log C(k-1, m-1) - log m for m = 1..k: the part of the support-size
-    sum that does not depend on (p, q)."""
-    m = np.arange(1, k + 1, dtype=float)
-    lgam = lgamma_table(k)
-    return lgam[-1] - lgam - lgam[::-1] - np.log(m)
-
-
-def bitvector_asr_array(p: np.ndarray, q: np.ndarray, k: int,
-                        row: np.ndarray) -> np.ndarray:
-    """`bitvector_expected_asr` for each pair of the arrays p and q (q > 0),
-    given `row` = support_size_row(k); holds len(p) x k temporaries.
-
-    The terms are added in another order than in the scalar form, so the two
-    differ in the last bits: below 1e-12 relative for k <= 1000, 8e-12 at
-    k = 10^4.
-    """
-    m1 = np.arange(k, dtype=float)  # m - 1
-    l1q = np.log1p(-q)
-    logs = np.multiply.outer(np.log(q), m1)
-    logs += np.multiply.outer(l1q, m1[::-1])  # (k - m) log(1 - q)
-    logs += row
-    logs += np.log(p)[:, None]
-    hit = np.exp(logsumexp(logs, axis=1))
-    miss = (1 - p) * np.exp((k - 1) * l1q) / k
-    return hit + miss
+    scalar = np.ndim(p) == 0
+    p, q = np.atleast_1d(p, q)
+    asr = p + (1 - p) / k  # q = 0: only the true bit can be set
+    on = q != 0
+    if on.any():
+        p, q = p[on], q[on]
+        m = np.arange(1, k + 1, dtype=float)
+        lgam = lgamma_table(k)
+        l1q = libm(math.log1p, -q)
+        logs = np.subtract.outer(libm(math.log, p) + lgam[-1], lgam)
+        logs -= lgam[::-1]
+        logs += np.multiply.outer(libm(math.log, q), m - 1)
+        logs += np.multiply.outer(l1q, k - m)
+        logs -= np.log(m)
+        hit = libm(math.exp, logsumexp(logs, axis=-1))
+        asr[on] = hit + (1 - p) * libm(math.exp, (k - 1) * l1q) / k
+    return float(asr[0]) if scalar else asr
 
 
 def lh_exact_expected_asr(eps: float, k: int, g: int) -> float:

@@ -22,7 +22,7 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from .model import (MASK64, DataError, Family, ProtocolConfig, RangeError,
-                    derive_stream, is_int)
+                    check_k, derive_stream, is_int)
 from .attacks import expected_asr, expected_asr_she_mc
 from .optimizer import ObjectiveWeights
 from .presets import ResolvedProtocol, resolve_protocol
@@ -310,14 +310,15 @@ def pareto_sweep(protocols, eps_grid, k_grid, weights: ObjectiveWeights,
     (single-protocol sweeps only).  `workers` is checked even without an
     experiment.
     """
-    if she_trials < 1:
+    if not (is_int(she_trials) and she_trials >= 1):
         raise RangeError("she-trials", "an integer >= 1", she_trials)
     if workers < 1:
         raise RangeError("workers", "an integer >= 1", workers)
+    ks = [int(check_k(k)) for k in k_grid]
     rows = []
     experiment_at = {}
     for name in protocols:
-        for k in map(int, k_grid):
+        for k in ks:
             for eps in eps_grid:
                 rp = resolve_protocol(name, eps, k, weights, param=param)
                 if rp.config.family is Family.SHE:

@@ -143,6 +143,16 @@ def _coerce_param(fam: Family, value):
     return value
 
 
+def libm(f, x):
+    """`f`, a function of `math`, at the real x or at each element of the
+    1-d array x: per-point transcendentals go through libm, so an array gets
+    the bits of a call per point on any CPU (numpy's SIMD `exp`, `log` and
+    `log1p` can miss libm by an ulp); k-wide work stays in numpy."""
+    if np.ndim(x) == 0:
+        return f(x)
+    return np.fromiter(map(f, x.tolist()), float, len(x))
+
+
 def ue_pair_from_p(eps: float, p: float) -> tuple:
     """The tight UE pair with keep-probability p: q = p/(e^eps(1-p)+p)."""
     return p, p / (math.exp(eps) * (1 - p) + p)

@@ -8,16 +8,15 @@ continuous keep-probability and threshold.  Objective terms are summed raw
 (no normalization beyond the weights), so weight semantics depend on
 (eps, k, n).
 
-Grids are screened, then confirmed.  `array_objective` evaluates a whole grid
-in numpy passes of PASS_SIZE // k points, and `screened_grid_search` hands
-only the points within SCREEN_RTOL of its minimum to the scalar `objective`,
-in ascending order.  The scalar closed forms stay the definition of every
-reported number: the array form adds its terms in another order, so it
-differs from them in the last bits (below 1e-12 relative for k <= 100).  The
-margin makes that harmless: the scalar argmin and its ties always reach the
-confirm, so the chosen parameter is the one the exhaustive scalar search
-picks.  Past g = k the hash-range objective is convex, and `optimize_alh`
-bisects instead of walking up to e^eps points.
+Grids are ranked in numpy.  `array_objective` evaluates a whole grid in
+passes of PASS_SIZE // k points with the closed forms themselves, called on
+arrays: `bitvector_expected_asr`, `the_params`, `first_order_mse`.  Their
+array forms run each step in the scalar form's order, and take the
+transcendental functions of each point from libm (`model.libm`), so every
+value is the scalar `objective`'s to the bit, and `grid_argmin`'s first
+minimum is the exhaustive scalar search's.  Past g = k the hash-range
+objective is convex, and `optimize_alh` bisects instead of walking up to
+e^eps points.
 """
 
 from __future__ import annotations
@@ -37,20 +36,19 @@ from .model import (
     RangeError,
     check_k,
 )
-from .attacks import bitvector_asr_array, expected_asr, support_size_row
+from .attacks import bitvector_expected_asr, expected_asr
 from .protocols import (
     analytic_mse,
     first_order_mse,
     olh_g,
     ss_default_omega,
     ss_pure_pair,
+    the_params,
     ue_pair_from_p,
 )
 
 COARSE_GRID_POINTS = 1024
 REFINE_TOL = 1e-6
-# relative margin of the array-form screen over its smallest value
-SCREEN_RTOL = 1e-9
 # continuous UE keep-probabilities approach but never reach 1; this cap keeps
 # the derived q = p/(e^eps(1-p)+p) numerically stable at the boundary
 _P_CAP = 1.0 - 1e-6
@@ -196,28 +194,28 @@ def grid_search(f, candidates):
     return best_x, best_f
 
 
-def screened_grid_search(f, grid: np.ndarray, values, width: int = 1):
-    """`grid_search(f, grid.tolist())`, with the grid ranked by an array form
-    of f first.
+def grid_argmin(f, grid: np.ndarray, values, width: int = 1):
+    """`grid_search(f, grid.tolist())`, with f's values on the grid taken
+    from `values`, its array form.
 
-    `values` maps a slice of the ascending array `grid` to approximate values
-    of f, holding `width` floats per point.  It is called on PASS_SIZE //
-    width points at a time, so its temporaries stay near 128 KiB: small
-    enough to reuse freed heap pages instead of growing the resident set,
-    whatever k is.  Only the points whose approximate value is within
-    SCREEN_RTOL (relative) of the smallest one, and the points where it is
-    not finite, are evaluated with f, in ascending order.  When the two
-    forms differ by less than SCREEN_RTOL / 2 relative, the scalar argmin
-    and all its ties pass the screen, so the result is the exhaustive one.
+    `values` maps a slice of the ascending array `grid` to the values of f
+    there, bit for bit, holding `width` floats per point.  It is called on
+    PASS_SIZE // width points at a time, so its temporaries stay near
+    128 KiB: small enough to reuse freed heap pages instead of growing the
+    resident set, whatever k is.  Ties go to the smallest point.  Where a
+    value is not finite, f is called at the first such point, to raise its
+    own error there.
     """
     rows = max(1, PASS_SIZE // width)
     with np.errstate(all="ignore"):
         v = np.concatenate([values(grid[i:i + rows])
                             for i in range(0, len(grid), rows)])
-    finite = np.isfinite(v)
-    best = v[finite].min() if finite.any() else np.inf
-    keep = ~finite | (v <= best + SCREEN_RTOL * abs(best))
-    return grid_search(f, grid[keep].tolist())
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        x = grid[bad[0]].item()
+        raise NonFinite(x, f(x))
+    i = int(np.argmin(v))
+    return grid[i].item(), float(v[i])
 
 
 def _result(family: Family, eps: float, k: int, theta_star,
@@ -233,10 +231,9 @@ def _result(family: Family, eps: float, k: int, theta_star,
 def array_objective(family: Family, eps: float, k: int,
                     weights: ObjectiveWeights, n: float = 1):
     """The array form of `objective` for one adaptive family at (eps, k):
-    maps an array of omega, p (with the tight q), g or theta values to
-    approximate objective values.
+    maps an array of omega, p (with the tight q), g or theta values to the
+    objective values, bit for bit.
 
-    It ranks grid points for `screened_grid_search` and is never reported.
     At w_asr = 0 it skips the support-size sum: 0 times a finite ASR adds
     nothing to the scalar value either.
     """
@@ -246,19 +243,18 @@ def array_objective(family: Family, eps: float, k: int,
         def terms(w):
             return (e / (w * e + k - w),) + ss_pure_pair(eps, k, w)
     elif fam is Family.LH:
-        def terms(g):
-            hashed = e + g - 1
-            return e / hashed / np.maximum(k / g, 1.0), e / hashed, 1 / g
+        def terms(g):  # `expected_asr` and `pure_params`, elementwise
+            hashed, preimage = e + g - 1, np.maximum(k / g, 1.0)
+            product = hashed * preimage
+            asr = np.where(np.isinf(product), e / hashed / preimage,
+                           e / product)
+            return asr, e / hashed, 1 / g
     else:
-        row = support_size_row(k) if weights.w_asr else None
+        pair = ue_pair_from_p if fam is Family.UE else the_params
 
         def terms(x):
-            if fam is Family.UE:
-                p, q = ue_pair_from_p(eps, x)
-            else:  # THE: `the_params`, elementwise
-                p = 1 - 0.5 * np.exp(eps * (x - 1) / 2)
-                q = 0.5 * np.exp(-eps * x / 2)
-            asr = bitvector_asr_array(p, q, k, row) if weights.w_asr else 0.0
+            p, q = pair(eps, x)
+            asr = bitvector_expected_asr(p, q, k) if weights.w_asr else 0.0
             return asr, p, q
 
     def values(x):
@@ -285,23 +281,23 @@ def optimize_ass(eps: float, k: int, weights: ObjectiveWeights,
     def f(w):
         return objective(ProtocolConfig(Family.SS, eps, k, w), weights, n)
 
-    w, _ = screened_grid_search(f, np.arange(1, k),
-                                array_objective(Family.SS, eps, k, weights, n))
+    w, _ = grid_argmin(f, np.arange(1, k),
+                       array_objective(Family.SS, eps, k, weights, n))
     return _result(Family.SS, eps, k, w, weights, n, k - 1)
 
 
 def _grid_then_refine(family: Family, eps: float, k: int,
                       weights: ObjectiveWeights, n: float, grid: np.ndarray,
                       cell: float, hi: float) -> OptimizationResult:
-    """Screened search of `grid` (from 0.5 up), then bounded refinement
-    within `cell` of its winner, clipped to [0.5, hi], kept only when
-    strictly better.  `cell` is the exact grid step, which numpy's spacing
-    of `grid` need not be."""
+    """Search of `grid` (from 0.5 up), then bounded refinement within `cell`
+    of its winner, clipped to [0.5, hi], kept only when strictly better.
+    `cell` is the exact grid step, which numpy's spacing of `grid` need not
+    be."""
 
     def f(x):
         return objective(ProtocolConfig(family, eps, k, x), weights, n)
 
-    x0, f0 = screened_grid_search(
+    x0, f0 = grid_argmin(
         f, grid, array_objective(family, eps, k, weights, n), k)
     xr, fr, calls = minimize_scalar_bounded(f, max(0.5, x0 - cell),
                                             min(hi, x0 + cell), REFINE_TOL)
@@ -323,9 +319,9 @@ def optimize_alh(eps: float, k: int, weights: ObjectiveWeights,
                  n: float = 1) -> OptimizationResult:
     """Best hash range g in [2, max(k, round(e^eps+1))], capped at MAX_G.
 
-    g in [2, k] is a screened grid.  For g >= k, with h = g - 1, the ASR
-    term is e/(e+h) and the MSE term (e+h)^2/((e-1)^2 h n), both convex in
-    h, so the first g with f(g+1) >= f(g) is the smallest minimizer there.
+    g in [2, k] is a grid.  For g >= k, with h = g - 1, the ASR term is
+    e/(e+h) and the MSE term (e+h)^2/((e-1)^2 h n), both convex in h, so
+    the first g with f(g+1) >= f(g) is the smallest minimizer there.
     Integer bisection finds it in at most 63 steps, each the sign of
     f(g+1) - f(g) taken from its closed form: subtracting two rounded values
     of f would read the plateaus where e + g - 1 rounds to e (g below
@@ -346,7 +342,7 @@ def optimize_alh(eps: float, k: int, weights: ObjectiveWeights,
         asr_drop = e / ((e + h) * (e + h + 1))
         return weights.w_mse * mse_step >= weights.w_asr * asr_drop
 
-    g_low, _ = screened_grid_search(
+    g_low, _ = grid_argmin(
         f, np.arange(2, k + 1), array_objective(Family.LH, eps, k, weights, n))
     top = min(max(k, olh_g(eps)), MAX_G)
     lo, hi = k, top

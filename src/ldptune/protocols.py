@@ -39,6 +39,7 @@ from .model import (
     RngStream,
     SubsetReport,
     UnsupportedFamily,
+    libm,
     mix64,
     mix64_inplace,
     ue_pair_from_p,
@@ -84,8 +85,13 @@ def grr_params(eps: float, k: int) -> PureParams:
 
 
 def sue_params(eps: float) -> tuple:
-    """Symmetric UE pair (p, q) with p + q = 1."""
+    """Symmetric UE pair (p, q) with p + q = 1.  Raises RangeError where p
+    rounds to 1: at some eps past 106 ln 2 (e^(eps/2) = 2^53), at all past
+    74.45."""
     s = math.exp(eps / 2)
+    if s / (s + 1) == 1:
+        raise RangeError("eps", "such that sue's p = e^(eps/2)/(e^(eps/2)+1) "
+                         "is below 1 (every eps <= 73.47 is)", eps)
     return s / (s + 1), 1 / (s + 1)
 
 
@@ -104,10 +110,10 @@ def olh_g(eps: float) -> int:
     return round_half_away(math.exp(eps) + 1)
 
 
-def the_params(eps: float, theta: float) -> tuple:
-    """Per-bit (p, q) of the thresholded-histogram report."""
-    p = 1 - 0.5 * math.exp(eps * (theta - 1) / 2)
-    q = 0.5 * math.exp(-eps * theta / 2)
+def the_params(eps: float, theta) -> tuple:
+    """Per-bit (p, q) of the thresholded report; theta may be an array."""
+    p = 1 - 0.5 * libm(math.exp, eps * (theta - 1) / 2)
+    q = 0.5 * libm(math.exp, -eps * theta / 2)
     return p, q
 
 
@@ -308,8 +314,10 @@ def she_estimate(reports) -> np.ndarray:
 # -- analytic MSE -------------------------------------------------------------
 
 def first_order_mse(p_star, q_star, n: float = 1):
-    """q*(1-q*)/(n (p*-q*)^2), on floats or elementwise on arrays."""
-    return q_star * (1 - q_star) / (n * (p_star - q_star) ** 2)
+    """q*(1-q*)/(n (p*-q*)^2), on floats or elementwise on arrays; the square
+    is libm's pow, as python's `**` takes it (it can miss d * d by an ulp)."""
+    square = libm(lambda d: d ** 2, p_star - q_star)
+    return q_star * (1 - q_star) / (n * square)
 
 
 def generic_pure_mse(pp: PureParams, n: float = 1) -> float:

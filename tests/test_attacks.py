@@ -37,7 +37,9 @@ from ldptune.model import (
     order_margin,
     validate_config,
 )
-from ldptune.protocols import hash_buckets, perturb, sue_params, ue_pair_from_p
+from ldptune.optimizer import COARSE_GRID_POINTS
+from ldptune.protocols import (hash_buckets, perturb, sue_params, the_params,
+                               ue_pair_from_p)
 
 
 def _vc(family, eps, k, param=None):
@@ -155,6 +157,24 @@ class TestClosedForms:
         # report supports only the true value w.p. p, else nothing: uniform
         assert bitvector_expected_asr(p, 0.0, k) == pytest.approx(
             p + (1 - p) / k, abs=1e-15)
+        # in an array, the q = 0 pair keeps that form beside the others
+        got = bitvector_expected_asr(np.array([p, p]), np.array([0.0, 0.1]), k)
+        assert got.tolist() == [bitvector_expected_asr(p, 0.0, k),
+                                bitvector_expected_asr(p, 0.1, k)]
+
+    @pytest.mark.parametrize("k", [2, 100, 8193, 10 ** 4])
+    def test_bitvector_asr_arrays_match_per_pair_calls(self, k):
+        # the optimizer's UE and THE grids at eps 4, in slices of 64 pairs:
+        # each pair's ASR is the scalar call's to the bit
+        ue_grid = np.linspace(0.5, 1.0, COARSE_GRID_POINTS + 1)[:-1]
+        the_grid = np.linspace(0.5, 1.0, COARSE_GRID_POINTS)
+        for p, q in (ue_pair_from_p(4.0, ue_grid), the_params(4.0, the_grid)):
+            got = np.concatenate([bitvector_expected_asr(p[i:i + 64],
+                                                         q[i:i + 64], k)
+                                  for i in range(0, len(p), 64)])
+            want = [bitvector_expected_asr(a, b, k)
+                    for a, b in zip(p.tolist(), q.tolist())]
+            assert got.tolist() == want
 
     def test_lh_asr_near_eps_cap(self):
         # e^eps is finite but (e^eps + g - 1) max(k/g, 1) overflows

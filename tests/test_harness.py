@@ -330,6 +330,20 @@ class TestParetoSweep:
         with pytest.raises(RangeError, match="she-trials"):
             pareto_sweep(["she"], [1.0], [10], W_HALF, she_trials=0)
 
+    @pytest.mark.parametrize("trials", [1e3, True])
+    def test_she_trials_must_be_an_integer(self, trials):
+        with pytest.raises(RangeError, match="she-trials"):
+            pareto_sweep(["she"], [1.0], [10], W_HALF, she_trials=trials)
+
+    @pytest.mark.parametrize("k", [10.7, 10.0])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(RangeError, match="^k must be"):
+            pareto_sweep(["grr"], [1.0], [k], W_HALF)
+
+    def test_numpy_k_is_an_int(self):
+        row = pareto_sweep(["grr"], [1.0], [np.int64(8)], W_HALF)[0]
+        assert row.k == 8 and type(row.k) is int
+
     def test_workers_below_one_is_a_range_error_without_experiment(self):
         with pytest.raises(RangeError, match="workers"):
             pareto_sweep(["grr"], [1.0], [10], W_HALF, workers=0)
@@ -654,6 +668,12 @@ class TestCli:
         code, _, err = _main(capsys, "analyze", "--protocol", "she", "--eps",
                              "1", "--k", "10", "--she-trials", "0")
         assert code == 2 and "she-trials" in err
+        # past eps = 73.47 sue's p = e^(eps/2)/(e^(eps/2)+1) can round to
+        # 1; the error names the budget, not a p the user never gave
+        code, _, err = _main(capsys, "analyze", "--protocol", "sue", "--eps",
+                             "74", "--k", "10")
+        assert code == 2 and err.startswith("error: eps must be")
+        assert "73.47" in err
 
     def test_traced_pareto_covers_every_layer(self, tmp_path):
         # the benchmark's tracer wraps package attributes by name, so a

@@ -28,6 +28,7 @@ from ldptune.optimizer import (
     COARSE_GRID_POINTS,
     ObjectiveWeights,
     array_objective,
+    grid_argmin,
     grid_search,
     minimize_scalar_bounded,
     objective,
@@ -35,7 +36,6 @@ from ldptune.optimizer import (
     optimize_ass,
     optimize_athe,
     optimize_aue,
-    screened_grid_search,
 )
 from ldptune.protocols import analytic_mse, olh_g, ss_default_omega
 from ldptune.attacks import expected_asr
@@ -147,63 +147,50 @@ class TestGridSearch:
             grid_search(lambda c: c, [])
 
 
-class TestScreenedGridSearch:
-    """The array form ranks; the scalar f decides among near-ties."""
+class TestGridArgmin:
+    """The array form gives f's values; the first minimum wins."""
 
     GRID = np.arange(10)
     # points per pass are PASS_SIZE // width: 3 here, so passes split the grid
     WIDTH = PASS_SIZE // 3
 
-    @staticmethod
-    def _exact(x):
-        return {4: 1.0, 5: 1.0 + 1e-10, 3: 2.0}.get(x, 3.0 + x)
-
-    def _search(self, values):
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return self._exact(x)
-
-        return screened_grid_search(f, self.GRID, values, self.WIDTH), calls
-
-    def test_scalar_decides_within_the_margin(self):
-        # the array form ranks 5 first, 2e-10 (relative) ahead of 4
-        def values(x):
-            v = np.array([self._exact(int(c)) for c in x])
-            v[x == 4] += 3e-10
-            return v
-
-        (x, fx), calls = self._search(values)
-        assert (x, fx) == (4, 1.0)
-        assert calls == [4, 5]
-
     def test_ties_go_to_smallest(self):
+        # 2 and 7 tie, in different passes; 5 is one ulp above them
+        vals = np.full(10, 2.0)
+        vals[[2, 7]] = 1.0
+        vals[5] = np.nextafter(1.0, 2.0)
+
         def f(c):
-            return 1.0 if c in (3, 6) else 2.0
+            raise AssertionError("f is for non-finite values only")
 
-        def values(x):  # ranks 6 first, by 1e-12
-            return np.where(x == 3, 1.0, np.where(x == 6, 1.0 - 1e-12, 2.0))
-
-        assert screened_grid_search(f, self.GRID, values,
-                                    self.WIDTH) == (3, 1.0)
+        assert grid_argmin(f, self.GRID, lambda x: vals[x],
+                           self.WIDTH) == (2, 1.0)
 
     def test_non_finite_points_are_evaluated(self):
-        def values(x):
-            v = np.array([self._exact(int(c)) for c in x])
-            v[x == 4] = np.nan
-            return v
+        # f raises its own error at the first non-finite point, 4
+        calls = []
 
-        (x, _), calls = self._search(values)
-        assert x == 4 and sorted(calls) == [4, 5]
+        def f(c):
+            calls.append(c)
+            raise RangeError("x", "finite", c)
+
+        vals = np.arange(10.0)
+        vals[[4, 8]] = [np.inf, np.nan]
+        with pytest.raises(RangeError, match="got 4$"):
+            grid_argmin(f, self.GRID, lambda x: vals[x], self.WIDTH)
+        assert calls == [4]
+        # an f that returns the value instead raises NonFinite
+        with pytest.raises(NonFinite):
+            grid_argmin(lambda c: vals[c], self.GRID, lambda x: vals[x],
+                        self.WIDTH)
 
     def test_equals_grid_search(self):
         rng = np.random.default_rng(3)
-        vals = rng.random(50)
         grid = np.arange(50)
-        got = screened_grid_search(lambda c: vals[c], grid,
-                                   lambda x: vals[x], self.WIDTH)
-        assert got == grid_search(lambda c: vals[c], grid.tolist())
+        for vals in (rng.random(50), rng.integers(0, 4, 50).astype(float)):
+            got = grid_argmin(lambda c: vals[c], grid, lambda x: vals[x],
+                              self.WIDTH)
+            assert got == grid_search(lambda c: vals[c], grid.tolist())
 
 
 class TestFrozenOptima:
@@ -318,8 +305,8 @@ class TestDominanceDirection:
             assert b >= a - 1e-9
 
 
-# (k, eps, w_asr) cases on which the screened solvers must equal the
-# exhaustive per-point search
+# (k, eps, w_asr) cases on which the solvers must equal the exhaustive
+# per-point search
 SCREEN_CASES = [(k, eps, w) for k in (2, 10, 100) for eps in (1.0, 4.0, 10.0)
                 for w in (0.0, 0.5, 1.0)]
 
@@ -331,8 +318,8 @@ def _scalar_objective(fam, eps, k, weights):
 
 
 class TestScreenedGrids:
-    """The array form only ranks grid points; theta_star must be the
-    exhaustive scalar search's to the bit."""
+    """The array form gives the scalar objective's bits at every grid point,
+    so theta_star is the exhaustive scalar search's to the bit."""
 
     GRIDS = {
         Family.SS: lambda k: np.arange(1, k),
@@ -354,7 +341,7 @@ class TestScreenedGrids:
             vec = array_objective(fam, eps, k, weights)(g)
             scalar = np.array([f[fam](x) for x in g.tolist()])
             gap = np.abs(vec - scalar) / np.abs(scalar)
-            assert gap.max() <= 1e-12, (fam, gap.max())
+            assert gap.max() == 0, (fam, gap.max())
 
         if w > 0:  # at w_asr = 0 ass returns the baseline without a search
             assert (optimize_ass(eps, k, weights).theta_star

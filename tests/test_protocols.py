@@ -1,6 +1,7 @@
 """Perturbation primitives, pure parameters, estimators, and variance forms."""
 
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -76,6 +77,14 @@ class TestParameterRules:
         p, q = sue_params(2.0 * math.log(3.0))
         assert p == pytest.approx(0.75, abs=1e-15)
         assert q == pytest.approx(0.25, abs=1e-15)
+
+    def test_sue_params_past_its_budget_limit(self):
+        # p < 1 up to e^(eps/2) = 2^53; past it p can round to 1, and the
+        # error names eps and the limit, not a p the caller never gave
+        assert sue_params(73.47)[0] < 1
+        for eps in (73.48, 74.0, 700.0):
+            with pytest.raises(RangeError, match=r"^eps .*73\.47.*got"):
+                sue_params(eps)
 
     def test_oue_params(self):
         p, q = oue_params(math.log(3.0))
@@ -564,17 +573,42 @@ hits = {eps: expected_asr_she_mc(eps, 100, 10 ** 5).asr
         for eps in (2, 4, 6, 8, 10)}
 json.dump({"the": hashlib.sha256(f_hat.tobytes()
                                  + str(int(successes)).encode()).hexdigest(),
-           "she_mc": {eps: a.hex() for eps, a in hits.items()}}, sys.stdout)
+           "she_mc": {eps: a.hex() for eps, a in hits.items()},
+           "optima": _optima()}, sys.stdout)
 """
+
+
+def _optima():
+    """theta_star and asr_at_opt of the, aue and athe at k = 100, as hex;
+    the probe runs this function's source too."""
+    out = {}
+    for name in ("the", "aue", "athe"):
+        for eps in (2, 4, 6, 8, 10):
+            r = resolve_protocol(name, float(eps), 100).optimization
+            out[f"{name} {eps}"] = [r.theta_star.hex(), r.asr_at_opt.hex()]
+    return out
+
+
+# sha256 of `_optima()` as sorted JSON, pinned from the optimizer that ranked
+# its grids with a numpy twin of the objective and confirmed the near-best
+# points with the scalar forms
+_OPTIMA_DIGEST = "641385c64ecfa8838a735c5b52286b1eee313a90037699dde38d1add0850cc98"
+
+
+def test_optima_pinned():
+    got = json.dumps(_optima(), sort_keys=True).encode()
+    assert hashlib.sha256(got).hexdigest() == _OPTIMA_DIGEST
 
 
 def test_outputs_hold_without_avx512_dispatch():
     # numpy dispatches log1p to AVX-512 code where the CPU has it; THE and
     # the SHE Monte Carlo compare raw draws, so their bytes must not depend
-    # on that dispatch (the SHE kernel's still does)
+    # on that dispatch (the SHE kernel's still does), and neither may the
+    # optimizers' results
     env = dict(os.environ,
                NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
-    r = subprocess.run([sys.executable, "-c", _DISPATCH_PROBE], env=env,
+    probe = inspect.getsource(_optima) + _DISPATCH_PROBE
+    r = subprocess.run([sys.executable, "-c", probe], env=env,
                        capture_output=True, text=True)
     if r.returncode != 0 and "NPY_DISABLE_CPU_FEATURES" in r.stderr:
         pytest.skip("numpy refuses to disable these CPU features here")
@@ -583,3 +617,4 @@ def test_outputs_hold_without_avx512_dispatch():
     assert out["the"] == _RUN_DIGESTS["the"]
     assert out["she_mc"] == {str(eps): (hits / 10 ** 5).hex()
                              for eps, hits in _SHE_MC_HITS.items()}
+    assert out["optima"] == _optima()
