@@ -118,12 +118,23 @@ def the_params(eps: float, theta) -> tuple:
 
 
 def ss_pure_pair(eps: float, k: int, omega):
-    """(p*, q*) of the size-omega subset report; `omega` may be an array."""
+    """(p*, q*) of the size-omega subset report; `omega` may be an array.
+
+    Where q*'s denominator overflows (eps near its cap, large k), both
+    ratios are taken divided through by w e^eps, which cannot overflow."""
     e = math.exp(eps)
     w = omega
     p_star = w * e / (w * e + k - w)
-    q_star = (w * e * (w - 1) + (k - w) * w) / ((k - 1) * (w * e + k - w))
-    return p_star, q_star
+    den = (k - 1) * (w * e + k - w)
+    q_star = (w * e * (w - 1) + (k - w) * w) / den
+    finite = np.isfinite(den)
+    if np.all(finite):
+        return p_star, q_star
+    r = (k - w) / w / e
+    p_div, q_div = 1 / (1 + r), (w - 1 + (k - w) / e) / ((k - 1) * (1 + r))
+    if np.ndim(w) == 0:
+        return p_div, q_div
+    return np.where(finite, p_star, p_div), np.where(finite, q_star, q_div)
 
 
 def pure_params(cfg: ProtocolConfig) -> PureParams:

@@ -29,7 +29,16 @@ identical reports and guesses (tested).
 THE needs only whether each noisy coordinate exceeds theta, and the Laplace
 transform follows the order of the draws, so its kernel compares the draws'
 53-bit values with two integer cuts, found once per (eps, theta) and checked
-against the transform wherever its rounding leaves the order in doubt.
+against the transform wherever its rounding leaves the order in doubt.  UE
+and THE compare the raw 64-bit draws with each cut shifted up 11 bits, which
+tests the same 53-bit values without a shifted copy of the block.
+
+The support families (SS, UE, LH, THE) share one attack count: the rank of
+x0 among a row's set bits and the row's bit count come from one reduceat
+over the block's flat bytes.  SS's threshold is the row minimum of its keys
+at omega = 1 and a partition otherwise; its keys are released before its
+selection masks are made, so every block allocates into the heap pages the
+last one freed, where keeping them would grow and trim the heap each block.
 """
 
 from __future__ import annotations
@@ -66,8 +75,9 @@ def block_rows(width: int) -> int:
 
 
 def _pick_other(u: np.ndarray, x0: np.ndarray, m: int) -> np.ndarray:
-    """Map uniforms to a category in [0, m) excluding x0, uniformly."""
-    j = np.clip((u * (m - 1)).astype(np.int64), 0, m - 2)
+    """Map uniforms to a category in [0, m) excluding x0, uniformly (a
+    negative u, on rows the caller discards, maps anywhere)."""
+    j = np.minimum((u * (m - 1)).astype(np.int64), m - 2)
     return j + (j >= x0)
 
 
@@ -75,12 +85,22 @@ def _rank_attack_success(bits: np.ndarray, x0: np.ndarray, u_att: np.ndarray,
                          k: int) -> int:
     """Successes of the uniform-over-support attack on a boolean support
     block: pick the r-th set bit, or uniform over [k] when the row is empty."""
-    m = bits.sum(axis=1, dtype=np.int32)
-    # x0's rank among the set bits is the count of set bits before it
-    before = (bits & (np.arange(k) < x0[:, None])).sum(axis=1, dtype=np.int32)
-    r = np.clip((u_att * m).astype(np.int64), 0, np.maximum(m - 1, 0))
-    hit = bits[np.arange(x0.size), x0] & (before == r)
-    fallback = np.clip((u_att * k).astype(np.int64), 0, k - 1)
+    rows = np.arange(x0.size)
+    # x0's rank among the set bits is the count of set bits before it; one
+    # pass over the flat block sums each row's segments [row k, row k + x0)
+    # and [row k + x0, row k + k), so it gives that count and, added, m
+    starts = np.empty(2 * x0.size, dtype=np.int64)
+    starts[0::2] = rows * k
+    starts[1::2] = starts[0::2] + x0
+    seg = np.add.reduceat(bits.reshape(-1).view(np.int8), starts,
+                          dtype=np.int32)
+    before = seg[0::2]
+    # reduceat sums an empty segment (x0 = 0) to its first element, not 0
+    before[x0 == 0] = 0
+    m = before + seg[1::2]
+    r = np.minimum((u_att * m).astype(np.int64), np.maximum(m - 1, 0))
+    hit = bits[rows, x0] & (before == r)
+    fallback = np.minimum((u_att * k).astype(np.int64), k - 1)
     empty_hit = (m == 0) & (fallback == x0)
     return int(np.count_nonzero(hit)) + int(np.count_nonzero(empty_hit))
 
@@ -99,21 +119,27 @@ def _ss(cfg, x0, seeds, counts):
     include = draws_uniform(seeds, 0) < pure_params(cfg).p_star
     keys = draws_u64(seeds[:, None], np.arange(1, k)[None, :])
     # included rows take the omega-1 smallest keys, excluded rows the omega
-    # smallest; the per-row thresholds come from partitioning a slice of rows
-    # at a time, so the partitioned copy stays at PASS_SIZE entries
-    thr = np.empty(x0.size, dtype=np.uint64)
-    step = max(1, PASS_SIZE // k)
-    for lo in range(0, x0.size, step):
-        part = np.partition(keys[lo:lo + step], omega - 1, axis=1)
-        t = part[:, omega - 1]
-        if omega > 1:
-            t = np.where(include[lo:lo + step], part[:, :omega - 1].max(axis=1), t)
-        thr[lo:lo + step] = t
+    # smallest
+    if omega == 1:
+        thr = keys.min(axis=1)
+    else:
+        # the per-row thresholds come from partitioning a slice of rows at a
+        # time, so the partitioned copy stays at PASS_SIZE entries
+        thr = np.empty(x0.size, dtype=np.uint64)
+        step = max(1, PASS_SIZE // k)
+        for lo in range(0, x0.size, step):
+            part = np.partition(keys[lo:lo + step], omega - 1, axis=1)
+            thr[lo:lo + step] = np.where(include[lo:lo + step],
+                                         part[:, :omega - 1].max(axis=1),
+                                         part[:, omega - 1])
     take = keys <= thr[:, None]
+    # freed before the masks below are made, so each block reuses the same
+    # heap pages instead of growing and trimming the heap
+    del keys
     if omega == 1:
         take &= ~include[:, None]
     # key column j is category j below x0 and category j + 1 from x0 on
-    below = np.arange(k - 1) < x0[:, None]
+    below = np.arange(k - 1, dtype=np.int32) < x0.astype(np.int32)[:, None]
     sel = np.zeros((x0.size, k), dtype=bool)
     sel[:, :-1] = take & below
     sel[:, 1:] |= take & ~below
@@ -126,10 +152,11 @@ def _ue(cfg, x0, seeds, counts):
     k, pp = cfg.k, pure_params(cfg)
     rows = np.arange(x0.size)
     z = draws_u64(seeds[:, None], np.arange(k)[None, :])
-    z >>= np.uint64(11)
-    # for the 53-bit uniform u = z 2^-53, u < t is z < ceil(t 2^53)
-    bits = z < np.uint64(math.ceil(pp.q_star * 2.0 ** 53))
-    bits[rows, x0] = z[rows, x0] < np.uint64(math.ceil(pp.p_star * 2.0 ** 53))
+    # for the 53-bit uniform u = (z >> 11) 2^-53, u < t is z >> 11 < C with
+    # C = ceil(t 2^53), which is z < C 2^11: C <= 2^53 - 1 as t < 1
+    bits = z < np.uint64(math.ceil(pp.q_star * 2.0 ** 53) << 11)
+    bits[rows, x0] = z[rows, x0] < np.uint64(
+        math.ceil(pp.p_star * 2.0 ** 53) << 11)
     counts += bits.sum(axis=0, dtype=np.int32)
     return _rank_attack_success(bits, x0, draws_uniform(seeds, k), k)
 
@@ -216,22 +243,26 @@ def _the_cuts(eps: float, theta: float) -> tuple:
                        order_margin(theta - 1.0) + 2.0 ** -52))
 
 
-def _at_or_past(j: np.ndarray, t: int, flips: np.ndarray) -> np.ndarray:
-    """The predicate (j >= t) != (j in flips) of an `_order_cut`."""
-    bits = j >= np.uint64(t)
+def _at_or_past(z: np.ndarray, t: int, flips: np.ndarray) -> np.ndarray:
+    """The predicate (j >= t) != (j in flips) of an `_order_cut`, for raw
+    draws z with 53-bit values j = z >> 11.  j >= t is z >= t 2^11 for
+    t < 2^53; at t = 2^53 no draw passes."""
+    if t < 1 << 53:
+        bits = z >= np.uint64(t << 11)
+    else:
+        bits = np.zeros(z.shape, dtype=bool)
     if flips.size:
-        bits ^= np.isin(j, flips)
+        bits ^= np.isin(z >> np.uint64(11), flips)
     return bits
 
 
 def _the(cfg, x0, seeds, counts):
     # noise L(j) on every coordinate and 1 more on the true one, thresholded
-    # at theta: both tests are integer compares of the draws' 53-bit values
+    # at theta: both tests are integer compares of the raw draws
     k = cfg.k
     rows = np.arange(x0.size)
     others, true = _the_cuts(cfg.eps, cfg.param)
     z = draws_u64(seeds[:, None], np.arange(k)[None, :])
-    z >>= np.uint64(11)
     bits = _at_or_past(z, *others)
     bits[rows, x0] = _at_or_past(z[rows, x0], *true)
     counts += bits.sum(axis=0, dtype=np.int32)

@@ -612,6 +612,16 @@ class TestCli:
         assert payload[0]["protocol"] == "ss"
         assert payload[0]["param"] == "omega"
 
+    @pytest.mark.parametrize("k", ["1000", "10000"])
+    def test_ass_near_the_eps_cap_answers(self, capsys, k):
+        # there q*'s numerator and denominator overflow for most omega
+        code, out, err = _main(capsys, "analyze", "--protocol", "ass",
+                               "--eps", "700", "--k", k)
+        assert code == 0, err
+        row = dict(zip(CSV_HEADER, out.splitlines()[1].split(",")))
+        for col in ("param_value", "analytic_asr", "analytic_mse"):
+            assert math.isfinite(float(row[col])), row
+
     def test_config_error_exit_2(self, capsys):
         # in-process: an exception escaping main fails the test, as a
         # traceback would from the command line

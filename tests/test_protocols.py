@@ -45,6 +45,7 @@ from ldptune.protocols import (
     she_perturb,
     ss_default_omega,
     ss_perturb,
+    ss_pure_pair,
     sue_params,
     support,
     the_params,
@@ -57,6 +58,7 @@ from ldptune.presets import resolve_protocol
 from ldptune.simulate import (
     _at_or_past,
     _order_cut,
+    _rank_attack_success,
     _the_cuts,
     block_rows,
     simulate_run,
@@ -190,6 +192,30 @@ class TestPureParams:
         ps, qs = orc.ss_pure(eps, k, omega)
         assert pp.p_star == pytest.approx(ps, abs=1e-15)
         assert pp.q_star == pytest.approx(qs, abs=1e-15)
+
+    @pytest.mark.parametrize("k", [100, 1000, 10 ** 4])
+    def test_ss_pair_near_the_eps_cap(self, k):
+        # at eps 700 q*'s denominator (k-1)(w e^eps + k - w) overflows for
+        # w >= 18 at k = 1000; the pair stays the exact ratio there, and
+        # keeps the plain expression's bits wherever that one is finite
+        from fractions import Fraction
+        eps = 700.0
+        e = Fraction(math.exp(eps))
+        omegas = sorted({w for w in (1, 2, 17, 18, 50, 133, 134, k // 2, k - 1)
+                         if w < k})
+        with np.errstate(all="ignore"):  # as the optimizer calls it
+            p_arr, q_arr = ss_pure_pair(eps, k, np.array(omegas, dtype=float))
+        for i, w in enumerate(omegas):
+            pp = pure_params(_vc(Family.SS, eps, k, w))
+            assert (pp.p_star, pp.q_star) == (p_arr[i], q_arr[i])
+            p_ref = w * e / (w * e + k - w)
+            q_ref = ((w * e * (w - 1) + (k - w) * w)
+                     / ((k - 1) * (w * e + k - w)))
+            assert pp.p_star == pytest.approx(float(p_ref), rel=1e-15)
+            assert pp.q_star == pytest.approx(float(q_ref), rel=1e-15)
+            plain = orc.ss_pure(eps, k, w)
+            if math.isfinite((k - 1) * (w * math.exp(eps) + k - w)):
+                assert (pp.p_star, pp.q_star) == plain
 
     def test_ss_omega_one_equals_grr(self):
         for eps in (0.5, 2.0):
@@ -465,17 +491,56 @@ _RUN_DIGESTS = {
 }
 
 
+# the same digests for every name the mc_frontier benchmark runs, at its two
+# budgets; they cover ss at omega = 1 (eps 8), ass at omega = 12 (eps 2) and
+# olh at g = 2982 (eps 8, not a power of two).  Pinned from the kernels whose
+# attack made four n x k passes and whose SS partitioned at omega = 1 too
+_SWEEP_DIGESTS = {
+    ("grr", 2): "d46051a7864f63f41d8a0745f95a1a464831a52e6373bdff7b3c5d6bee15cc2c",
+    ("grr", 8): "17e1002f98ae107ee19bde03c0e7e3df2aa502f559341d003bbb39ea856c1344",
+    ("ss", 2): "add44e8fc5665006396cfabae02f9a962487fa7756d52afec596835fef48f75f",
+    ("ss", 8): "7b6b5b1eceb27613f8702d31365cbabcbca3030309f68c29a897719464cbe236",
+    ("sue", 2): "7e59bdc57306e331a2b68065d4e09b0a446cea81da67be44759069a67681d3dc",
+    ("sue", 8): "f072a0df562fc1186e339195a1034a083877e83c33b6ecaa8be6dea1cb2fb084",
+    ("oue", 2): "f86fbbae8ed85b07b828d89ce694ea5d1bd987f24728740ac5facd753e449e02",
+    ("oue", 8): "8d68586819ea3591fc0e841b4a0b50fe111974ebd173ba5b694b73091d876901",
+    ("blh", 2): "0ce9ba79f66e7a094cb2f2af7fd49356b27f3a4646bc262c35ba28f6c8ad9e57",
+    ("blh", 8): "36e8a6e8d0a2dec1ae22502534067173400a903e4727ea752676f3b38c01231a",
+    ("olh", 2): "bb7cc4fb53d851e54ea09aaa4ca8a3c03146f478305ef9f77d9d50118cefb866",
+    ("olh", 8): "7a4aa205ecdcdcbd0d15a2aa6dc8fbd7e675401628d33ed9e8751be90fbd5667",
+    ("she", 2): "b9e56ee72b4bbb1b7bb618f7d7fc6bb959230043894d29daa9daa07ea22621b6",
+    ("she", 8): "43f71bbcb69100c40ec2c406921441aec74bb9cac2a9026e186a79ded01dadac",
+    ("the", 2): "72f6009992b64eb4adee714aa2d0dfae529a0c7f0448649c674fdce36eb45299",
+    ("the", 8): "a793c3cfd9c8eadf076aa466fc5f5bed215c82d6aa4ad11f7f70bc3f2e137035",
+    ("ass", 2): "add44e8fc5665006396cfabae02f9a962487fa7756d52afec596835fef48f75f",
+    ("ass", 8): "b23d650a635f09b7ee9248ed74ad139853ce3c38e61516bcd7472dda6a19f269",
+    ("aue", 2): "7d90a3745e41a0a691c287c51a51efa30353b476fa52fa392d70034fd092862f",
+    ("aue", 8): "a6a9ec83f24c4bc8c125fbbd9277dbd20159854c68a5c37994bf3e910fd14d1f",
+    ("alh", 2): "bb7cc4fb53d851e54ea09aaa4ca8a3c03146f478305ef9f77d9d50118cefb866",
+    ("alh", 8): "6161cbbde224cb8172a8a9720e09f73e5242343be0528cec07e47e88f3f8bed7",
+    ("athe", 2): "dc081344594542c2fcb64a9964785fbaf7c5ab24c057f7c85eaa54531054d6fe",
+    ("athe", 8): "d246e0d5df99e33457f13d6123bc56556ad01b4f20c9198faa9fe992eec1a94f",
+}
+
+
+def _run_digest(name, eps):
+    x0 = np.random.default_rng(2024).integers(0, 100, size=50_000)
+    cfg = resolve_protocol(name, float(eps), 100).config
+    f_hat, successes = simulate_run(cfg, x0, 12345, 1)
+    return hashlib.sha256(np.asarray(f_hat, dtype=np.float64).tobytes()
+                          + str(int(successes)).encode()).hexdigest()
+
+
 class TestBlockedRuns:
     @pytest.mark.parametrize("name", list(_RUN_DIGESTS))
     def test_run_digest_pinned(self, name):
-        x0 = np.random.default_rng(2024).integers(0, 100, size=50_000)
-        cfg = resolve_protocol(name, 4.0, 100).config
-        f_hat, successes = simulate_run(cfg, x0, 12345, 1)
-        digest = hashlib.sha256(np.asarray(f_hat, dtype=np.float64).tobytes()
-                                + str(int(successes)).encode()).hexdigest()
-        assert digest == _RUN_DIGESTS[name]
+        assert _run_digest(name, 4) == _RUN_DIGESTS[name]
 
-    @pytest.mark.parametrize("name", ["oue", "olh", "the"])
+    @pytest.mark.parametrize("name,eps", list(_SWEEP_DIGESTS))
+    def test_sweep_digest_pinned(self, name, eps):
+        assert _run_digest(name, eps) == _SWEEP_DIGESTS[name, eps]
+
+    @pytest.mark.parametrize("name", ["oue", "olh", "the", "ss"])
     def test_memory_flat_in_n(self, name):
         n, k = 200_000, 100
         x0 = np.random.default_rng(0).integers(0, k, size=n)
@@ -490,10 +555,85 @@ class TestBlockedRuns:
         assert peak < 32 * 2 ** 20
 
 
+def _attack_hits(bits, x0, u_att):
+    """Per row, whether `attacks.attack`'s rule guesses x0: the
+    int(u m)-th set bit, or int(u k) when no bit is set."""
+    k = bits.shape[1]
+    hits = []
+    for row, x, u in zip(bits, x0, u_att):
+        sup = np.flatnonzero(row)
+        if sup.size:
+            guess = sup[min(int(u * sup.size), sup.size - 1)]
+        else:
+            guess = min(int(u * k), k - 1)
+        hits.append(guess == x)
+    return np.array(hits)
+
+
+class TestRankAttack:
+    """The kernels' attack count against a per-row reference of the
+    scalar attack's rule, on crafted support blocks."""
+
+    @staticmethod
+    def _check(bits, x0, u_att):
+        bits = np.ascontiguousarray(bits, dtype=bool)
+        x0 = np.asarray(x0, dtype=np.int64)
+        u_att = np.asarray(u_att, dtype=np.float64)
+        hits = _attack_hits(bits, x0, u_att)
+        k = bits.shape[1]
+        assert _rank_attack_success(bits, x0, u_att, k) == hits.sum()
+        for r in range(x0.size):
+            assert _rank_attack_success(bits[r:r + 1], x0[r:r + 1],
+                                        u_att[r:r + 1], k) == hits[r]
+
+    @staticmethod
+    def _aimed(bits, x0):
+        """Uniforms that pick x0 wherever its bit is set."""
+        m = bits.sum(axis=1)
+        before = np.array([row[:x].sum() for row, x in zip(bits, x0)])
+        return np.where(m > 0, (before + 0.5) / np.maximum(m, 1), 0.5)
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 100])
+    @pytest.mark.parametrize("density", [0.01, 0.3, 0.9])
+    def test_random_blocks(self, k, density):
+        rng = np.random.default_rng(k * 100 + int(density * 100))
+        n = 400
+        bits = rng.random((n, k)) < density
+        x0 = rng.integers(0, k, size=n)
+        for u_att in (rng.random(n), np.zeros(n), np.full(n, 1 - 2.0 ** -53),
+                      self._aimed(bits, x0)):
+            self._check(bits, x0, u_att)
+
+    @pytest.mark.parametrize("k", [2, 3, 100])
+    def test_crafted_rows(self, k):
+        # empty and full rows, x0 at both ends, and rows with x0 = k - 1
+        # next to rows with x0 = 0, so a segment that runs into the next
+        # row or an empty segment that is not read as 0 changes the count
+        rows = [np.zeros(k, bool), np.ones(k, bool),
+                np.arange(k) == 0, np.arange(k) == k - 1,
+                np.arange(k) % 2 == 0, np.arange(k) % 2 == 1]
+        bits = np.array([r for r in rows for _ in range(4)])
+        x0 = np.tile([0, k - 1, k - 1, 0], len(rows))
+        for u_att in (np.zeros(x0.size), np.full(x0.size, 1 - 2.0 ** -53),
+                      self._aimed(bits, x0)):
+            self._check(bits, x0, u_att)
+            self._check(bits[::-1], x0[::-1], u_att[::-1])
+            self._check(bits, np.full(x0.size, 0), u_att)
+            self._check(bits, np.full(x0.size, k - 1), u_att)
+
+
 def _laplace_of(j, b):
     """The package's Laplace(0, b) sample of each 53-bit draw j."""
     return laplace_inplace(
         np.left_shift(np.asarray(j, dtype=np.uint64), np.uint64(11)), b)
+
+
+def _raw(j, seed=0):
+    """Raw 64-bit draws whose 53-bit values are j, with random low bits."""
+    j = np.asarray(j, dtype=np.uint64)
+    low = np.random.default_rng(seed).integers(0, 1 << 11, size=j.shape,
+                                               dtype=np.uint64)
+    return np.left_shift(j, np.uint64(11)) | low
 
 
 class TestTheCuts:
@@ -512,8 +652,21 @@ class TestTheCuts:
                 assert _laplace_of([t], b)[0] + plus > theta
             j = np.arange(max(t - 4096, 0), min(t + 4096, 1 << 53),
                           dtype=np.uint64)
-            assert np.array_equal(_at_or_past(j, t, flips),
+            assert np.array_equal(_at_or_past(_raw(j), t, flips),
                                   _laplace_of(j, b) + plus > theta)
+
+    def test_cut_past_every_draw(self):
+        # at eps 700 no Laplace(0, 2/700) sample exceeds theta = 0.5, so the
+        # cut is 2^53, which is 2^64 on the raw draws: none may pass
+        (t, flips), _ = _the_cuts(700.0, 0.5)
+        assert t == 1 << 53 and flips.size == 0
+        top = np.uint64(2 ** 64 - 1)
+        z = np.array([0, top, top - np.uint64(2047), top - np.uint64(2048)],
+                     dtype=np.uint64)
+        assert not _at_or_past(z, t, flips).any()
+        # one below, only the top 53-bit draw passes, whatever its low bits
+        assert _at_or_past(z, t - 1, flips).tolist() == [False, True, True,
+                                                         False]
 
     def test_threads_share_the_cut_cache(self):
         # threads race to build the same cuts with a short switch interval;
@@ -547,7 +700,11 @@ class TestTheCuts:
         t, flips = _order_cut(f, 1000.5, 1.0)
         assert (t, flips.tolist()) == (1001, [1000, 1001])
         j = np.arange(3000, dtype=np.uint64)
-        assert np.array_equal(_at_or_past(j, t, flips), f(j) > 1000.5)
+        assert np.array_equal(_at_or_past(_raw(j), t, flips), f(j) > 1000.5)
+        # the flips are read from the 53-bit values of the raw draws
+        for low in (0, 2047):
+            z = np.left_shift(j, np.uint64(11)) | np.uint64(low)
+            assert np.array_equal(_at_or_past(z, t, flips), f(j) > 1000.5)
 
 
 # SHE Monte Carlo hits per 1e5 trials at k = 100, with the pareto sweep's
