@@ -210,10 +210,26 @@ def lh_exact_expected_asr(eps: float, k: int, g: int) -> float:
     return p * (g / k) * (1 - (1 - 1 / g) ** k) + (1 - p) * t / k
 
 
+def ss_expected_asr(eps: float, k: int, omega):
+    """SS's ASR e^eps / (omega e^eps + k - omega); `omega` may be an array.
+
+    Where the denominator overflows (omega >= 2 past eps = 709.09), it is
+    taken divided through by e^eps, 1 / (omega + (k - omega) / e^eps)."""
+    e = math.exp(eps)
+    den = omega * e + k - omega
+    finite = np.isfinite(den)
+    if np.all(finite):
+        return e / den
+    div = 1 / (omega + (k - omega) / e)
+    if np.ndim(omega) == 0:
+        return div
+    return np.where(finite, e / den, div)
+
+
 def expected_asr(cfg: ProtocolConfig) -> float:
     """Closed-form expected attack success rate for the pure families.
 
-    GRR: e^eps/(e^eps+k-1).  SS: e^eps/(omega e^eps + k - omega).  UE/THE:
+    GRR: e^eps/(e^eps+k-1).  SS: `ss_expected_asr`.  UE/THE:
     the support-size sum of `bitvector_expected_asr`.  LH:
     e^eps/((e^eps+g-1) max(k/g, 1)), a preimage-size approximation (see
     `lh_exact_expected_asr`), divided in two steps where the product in the
@@ -225,7 +241,7 @@ def expected_asr(cfg: ProtocolConfig) -> float:
     if fam is Family.GRR:
         return e / (e + cfg.k - 1)
     if fam is Family.SS:
-        return e / (cfg.param * e + cfg.k - cfg.param)
+        return ss_expected_asr(cfg.eps, cfg.k, cfg.param)
     if fam is Family.LH:
         hashed, preimage = e + cfg.param - 1, max(cfg.k / cfg.param, 1.0)
         if math.isinf(hashed * preimage):  # only near the eps cap

@@ -27,7 +27,7 @@ from .attacks import expected_asr, expected_asr_she_mc
 from .optimizer import ObjectiveWeights
 from .presets import ResolvedProtocol, resolve_protocol
 from .protocols import analytic_mse
-from .simulate import simulate_run
+from .simulate import RunGroup, simulate_run
 
 # run-index namespace reserved for dataset generation, disjoint from
 # experiment run indices (which are < 2^32)
@@ -243,6 +243,44 @@ def _experiment_at(experiment: ExperimentConfig, k: int) -> ExperimentConfig:
     return replace(experiment, n=n, data=ds)
 
 
+def _simulate(configs, experiments: dict, workers: int, keep) -> dict:
+    """`keep(stats)` of the RunStats of every run of each config, as
+    {config: [kept value per run, in run order]}.  `experiments` maps each
+    config's k to its resolved experiment (`_experiment_at`); all of them
+    share one run count and master seed.  Each run simulates the configs of
+    one family and one k as one RunGroup, over one set of draws; `workers`
+    threads map over the runs."""
+    groups = {}
+    for cfg in configs:
+        groups.setdefault((cfg.family, cfg.k), {})[cfg] = None
+    groups = [RunGroup(tuple(g)) for g in groups.values()]
+    users = {}
+    for k, ek in experiments.items():
+        x0 = ek.data.values[:ek.n] - 1
+        users[k] = x0, np.bincount(x0, minlength=k) / ek.n
+    # every k's experiment has the sweep's run count and master seed
+    ek = next(iter(experiments.values()))
+    seed = ek.master_seed
+
+    def one(run):
+        out = {}
+        for group in groups:
+            x0, f_true = users[group.k]
+            results = simulate_run(group, x0, seed, run)
+            for cfg, (f_hat, successes) in zip(group.configs, results):
+                mse = float(np.mean((f_hat - f_true) ** 2))
+                out[cfg] = keep(RunStats(successes / x0.size, mse, f_hat))
+        return out
+
+    runs = range(ek.runs)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            per_run = list(ex.map(one, runs))
+    else:
+        per_run = [one(r) for r in runs]
+    return {cfg: [r[cfg] for r in per_run] for g in groups for cfg in g.configs}
+
+
 def run_experiment(protocol, experiment: ExperimentConfig, workers: int = 1):
     """Simulate `experiment.runs` independent runs of `protocol` (a
     ProtocolConfig or a ResolvedProtocol); returns a list of RunStats in run
@@ -255,21 +293,8 @@ def run_experiment(protocol, experiment: ExperimentConfig, workers: int = 1):
                          protocol)
     if workers < 1:
         raise RangeError("workers", "an integer >= 1", workers)
-    experiment = _experiment_at(experiment, protocol.k)
-    n, seed = experiment.n, experiment.master_seed
-    x0 = experiment.data.values[:n] - 1
-    f_true = np.bincount(x0, minlength=protocol.k) / n
-
-    def one(run):
-        f_hat, successes = simulate_run(protocol, x0, seed, run)
-        mse = float(np.mean((f_hat - f_true) ** 2))
-        return RunStats(successes / n, mse, f_hat)
-
-    runs = range(experiment.runs)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(one, runs))
-    return [one(r) for r in runs]
+    experiments = {protocol.k: _experiment_at(experiment, protocol.k)}
+    return _simulate([protocol], experiments, workers, lambda s: s)[protocol]
 
 
 @dataclass(frozen=True)
@@ -309,13 +334,18 @@ def pareto_sweep(protocols, eps_grid, k_grid, weights: ObjectiveWeights,
     every point.  `param` pins the free parameter of every point
     (single-protocol sweeps only).  `workers` is checked even without an
     experiment.
+
+    It works in three stages: every point's analytic columns, in row order
+    (so the first bad point raises, before any run); then every run of every
+    point, the points of one family and one k simulated together
+    (`_simulate`); then the rows.
     """
     if not (is_int(she_trials) and she_trials >= 1):
         raise RangeError("she-trials", "an integer >= 1", she_trials)
     if workers < 1:
         raise RangeError("workers", "an integer >= 1", workers)
     ks = [int(check_k(k)) for k in k_grid]
-    rows = []
+    points = []
     experiment_at = {}
     for name in protocols:
         for k in ks:
@@ -326,21 +356,32 @@ def pareto_sweep(protocols, eps_grid, k_grid, weights: ObjectiveWeights,
                     a_asr, estderr = mc.asr, mc.stderr
                 else:
                     a_asr, estderr = expected_asr(rp.config), None
-                easr = emse = n_col = runs_col = seed_col = None
+                n_col = None
                 if experiment is not None:
                     if k not in experiment_at:
                         experiment_at[k] = _experiment_at(experiment, k)
-                    ek = experiment_at[k]
-                    stats = run_experiment(rp, ek, workers=workers)
-                    easr = float(np.mean([s.empirical_asr for s in stats]))
-                    estderr = math.sqrt(easr * (1 - easr) / (ek.n * ek.runs))
-                    emse = float(np.mean([s.empirical_mse for s in stats]))
-                    n_col, runs_col, seed_col = ek.n, ek.runs, ek.master_seed
+                    n_col = experiment_at[k].n
                 a_mse = analytic_mse(rp.config, n_col if n_col else 1)
-                rows.append(ParetoRow(name, float(eps), k, rp.param_name,
-                                      rp.param_value, float(a_asr), float(a_mse),
-                                      easr, estderr, emse, n_col, runs_col,
-                                      seed_col))
+                points.append((name, eps, k, rp, a_asr, estderr, a_mse))
+
+    empirical = {}
+    if experiment_at:  # an experiment, and at least one point
+        empirical = _simulate([p[3].config for p in points], experiment_at,
+                              workers,
+                              lambda s: (s.empirical_asr, s.empirical_mse))
+    rows = []
+    for name, eps, k, rp, a_asr, estderr, a_mse in points:
+        easr = emse = n_col = runs_col = seed_col = None
+        if experiment is not None:
+            ek = experiment_at[k]
+            asrs, mses = zip(*empirical[rp.config])
+            easr = float(np.mean(asrs))
+            estderr = math.sqrt(easr * (1 - easr) / (ek.n * ek.runs))
+            emse = float(np.mean(mses))
+            n_col, runs_col, seed_col = ek.n, ek.runs, ek.master_seed
+        rows.append(ParetoRow(name, float(eps), k, rp.param_name,
+                              rp.param_value, float(a_asr), float(a_mse),
+                              easr, estderr, emse, n_col, runs_col, seed_col))
     return rows
 
 

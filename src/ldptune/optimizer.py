@@ -36,11 +36,11 @@ from .model import (
     RangeError,
     check_k,
 )
-from .attacks import bitvector_expected_asr, expected_asr
+from .attacks import bitvector_expected_asr, expected_asr, ss_expected_asr
 from .protocols import (
     analytic_mse,
     first_order_mse,
-    olh_g,
+    round_half_away,
     ss_default_omega,
     ss_pure_pair,
     the_params,
@@ -241,7 +241,7 @@ def array_objective(family: Family, eps: float, k: int,
     e = math.exp(eps)
     if fam is Family.SS:
         def terms(w):
-            return (e / (w * e + k - w),) + ss_pure_pair(eps, k, w)
+            return (ss_expected_asr(eps, k, w),) + ss_pure_pair(eps, k, w)
     elif fam is Family.LH:
         def terms(g):  # `expected_asr` and `pure_params`, elementwise
             hashed, preimage = e + g - 1, np.maximum(k / g, 1.0)
@@ -344,7 +344,7 @@ def optimize_alh(eps: float, k: int, weights: ObjectiveWeights,
 
     g_low, _ = grid_argmin(
         f, np.arange(2, k + 1), array_objective(Family.LH, eps, k, weights, n))
-    top = min(max(k, olh_g(eps)), MAX_G)
+    top = min(max(k, round_half_away(e + 1)), MAX_G)
     lo, hi = k, top
     steps = 0
     while lo < hi:

@@ -1,16 +1,20 @@
 """Vectorized simulation kernels, run over byte-budgeted user blocks.
 
-One `simulate_run` call simulates every user of one run: perturb, aggregate,
-estimate, and attack, all as array operations.  It is the only loop over
-users: it walks them in blocks of `BLOCK_BYTES // (8 k)` rows (GRR, which
-holds no k-wide array, `BLOCK_BYTES // 8`), so one 64-bit array of a block
-takes at most `BLOCK_BYTES` and memory stays flat in n.  Each per-family
-kernel takes one block, adds its column counts (SHE: column sums) into the
-run's running total and returns the block's attack successes.
+One `simulate_run` call simulates every user of one run for every config of
+a `RunGroup` (configs of one family and one k; a lone config is a group of
+one): perturb, aggregate, estimate, and attack, all as array operations.  It
+is the only loop over users: it walks them in blocks of `BLOCK_BYTES // (8 k)`
+rows (GRR, which holds no k-wide array, `BLOCK_BYTES // 64`), so one 64-bit
+array of a block takes at most `BLOCK_BYTES` and memory stays flat in n.
+Each per-family kernel takes one block, draws it once, evaluates every config
+of the group on those draws, adds each config's column counts (SHE: column
+sums) into that config's running total and returns each config's attack
+successes.
 
 Each user owns the counter-based stream derived from (master_seed, run,
-user), whose j-th draw is addressable directly, so a block draws exactly the
-values the whole run would and blocking changes no output bit.  The
+user), whose j-th draw is addressable directly and does not depend on the
+config, so a block of a group draws exactly the values a whole run of each
+config alone would: neither blocking nor grouping changes an output bit.  The
 per-family draw layout:
 
 - grr: counter 0 = perturbation; the attack guess is the report itself.
@@ -26,6 +30,18 @@ The scalar functions in `protocols`/`attacks` consume draws in exactly this
 order, so for any user the kernel and the per-user reference path produce
 identical reports and guesses (tested).
 
+What the configs of a group share, per block:
+
+- grr: the perturbation uniform.
+- ss:  the inclusion uniform, the keys, and one sort per PASS_SIZE slice of
+       rows, of which each config keeps only its threshold columns.
+- ue, the: the raw k-wide block, its true column and the attack uniform;
+       each config compares them with its own integer cuts.
+- lh:  the 64-bit hashes before the remainder, and both uniforms; each
+       config takes its buckets (`hash_remainder`) a slice at a time.
+- she: the Laplace transform at scale 1, which each config scales by its
+       b = 2/eps.
+
 THE needs only whether each noisy coordinate exceeds theta, and the Laplace
 transform follows the order of the draws, so its kernel compares the draws'
 53-bit values with two integer cuts, found once per (eps, theta) and checked
@@ -35,16 +51,16 @@ tests the same 53-bit values without a shifted copy of the block.
 
 The support families (SS, UE, LH, THE) share one attack count: the rank of
 x0 among a row's set bits and the row's bit count come from one reduceat
-over the block's flat bytes.  SS's threshold is the row minimum of its keys
-at omega = 1 and a partition otherwise; its keys are released before its
-selection masks are made, so every block allocates into the heap pages the
-last one freed, where keeping them would grow and trim the heap each block.
+over the block's flat bytes.  SS and LH write every config's support into
+one mask per block, so a group holds the shared draws, one mask and
+PASS_SIZE scratch however many configs it has.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,6 +68,7 @@ from .model import (
     PASS_SIZE,
     Family,
     ProtocolConfig,
+    RangeError,
     draws_laplace,
     draws_u64,
     draws_uniform,
@@ -62,6 +79,7 @@ from .model import (
 from .protocols import (
     estimate_from_counts,
     hash_buckets,
+    hash_remainder,
     pure_params,
 )
 
@@ -92,8 +110,10 @@ def _rank_attack_success(bits: np.ndarray, x0: np.ndarray, u_att: np.ndarray,
     starts = np.empty(2 * x0.size, dtype=np.int64)
     starts[0::2] = rows * k
     starts[1::2] = starts[0::2] + x0
+    # reduceat casts the whole block to its dtype first: int16 holds a
+    # row's count for k < 2^15 in half int32's bytes
     seg = np.add.reduceat(bits.reshape(-1).view(np.int8), starts,
-                          dtype=np.int32)
+                          dtype=np.int16 if k < 1 << 15 else np.int32)
     before = seg[0::2]
     # reduceat sums an empty segment (x0 = 0) to its first element, not 0
     before[x0 == 0] = 0
@@ -105,83 +125,162 @@ def _rank_attack_success(bits: np.ndarray, x0: np.ndarray, u_att: np.ndarray,
     return int(np.count_nonzero(hit)) + int(np.count_nonzero(empty_hit))
 
 
-def _grr(cfg, x0, seeds, counts):
-    k, p = cfg.k, pure_params(cfg).p_star
+def _grr(cfgs, x0, seeds, totals):
     u = draws_uniform(seeds, 0)
-    keep = u < p
-    y0 = np.where(keep, x0, _pick_other((u - p) / (1 - p), x0, k))
-    counts += np.bincount(y0, minlength=k)
-    return int(np.count_nonzero(keep))
+    succ = []
+    for cfg, counts in zip(cfgs, totals):
+        k, p = cfg.k, pure_params(cfg).p_star
+        keep = u < p
+        succ.append(int(np.count_nonzero(keep)))
+        counts += np.bincount(
+            np.where(keep, x0, _pick_other((u - p) / (1 - p), x0, k)),
+            minlength=k)
+    return succ
 
 
-def _ss(cfg, x0, seeds, counts):
-    k, omega = cfg.k, cfg.param
-    include = draws_uniform(seeds, 0) < pure_params(cfg).p_star
+def _order_stats(keys: np.ndarray, cols: set) -> dict:
+    """{c: each row's (c+1)-th smallest key} for the columns `cols`, from
+    one sort per slice of rows, so the sorted copy stays at PASS_SIZE
+    entries; a lone column 0 is the row minimum.  (A partition at several
+    columns costs four sorts; at one it costs about one.)"""
+    if cols == {0}:
+        return {0: keys.min(axis=1)}
+    stats = {c: np.empty(len(keys), dtype=np.uint64) for c in cols}
+    step = max(1, PASS_SIZE // keys.shape[1])
+    for lo in range(0, len(keys), step):
+        part = np.sort(keys[lo:lo + step], axis=1)
+        for c in cols:
+            stats[c][lo:lo + step] = part[:, c]
+    return stats
+
+
+def _ss(cfgs, x0, seeds, totals):
+    k = cfgs[0].k
+    rows = np.arange(x0.size)
+    u_inc = draws_uniform(seeds, 0)
     keys = draws_u64(seeds[:, None], np.arange(1, k)[None, :])
+    u_att = draws_uniform(seeds, k)
     # included rows take the omega-1 smallest keys, excluded rows the omega
-    # smallest
-    if omega == 1:
-        thr = keys.min(axis=1)
-    else:
-        # the per-row thresholds come from partitioning a slice of rows at a
-        # time, so the partitioned copy stays at PASS_SIZE entries
-        thr = np.empty(x0.size, dtype=np.uint64)
-        step = max(1, PASS_SIZE // k)
-        for lo in range(0, x0.size, step):
-            part = np.partition(keys[lo:lo + step], omega - 1, axis=1)
-            thr[lo:lo + step] = np.where(include[lo:lo + step],
-                                         part[:, :omega - 1].max(axis=1),
-                                         part[:, omega - 1])
-    take = keys <= thr[:, None]
-    # freed before the masks below are made, so each block reuses the same
-    # heap pages instead of growing and trimming the heap
-    del keys
-    if omega == 1:
-        take &= ~include[:, None]
+    # smallest: the threshold is the key of rank omega-1 or omega
+    stats = _order_stats(keys, {c for cfg in cfgs
+                                for c in (cfg.param - 2, cfg.param - 1)
+                                if c >= 0})
     # key column j is category j below x0 and category j + 1 from x0 on
     below = np.arange(k - 1, dtype=np.int32) < x0.astype(np.int32)[:, None]
-    sel = np.zeros((x0.size, k), dtype=bool)
-    sel[:, :-1] = take & below
-    sel[:, 1:] |= take & ~below
-    sel[np.arange(x0.size), x0] = include
-    counts += sel.sum(axis=0, dtype=np.int32)
-    return _rank_attack_success(sel, x0, draws_uniform(seeds, k), k)
+    # every config rewrites one selection mask whole: key column j's test
+    # goes to column j + 1, moves to column j where j < x0 (copyto reads an
+    # overlapping source as it was before the call), and column x0 takes the
+    # inclusion
+    sel = np.empty((x0.size, k), dtype=bool)
+    take = sel[:, 1:]
+    succ = []
+    for cfg, counts in zip(cfgs, totals):
+        omega = cfg.param
+        include = u_inc < pure_params(cfg).p_star
+        if omega == 1:
+            np.less_equal(keys, stats[0][:, None], out=take)
+            take &= ~include[:, None]
+        else:
+            thr = np.where(include, stats[omega - 2], stats[omega - 1])
+            np.less_equal(keys, thr[:, None], out=take)
+        np.copyto(sel[:, :-1], take, where=below)
+        sel[rows, x0] = include
+        counts += sel.sum(axis=0, dtype=np.int32)
+        succ.append(_rank_attack_success(sel, x0, u_att, k))
+    return succ
 
 
-def _ue(cfg, x0, seeds, counts):
-    k, pp = cfg.k, pure_params(cfg)
-    rows = np.arange(x0.size)
-    z = draws_u64(seeds[:, None], np.arange(k)[None, :])
+def _bitvector(tests):
+    """The UE/THE kernel: `tests(cfg)` gives the config's predicates on raw
+    draws for the other coordinates and for the true one."""
+
+    def kernel(cfgs, x0, seeds, totals):
+        k = cfgs[0].k
+        rows = np.arange(x0.size)
+        z = draws_u64(seeds[:, None], np.arange(k)[None, :])
+        z_true = z[rows, x0]
+        u_att = draws_uniform(seeds, k)
+        succ = []
+        for cfg, counts in zip(cfgs, totals):
+            other, true = tests(cfg)
+            bits = other(z)
+            bits[rows, x0] = true(z_true)
+            counts += bits.sum(axis=0, dtype=np.int32)
+            succ.append(_rank_attack_success(bits, x0, u_att, k))
+        return succ
+
+    return kernel
+
+
+def _ue_tests(cfg):
     # for the 53-bit uniform u = (z >> 11) 2^-53, u < t is z >> 11 < C with
     # C = ceil(t 2^53), which is z < C 2^11: C <= 2^53 - 1 as t < 1
-    bits = z < np.uint64(math.ceil(pp.q_star * 2.0 ** 53) << 11)
-    bits[rows, x0] = z[rows, x0] < np.uint64(
-        math.ceil(pp.p_star * 2.0 ** 53) << 11)
-    counts += bits.sum(axis=0, dtype=np.int32)
-    return _rank_attack_success(bits, x0, draws_uniform(seeds, k), k)
+    def below(t):
+        cut = np.uint64(math.ceil(t * 2.0 ** 53) << 11)
+        return lambda z: z < cut
+
+    pp = pure_params(cfg)
+    return below(pp.q_star), below(pp.p_star)
 
 
-def _lh(cfg, x0, seeds, counts):
-    k, g, p = cfg.k, cfg.param, pure_params(cfg).p_star
+def _the_tests(cfg):
+    # noise L(j) on every coordinate and 1 more on the true one, thresholded
+    # at theta: both tests are integer compares of the raw draws
+    others, true = _the_cuts(cfg.eps, cfg.param)
+    return (lambda z: _at_or_past(z, *others),
+            lambda z: _at_or_past(z, *true))
+
+
+def _lh(cfgs, x0, seeds, totals):
+    k = cfgs[0].k
+    rows = np.arange(x0.size)
     # one call for the three per-user draws: hash seed, perturbation, pick
     z = draws_u64(seeds[:, None], np.arange(3)[None, :])
-    buckets = hash_buckets(z[:, :1], np.arange(1, k + 1)[None, :], g)
-    bx = buckets[np.arange(x0.size), x0]
+    h = hash_buckets(z[:, :1], np.arange(1, k + 1)[None, :])
+    h_true = h[rows, x0]
     u, u_att = ((z[:, 1:] >> np.uint64(11)) * 2.0 ** -53).T
-    y0 = np.where(u < p, bx, _pick_other((u - p) / (1 - p), bx, g))
-    supp = buckets == y0[:, None]
-    counts += supp.sum(axis=0, dtype=np.int32)
-    return _rank_attack_success(supp, x0, u_att, k)
+    # each config's buckets are taken a slice of rows at a time, into one
+    # buffer of PASS_SIZE entries, and compared with its reports there
+    step = max(1, PASS_SIZE // k)
+    buf = np.empty((min(step, x0.size), k), dtype=np.uint64)
+    supp = np.empty((x0.size, k), dtype=bool)
+    succ = []
+    for cfg, counts in zip(cfgs, totals):
+        g, p = cfg.param, pure_params(cfg).p_star
+        bx = hash_remainder(h_true, g, np.empty_like(h_true)).view(np.int64)
+        y0 = np.where(u < p, bx, _pick_other((u - p) / (1 - p), bx, g))
+        for lo in range(0, x0.size, step):
+            hs = h[lo:lo + step]
+            part = hash_remainder(hs, g, buf[:len(hs)]).view(np.int64)
+            np.equal(part, y0[lo:lo + step, None], out=supp[lo:lo + step])
+        counts += supp.sum(axis=0, dtype=np.int32)
+        succ.append(_rank_attack_success(supp, x0, u_att, k))
+    return succ
 
 
-def _she(cfg, x0, seeds, sums):
-    v = draws_laplace(seeds[:, None], np.arange(cfg.k)[None, :], 2.0 / cfg.eps)
-    v[np.arange(x0.size), x0] += 1.0
-    succ = int(np.count_nonzero(np.argmax(v, axis=1) == x0))
-    # folding the running sum into row 0 keeps the whole run's sequential
-    # row order, so the sums equal v.mean(axis=0)'s over all users bit for bit
-    v[0] += sums
-    np.add.reduce(v, axis=0, out=sums)
+def _she(cfgs, x0, seeds, totals):
+    k = cfgs[0].k
+    # the sample at scale b is b times the sample at scale 1 (copysign and
+    # the product by b > 0 commute bit for bit), so one transform serves
+    # every eps; each config scales it a slice of rows at a time
+    unit = draws_laplace(seeds[:, None], np.arange(k)[None, :], 1.0)
+    step = max(1, PASS_SIZE // k)
+    buf = np.empty((min(step, x0.size), k))
+    succ = []
+    for cfg, sums in zip(cfgs, totals):
+        b = 2.0 / cfg.eps
+        hits = 0
+        for lo in range(0, x0.size, step):
+            xs = x0[lo:lo + step]
+            v = np.multiply(unit[lo:lo + step], b, out=buf[:xs.size])
+            v[np.arange(xs.size), xs] += 1.0
+            hits += int(np.count_nonzero(np.argmax(v, axis=1) == xs))
+            # folding the running sum into row 0 keeps the whole run's
+            # sequential row order, so the sums equal v.mean(axis=0)'s over
+            # all users bit for bit
+            v[0] += sums
+            np.add.reduce(v, axis=0, out=sums)
+        succ.append(hits)
     return succ
 
 
@@ -256,42 +355,64 @@ def _at_or_past(z: np.ndarray, t: int, flips: np.ndarray) -> np.ndarray:
     return bits
 
 
-def _the(cfg, x0, seeds, counts):
-    # noise L(j) on every coordinate and 1 more on the true one, thresholded
-    # at theta: both tests are integer compares of the raw draws
-    k = cfg.k
-    rows = np.arange(x0.size)
-    others, true = _the_cuts(cfg.eps, cfg.param)
-    z = draws_u64(seeds[:, None], np.arange(k)[None, :])
-    bits = _at_or_past(z, *others)
-    bits[rows, x0] = _at_or_past(z[rows, x0], *true)
-    counts += bits.sum(axis=0, dtype=np.int32)
-    return _rank_attack_success(bits, x0, draws_uniform(seeds, k), k)
+_KERNELS = {Family.GRR: _grr, Family.SS: _ss, Family.UE: _bitvector(_ue_tests),
+            Family.LH: _lh, Family.SHE: _she, Family.THE: _bitvector(_the_tests)}
 
 
-_KERNELS = {Family.GRR: _grr, Family.SS: _ss, Family.UE: _ue, Family.LH: _lh,
-            Family.SHE: _she, Family.THE: _the}
+@dataclass(frozen=True)
+class RunGroup:
+    """Configs of one family and one k, which one `simulate_run` call runs
+    over the same draws.  Construction makes `configs` a tuple and checks
+    that it is a non-empty sequence of such ProtocolConfigs."""
+
+    configs: tuple
+
+    def __post_init__(self):
+        cfgs = tuple(self.configs)
+        object.__setattr__(self, "configs", cfgs)
+        if not cfgs or not all(isinstance(c, ProtocolConfig) for c in cfgs):
+            raise RangeError("group", "a non-empty sequence of ProtocolConfigs",
+                             cfgs)
+        if len({(c.family, c.k) for c in cfgs}) > 1:
+            raise RangeError("group", "configs of one family and one k",
+                             tuple((c.family.value, c.k) for c in cfgs))
+
+    @property
+    def family(self) -> Family:
+        return self.configs[0].family
+
+    @property
+    def k(self) -> int:
+        return self.configs[0].k
 
 
-def simulate_run(cfg: ProtocolConfig, x0: np.ndarray, master_seed: int,
-                 run: int) -> tuple:
-    """Simulate one run: every user perturbs their (0-based) value in `x0`
-    and is attacked once.
+def simulate_run(group, x0: np.ndarray, master_seed: int, run: int):
+    """Simulate one run of every config of `group`, a RunGroup: every user
+    perturbs their (0-based) value in `x0` and is attacked once, on the
+    same draws for every config.
 
-    Returns (f_hat, successes): the frequency estimate over the whole run and
-    the number of users whose value the attacker guessed.
+    Returns a list of (f_hat, successes), one per config in group order: the
+    frequency estimate over the whole run and the number of users whose
+    value the attacker guessed.  A ProtocolConfig runs as a group of one and
+    returns its (f_hat, successes) alone.
     """
+    if isinstance(group, ProtocolConfig):
+        return simulate_run(RunGroup((group,)), x0, master_seed, run)[0]
     x0 = np.asarray(x0, dtype=np.int64)
-    n, k = x0.size, cfg.k
-    fam = cfg.family
+    n, k, fam, cfgs = x0.size, group.k, group.family, group.configs
     kernel = _KERNELS[fam]
-    total = np.zeros(k, dtype=np.float64 if fam is Family.SHE else np.int64)
-    succ = 0
-    step = block_rows(1 if fam is Family.GRR else k)
+    dtype = np.float64 if fam is Family.SHE else np.int64
+    totals = [np.zeros(k, dtype=dtype) for _ in cfgs]
+    succ = [0] * len(cfgs)
+    # a GRR user holds no k-wide array, but GRR makes several user-wide
+    # temporaries: blocks of 8 values a user keep each at PASS_SIZE entries
+    step = block_rows(8 if fam is Family.GRR else k)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         seeds = stream_seeds(master_seed, run, np.arange(lo, hi))
-        succ += kernel(cfg, x0[lo:hi], seeds, total)
+        succ = [a + b for a, b in zip(succ, kernel(cfgs, x0[lo:hi], seeds,
+                                                   totals))]
     if fam is Family.SHE:
-        return total / n, succ
-    return estimate_from_counts(total, n, pure_params(cfg)), succ
+        return [(total / n, s) for total, s in zip(totals, succ)]
+    return [(estimate_from_counts(total, n, pure_params(cfg)), s)
+            for cfg, total, s in zip(cfgs, totals, succ)]

@@ -2,7 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The empirical sweep
 behind criteria 4 and 5 (12 protocols, five budgets, 100 runs of 5e4 users
-each) takes tens of minutes; everything else finishes in a couple of minutes.
+each, one `pareto_sweep`) took 110-133 s on a 2-core x86_64 machine (263-273
+s before each run simulated a family's points on shared draws); everything
+else finishes in a couple of minutes.
 
 All empirical criteria are frozen at MASTER_SEED = 7.  The kernel has been
 checked for bias separately (criterion 9 and the adjudication stderr
@@ -64,33 +66,29 @@ def sweep_dataset():
 
 @pytest.fixture(scope="module")
 def sweep_results(sweep_dataset):
-    """Shared empirical sweep for criteria 4 and 5."""
+    """Shared empirical sweep for criteria 4 and 5: one `pareto_sweep`, whose
+    runs simulate the points of one family together, on shared draws; its
+    rows carry each point's run means and expected ASR."""
+    rows = lt.pareto_sweep(
+        lt.PROTOCOL_NAMES, SWEEP_EPS, [SWEEP_K], W_HALF,
+        experiment=lt.ExperimentConfig(SWEEP_N, SWEEP_RUNS, MASTER_SEED,
+                                       sweep_dataset),
+        workers=WORKERS, she_trials=10 ** 6)
     out = {}
-    for name in lt.PROTOCOL_NAMES:
-        for eps in SWEEP_EPS:
-            rp = lt.resolve_protocol(name, eps, SWEEP_K, W_HALF)
-            cfg = rp.config
-            if cfg.family is lt.Family.SHE:
-                expected = lt.expected_asr_she_mc(eps, SWEEP_K, 10 ** 6).asr
-            else:
-                expected = lt.expected_asr(cfg)
-            if cfg.family is lt.Family.LH:
-                exact = lt.lh_exact_expected_asr(eps, SWEEP_K, cfg.param)
-            else:
-                exact = expected
-            stats = lt.run_experiment(
-                rp, lt.ExperimentConfig(SWEEP_N, SWEEP_RUNS, MASTER_SEED,
-                                        sweep_dataset),
-                workers=WORKERS)
-            out[name, eps] = {
-                "config": cfg,
-                "expected_asr": expected,
-                "exact_asr": exact,
-                "empirical_asr": float(np.mean([s.empirical_asr
-                                                for s in stats])),
-                "empirical_mse": float(np.mean([s.empirical_mse
-                                                for s in stats])),
-            }
+    for row in rows:
+        cfg = lt.resolve_protocol(row.protocol, row.eps, SWEEP_K,
+                                  W_HALF).config
+        if cfg.family is lt.Family.LH:
+            exact = lt.lh_exact_expected_asr(row.eps, SWEEP_K, cfg.param)
+        else:
+            exact = row.analytic_asr
+        out[row.protocol, row.eps] = {
+            "config": cfg,
+            "expected_asr": row.analytic_asr,
+            "exact_asr": exact,
+            "empirical_asr": row.empirical_asr,
+            "empirical_mse": row.empirical_mse,
+        }
     return out
 
 

@@ -20,8 +20,10 @@ from ldptune.attacks import (
     lgamma_table,
     lh_exact_expected_asr,
     logsumexp,
+    ss_expected_asr,
 )
 from ldptune.model import (
+    MAX_EPS,
     BitVectorReport,
     CategoryReport,
     DataError,
@@ -183,6 +185,26 @@ class TestClosedForms:
             e = math.exp(eps)
             assert expected_asr(_vc(Family.LH, eps, k, g)) == (
                 e / ((e + g - 1) * max(k / g, 1.0)))
+
+    @pytest.mark.parametrize("k", [10, 1000, 10 ** 4])
+    def test_ss_asr_past_the_overflow(self, k):
+        # omega e^eps overflows past eps = 709.09 for omega >= 2; the ASR
+        # stays the exact ratio there (it read 0), as scalar and array, and
+        # keeps the plain expression's bits wherever that one is finite
+        from fractions import Fraction
+        omegas = sorted({w for w in (1, 2, 3, k // 2, k - 1) if w < k})
+        for eps in (709.0, 709.09, 709.1, 709.5, MAX_EPS):
+            e = Fraction(math.exp(eps))
+            with np.errstate(all="ignore"):  # as the optimizer calls it
+                arr = ss_expected_asr(eps, k, np.array(omegas))
+            for i, w in enumerate(omegas):
+                got = expected_asr(_vc(Family.SS, eps, k, w))
+                assert got == arr[i]
+                assert got == pytest.approx(float(e / (w * e + k - w)),
+                                            rel=1e-15)
+                den = w * math.exp(eps) + k - w
+                if math.isfinite(den):
+                    assert got == math.exp(eps) / den
 
     def test_she_analytic_asr_unsupported(self):
         with pytest.raises(UnsupportedFamily):

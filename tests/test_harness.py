@@ -323,6 +323,32 @@ class TestParetoSweep:
         assert row.empirical_asr_stderr is not None
         assert 0 < row.empirical_asr_stderr < 0.01
 
+    def test_rows_carry_each_points_run_means(self):
+        # the sweep runs each family's points together, on shared draws (ss
+        # and ass, olh and alh share a config at eps 1); each row's columns
+        # are still its own point's run_experiment means, bit for bit
+        exp = ExperimentConfig(400, 3, 11)
+        rows = pareto_sweep(list(PROTOCOL_NAMES), [1.0, 4.0], [10], W_HALF,
+                            experiment=exp, workers=2, she_trials=1000)
+        assert len(rows) == 2 * len(PROTOCOL_NAMES)
+        for row in rows:
+            stats = run_experiment(
+                resolve_protocol(row.protocol, row.eps, 10, W_HALF), exp)
+            assert row.empirical_asr == float(
+                np.mean([s.empirical_asr for s in stats])), row
+            assert row.empirical_mse == float(
+                np.mean([s.empirical_mse for s in stats])), row
+
+    def test_every_point_resolves_before_any_run(self, monkeypatch):
+        def no_runs(*args):
+            raise AssertionError("a run started before every point resolved")
+        monkeypatch.setattr("ldptune.harness.simulate_run", no_runs)
+        exp = ExperimentConfig(100, 1, 0)
+        with pytest.raises(RangeError, match="^eps"):
+            pareto_sweep(["grr", "olh"], [2.0, 50.0], [10], W_HALF,
+                         experiment=exp)
+        assert pareto_sweep(["grr"], [], [10], W_HALF, experiment=exp) == []
+
     def test_she_trials_below_one_is_a_range_error(self, monkeypatch):
         def no_points(*args, **kwargs):
             raise AssertionError("a point ran before the check")
@@ -621,6 +647,17 @@ class TestCli:
         row = dict(zip(CSV_HEADER, out.splitlines()[1].split(",")))
         for col in ("param_value", "analytic_asr", "analytic_mse"):
             assert math.isfinite(float(row[col])), row
+
+    def test_olh_past_its_budget_limit(self, capsys):
+        # g = round(e^eps + 1) fits 2^63 up to eps = 63 ln 2 = 43.668; past
+        # it the error names eps, not a g the user never gave
+        code, out, err = _main(capsys, "analyze", "--protocol", "olh",
+                               "--eps", "43.6", "--k", "10")
+        assert code == 0, err
+        code, out, err = _main(capsys, "analyze", "--protocol", "olh",
+                               "--eps", "43.7", "--k", "10")
+        assert code == 2
+        assert err.startswith("error: eps must be") and "43.668" in err, err
 
     def test_config_error_exit_2(self, capsys):
         # in-process: an exception escaping main fails the test, as a

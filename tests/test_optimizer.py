@@ -37,7 +37,8 @@ from ldptune.optimizer import (
     optimize_athe,
     optimize_aue,
 )
-from ldptune.protocols import analytic_mse, olh_g, ss_default_omega
+from ldptune.protocols import (analytic_mse, olh_g, round_half_away,
+                               ss_default_omega)
 from ldptune.attacks import expected_asr
 
 W_HALF = ObjectiveWeights(0.5, 0.5)
@@ -353,6 +354,21 @@ class TestScreenedGrids:
         assert (optimize_athe(eps, k, weights).theta_star
                 == orc.athe_exhaustive(f[Family.THE]))
 
+    @pytest.mark.parametrize("k", [10, 100])
+    def test_ss_grid_past_the_overflow(self, k):
+        # past eps = 709.09 omega e^eps overflows for omega >= 2: the array
+        # form keeps the scalar bits there too, and ass weighs a real ASR
+        # (it read 0, so that omega 2 looked free of attack risk)
+        eps = 709.5
+        f = _scalar_objective(Family.SS, eps, k, W_HALF)
+        grid = np.arange(1, k)
+        with np.errstate(all="ignore"):  # as the optimizer calls it
+            vec = array_objective(Family.SS, eps, k, W_HALF)(grid)
+        assert vec.tolist() == [f(x) for x in grid.tolist()]
+        r = optimize_ass(eps, k, W_HALF)
+        assert r.theta_star == orc.ass_exhaustive(f, k)
+        assert r.asr_at_opt == pytest.approx(1 / r.theta_star, rel=1e-15)
+
     def test_evaluations_count_grid_and_refinement(self):
         assert optimize_ass(4.0, 100, W_HALF).evaluations == 99
         for solver in (optimize_aue, optimize_athe):
@@ -390,7 +406,8 @@ class TestBoundedAlh:
         # objective has plateaus; the search must not stop on one
         k, w = 10, ObjectiveWeights.from_w_asr(w_asr)
         r = optimize_alh(eps, k, w)
-        top = min(olh_g(eps), MAX_G)
+        # olh's g, past eps = 63 ln 2 beyond what a config holds
+        top = min(round_half_away(math.exp(eps) + 1), MAX_G)
         assert 2 <= r.theta_star <= top
         probes = set(range(2, k + 1)) | {top, top - 1}
         probes |= {int(x) for x in np.geomspace(k, top, 200)}

@@ -56,6 +56,7 @@ from ldptune.protocols import (
 )
 from ldptune.presets import resolve_protocol
 from ldptune.simulate import (
+    RunGroup,
     _at_or_past,
     _order_cut,
     _rank_attack_success,
@@ -87,6 +88,14 @@ class TestParameterRules:
         for eps in (73.48, 74.0, 700.0):
             with pytest.raises(RangeError, match=r"^eps .*73\.47.*got"):
                 sue_params(eps)
+
+    def test_olh_g_past_its_budget_limit(self):
+        # g <= 2^63 up to eps = 63 ln 2; past it the error names eps and the
+        # limit, not a g the caller never gave
+        assert olh_g(43.6) < olh_g(63 * math.log(2)) <= 2 ** 63
+        for eps in (43.67, 43.7, 50.0, 700.0):
+            with pytest.raises(RangeError, match=r"^eps .*43\.668.*got"):
+                olh_g(eps)
 
     def test_oue_params(self):
         p, q = oue_params(math.log(3.0))
@@ -439,9 +448,9 @@ _BULK_CASES = [
 
 
 def _spanning_n(family, k):
-    """Users filling three whole blocks and part of a fourth (a GRR user
-    holds one 64-bit value per block row, every other family k)."""
-    return 3 * block_rows(1 if family is Family.GRR else k) + 5
+    """Users filling three whole blocks and part of a fourth (GRR blocks
+    are sized as if a user held 8 64-bit values, every other family's k)."""
+    return 3 * block_rows(8 if family is Family.GRR else k) + 5
 
 
 class TestScalarBulkEquivalence:
@@ -553,6 +562,50 @@ class TestBlockedRuns:
             tracemalloc.stop()
         # one dense float64 n x k array would take 160 MB
         assert peak < 32 * 2 ** 20
+
+
+# per family, configs at k = 100 over mixed budgets: SS at omega 1, 2 and
+# past 2 side by side (omega 1 and 2 read the same order statistic), LH at
+# g powers of two and not, up to the largest g; one config twice
+_GROUP_EPS = (0.5, 2.0, 8.0, 14.0)
+_GROUP_PARAMS = {
+    Family.GRR: [None] * 4,
+    Family.SS: [1, 2, 12, 1, 99, 40, 5],
+    Family.UE: [0.5, 0.5, 0.9, sue_params(14.0)[0]],
+    Family.LH: [2, 7, 2982, 4, 2 ** 62 + 7, 2 ** 63],
+    Family.SHE: [None] * 4,
+    Family.THE: [0.5, 0.75, 0.9, 1.0, 0.63],
+}
+
+
+class TestRunGroups:
+    """A group's configs run on one set of draws, each exactly as alone."""
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_group_equals_configs_one_by_one(self, family):
+        k = 100
+        cfgs = [_vc(family, _GROUP_EPS[i % 4], k, v)
+                for i, v in enumerate(_GROUP_PARAMS[family])]
+        cfgs.append(cfgs[1])
+        n = _spanning_n(family, k)
+        x0 = np.random.default_rng(8).integers(0, k, size=n)
+        grouped = simulate_run(RunGroup(cfgs), x0, 99, 3)
+        assert len(grouped) == len(cfgs)
+        for cfg, (f_hat, succ) in zip(cfgs, grouped):
+            f_one, s_one = simulate_run(cfg, x0, 99, 3)
+            assert type(succ) is int and succ == s_one, cfg
+            assert np.array_equal(f_hat, f_one), cfg
+
+    @pytest.mark.parametrize("cfgs", [
+        [],
+        [_vc(Family.UE, 2.0, 10, 0.5), _vc(Family.THE, 2.0, 10, 0.8)],
+        [_vc(Family.LH, 2.0, 10, 4), _vc(Family.LH, 2.0, 11, 4)],
+        [_vc(Family.GRR, 2.0, 10), ("grr", 2.0, 10)],
+    ], ids=["empty", "families", "k", "not-a-config"])
+    def test_group_rejects(self, cfgs):
+        with pytest.raises(RangeError) as exc:
+            RunGroup(cfgs)
+        assert exc.value.field == "group"
 
 
 def _attack_hits(bits, x0, u_att):
