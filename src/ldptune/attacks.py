@@ -5,8 +5,9 @@ uniform prior: GRR's guess is the report itself; subset/bit-vector/hashed
 reports are guessed uniformly over their support (uniform over the whole
 domain when the support is empty); noisy real vectors are guessed by argmax.
 
-`expected_asr` evaluates each family's closed form; SHE, which has none,
-gets the Monte Carlo estimate `expected_asr_she_mc`.
+Each pure family has one closed-form ASR in `ASRS`, of (eps, k, param) for
+a float param or an array: `expected_asr` reads it for one config, the
+optimizer for a grid.  SHE gets the Monte Carlo `expected_asr_she_mc`.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ from .model import (
     mix64_final,
     mix64_rounds,
     order_margin,
+    ue_pair_from_p,
 )
-from .protocols import pure_params, support
+from .protocols import grr_params, support, the_params
 
 # seed of the stream used when a caller does not supply one (keeps analytic
 # sweeps deterministic without a --seed flag)
@@ -201,11 +203,10 @@ def lh_exact_expected_asr(eps: float, k: int, g: int) -> float:
     uniformly random hash: E[1/(1+Binomial(k-1, 1/g))] has the closed form
     g(1-(1-1/g)^k)/k, and empty preimages contribute the uniform fallback.
 
-    The coarser form in `expected_asr` replaces the preimage size by k/g;
-    the two drift apart when g is comparable to k.
+    The coarser form in `lh_expected_asr` replaces the preimage size by
+    k/g; the two drift apart when g is comparable to k.
     """
-    e = math.exp(eps)
-    p = e / (e + g - 1)
+    p = grr_params(eps, g)[0]
     t = (1 - 1 / g) ** (k - 1)
     return p * (g / k) * (1 - (1 - 1 / g) ** k) + (1 - p) * t / k
 
@@ -218,7 +219,7 @@ def ss_expected_asr(eps: float, k: int, omega):
     e = math.exp(eps)
     den = omega * e + k - omega
     finite = np.isfinite(den)
-    if np.all(finite):
+    if finite.all():
         return e / den
     div = 1 / (omega + (k - omega) / e)
     if np.ndim(omega) == 0:
@@ -226,32 +227,45 @@ def ss_expected_asr(eps: float, k: int, omega):
     return np.where(finite, e / den, div)
 
 
-def expected_asr(cfg: ProtocolConfig) -> float:
-    """Closed-form expected attack success rate for the pure families.
+def lh_expected_asr(eps: float, k: int, g):
+    """LH's ASR e^eps / ((e^eps + g - 1) max(k/g, 1)), a preimage-size
+    approximation (see `lh_exact_expected_asr`); `g` may be an array.  Where
+    the denominator overflows (only near the eps cap), it divides twice."""
+    e = math.exp(eps)
+    hashed = e + g - 1
+    preimage = np.maximum(k / g, 1.0) if np.ndim(g) else max(k / g, 1.0)
+    den = hashed * preimage
+    finite = np.isfinite(den)
+    if finite.all():
+        return e / den
+    div = e / hashed / preimage
+    if np.ndim(g) == 0:
+        return div
+    return np.where(finite, e / den, div)
 
-    GRR: e^eps/(e^eps+k-1).  SS: `ss_expected_asr`.  UE/THE:
-    the support-size sum of `bitvector_expected_asr`.  LH:
-    e^eps/((e^eps+g-1) max(k/g, 1)), a preimage-size approximation (see
-    `lh_exact_expected_asr`), divided in two steps where the product in the
-    denominator overflows.  SHE has no closed form; use
-    `expected_asr_she_mc`.
+
+# each pure family's closed-form ASR as a function of (eps, k, param), where
+# the param may be a float or an array of them: GRR's is its p*, UE's and
+# THE's the support-size sum at their (p*, q*)
+ASRS = {
+    Family.GRR: lambda eps, k, _: grr_params(eps, k)[0],
+    Family.SS: ss_expected_asr,
+    Family.UE: lambda eps, k, p: bitvector_expected_asr(
+        *ue_pair_from_p(eps, p), k),
+    Family.LH: lh_expected_asr,
+    Family.THE: lambda eps, k, theta: bitvector_expected_asr(
+        *the_params(eps, theta), k),
+}
+
+
+def expected_asr(cfg: ProtocolConfig) -> float:
+    """Closed-form expected attack success rate of a pure family, `ASRS` at
+    the config's param.  SHE has no closed form; use `expected_asr_she_mc`.
     """
-    fam = cfg.family
-    e = math.exp(cfg.eps)
-    if fam is Family.GRR:
-        return e / (e + cfg.k - 1)
-    if fam is Family.SS:
-        return ss_expected_asr(cfg.eps, cfg.k, cfg.param)
-    if fam is Family.LH:
-        hashed, preimage = e + cfg.param - 1, max(cfg.k / cfg.param, 1.0)
-        if math.isinf(hashed * preimage):  # only near the eps cap
-            return e / hashed / preimage
-        return e / (hashed * preimage)
-    if fam is Family.SHE:
+    if cfg.family is Family.SHE:
         raise UnsupportedFamily("SHE expected ASR is Monte Carlo; "
                                 "use expected_asr_she_mc")
-    pp = pure_params(cfg)  # UE, THE
-    return bitvector_expected_asr(pp.p_star, pp.q_star, cfg.k)
+    return ASRS[cfg.family](cfg.eps, cfg.k, cfg.param)
 
 
 # top bits of a raw draw that pick its bucket in the first SHE screen; the

@@ -10,11 +10,12 @@ continuous keep-probability and threshold.  Objective terms are summed raw
 
 Grids are ranked in numpy.  `array_objective` evaluates a whole grid in
 passes of PASS_SIZE // k points with the closed forms themselves, called on
-arrays: `bitvector_expected_asr`, `the_params`, `first_order_mse`.  Their
-array forms run each step in the scalar form's order, and take the
-transcendental functions of each point from libm (`model.libm`), so every
-value is the scalar `objective`'s to the bit, and `grid_argmin`'s first
-minimum is the exhaustive scalar search's.  Past g = k the hash-range
+arrays: the family's `attacks.ASRS`, `protocols.PAIRS` and
+`first_order_mse`, which `expected_asr` and `analytic_mse` call for one
+config.  Their array forms run each step in the scalar form's order, and
+take the transcendental functions of each point from libm (`model.libm`),
+so every value is the scalar `objective`'s to the bit, and `grid_argmin`'s
+first minimum is the exhaustive scalar search's.  Past g = k the hash-range
 objective is convex, and `optimize_alh` bisects instead of walking up to
 e^eps points.
 """
@@ -36,15 +37,13 @@ from .model import (
     RangeError,
     check_k,
 )
-from .attacks import bitvector_expected_asr, expected_asr, ss_expected_asr
+from .attacks import ASRS, expected_asr
 from .protocols import (
+    PAIRS,
     analytic_mse,
     first_order_mse,
     round_half_away,
     ss_default_omega,
-    ss_pure_pair,
-    the_params,
-    ue_pair_from_p,
 )
 
 COARSE_GRID_POINTS = 1024
@@ -230,38 +229,26 @@ def _result(family: Family, eps: float, k: int, theta_star,
 
 def array_objective(family: Family, eps: float, k: int,
                     weights: ObjectiveWeights, n: float = 1):
-    """The array form of `objective` for one adaptive family at (eps, k):
-    maps an array of omega, p (with the tight q), g or theta values to the
-    objective values, bit for bit.
+    """The array form of `objective` for one pure family at (eps, k), through
+    its `ASRS` and `PAIRS` forms: maps an array of omega, p (with the tight
+    q), g or theta values to the objective values, bit for bit.
 
-    At w_asr = 0 it skips the support-size sum: 0 times a finite ASR adds
-    nothing to the scalar value either.
+    At w_asr = 0 it skips the ASR: 0 times a finite ASR adds nothing to the
+    scalar value either.
     """
-    fam = Family(family)
-    e = math.exp(eps)
-    if fam is Family.SS:
-        def terms(w):
-            return (ss_expected_asr(eps, k, w),) + ss_pure_pair(eps, k, w)
-    elif fam is Family.LH:
-        def terms(g):  # `expected_asr` and `pure_params`, elementwise
-            hashed, preimage = e + g - 1, np.maximum(k / g, 1.0)
-            product = hashed * preimage
-            asr = np.where(np.isinf(product), e / hashed / preimage,
-                           e / product)
-            return asr, e / hashed, 1 / g
-    else:
-        pair = ue_pair_from_p if fam is Family.UE else the_params
-
-        def terms(x):
-            p, q = pair(eps, x)
-            asr = bitvector_expected_asr(p, q, k) if weights.w_asr else 0.0
-            return asr, p, q
+    asr, pair = ASRS[Family(family)], PAIRS[Family(family)]
 
     def values(x):
-        asr, p, q = terms(x)
-        return weights.w_asr * asr + weights.w_mse * first_order_mse(p, q, n)
+        a = asr(eps, k, x) if weights.w_asr else 0.0
+        return (weights.w_asr * a
+                + weights.w_mse * first_order_mse(*pair(eps, k, x), n))
 
     return values
+
+
+def _scalar_objective(family, eps, k, weights, n):
+    """`objective` at (eps, k) as a function of the free parameter alone."""
+    return lambda x: objective(ProtocolConfig(family, eps, k, x), weights, n)
 
 
 def optimize_ass(eps: float, k: int, weights: ObjectiveWeights,
@@ -277,11 +264,8 @@ def optimize_ass(eps: float, k: int, weights: ObjectiveWeights,
     if weights.w_asr == 0:
         return _result(Family.SS, eps, k, ss_default_omega(eps, k), weights,
                        n, 1)
-
-    def f(w):
-        return objective(ProtocolConfig(Family.SS, eps, k, w), weights, n)
-
-    w, _ = grid_argmin(f, np.arange(1, k),
+    w, _ = grid_argmin(_scalar_objective(Family.SS, eps, k, weights, n),
+                       np.arange(1, k),
                        array_objective(Family.SS, eps, k, weights, n))
     return _result(Family.SS, eps, k, w, weights, n, k - 1)
 
@@ -293,10 +277,7 @@ def _grid_then_refine(family: Family, eps: float, k: int,
     of its winner, clipped to [0.5, hi], kept only when strictly better.
     `cell` is the exact grid step, which numpy's spacing of `grid` need not
     be."""
-
-    def f(x):
-        return objective(ProtocolConfig(family, eps, k, x), weights, n)
-
+    f = _scalar_objective(family, eps, k, weights, n)
     x0, f0 = grid_argmin(
         f, grid, array_objective(family, eps, k, weights, n), k)
     xr, fr, calls = minimize_scalar_bounded(f, max(0.5, x0 - cell),
@@ -331,9 +312,7 @@ def optimize_alh(eps: float, k: int, weights: ObjectiveWeights,
     """
     check_k(k)
     e = math.exp(eps)
-
-    def f(g):
-        return objective(ProtocolConfig(Family.LH, eps, k, g), weights, n)
+    f = _scalar_objective(Family.LH, eps, k, weights, n)
 
     def rises(g):  # f(g+1) >= f(g), for g >= k
         h = g - 1

@@ -1,10 +1,10 @@
 """The eight frequency-estimation protocols.
 
 Per-user reference implementations (perturb / support / estimate) plus the
-closed-form machinery shared by the optimizer and the sweep harness:
-pure-parameter extraction and analytic MSE.  Vectorized kernels, run over
-blocks of users, live in `simulate`; they reproduce these functions
-draw-for-draw.
+closed forms shared by the optimizer and the sweep harness: each pure
+family's (p*, q*) in `PAIRS`, of (eps, k, param) for a float param or an
+array, and the analytic MSE.  Vectorized kernels, run over blocks of users,
+live in `simulate`; they reproduce these functions draw-for-draw.
 
 Families and their standard instantiations:
 
@@ -93,10 +93,11 @@ def hash_remainder(h: np.ndarray, g: int, out: np.ndarray) -> np.ndarray:
 
 # -- parameter pairs ----------------------------------------------------------
 
-def grr_params(eps: float, k: int) -> PureParams:
+def grr_params(eps: float, k: int) -> tuple:
+    """GRR's p = e^eps/(e^eps+k-1) and q = (1-p)/(k-1); `k` may be an array."""
     e = math.exp(eps)
     p = e / (e + k - 1)
-    return PureParams(p, (1 - p) / (k - 1))
+    return p, (1 - p) / (k - 1)
 
 
 def sue_params(eps: float) -> tuple:
@@ -148,7 +149,7 @@ def ss_pure_pair(eps: float, k: int, omega):
     den = (k - 1) * (w * e + k - w)
     q_star = (w * e * (w - 1) + (k - w) * w) / den
     finite = np.isfinite(den)
-    if np.all(finite):
+    if finite.all():
         return p_star, q_star
     r = (k - w) / w / e
     p_div, q_div = 1 / (1 + r), (w - 1 + (k - w) / e) / ((k - 1) * (1 + r))
@@ -157,27 +158,35 @@ def ss_pure_pair(eps: float, k: int, omega):
     return np.where(finite, p_star, p_div), np.where(finite, q_star, q_div)
 
 
+def lh_pair(eps: float, k: int, g):
+    """(p*, q*) of the report hashed to g buckets: GRR's p over the
+    buckets, and 1/g; `g` may be an array."""
+    return grr_params(eps, g)[0], 1 / g
+
+
+# each pure family's (p*, q*) as a function of (eps, k, param), where the
+# param may be a float or an array of them; GRR has no param
+PAIRS = {
+    Family.GRR: lambda eps, k, _: grr_params(eps, k),
+    Family.SS: ss_pure_pair,
+    Family.UE: lambda eps, k, p: ue_pair_from_p(eps, p),
+    Family.LH: lh_pair,
+    Family.THE: lambda eps, k, theta: the_params(eps, theta),
+}
+
+
 def pure_params(cfg: ProtocolConfig) -> PureParams:
-    """(p*, q*) of any pure family, UE's q derived from p; SHE has none.
+    """(p*, q*) of any pure family (`PAIRS` at the config's param), UE's q
+    derived from p; SHE has none.
 
     Raises
     ------
     UnsupportedFamily
         For SHE.
     """
-    fam = cfg.family
-    if fam is Family.GRR:
-        return grr_params(cfg.eps, cfg.k)
-    if fam is Family.SS:
-        return PureParams(*ss_pure_pair(cfg.eps, cfg.k, cfg.param))
-    if fam is Family.UE:
-        return PureParams(*ue_pair_from_p(cfg.eps, cfg.param))
-    if fam is Family.LH:
-        e = math.exp(cfg.eps)
-        return PureParams(e / (e + cfg.param - 1), 1 / cfg.param)
-    if fam is Family.THE:
-        return PureParams(*the_params(cfg.eps, cfg.param))
-    raise UnsupportedFamily("SHE is not pure; it has no (p*, q*)")
+    if cfg.family is Family.SHE:
+        raise UnsupportedFamily("SHE is not pure; it has no (p*, q*)")
+    return PureParams(*PAIRS[cfg.family](cfg.eps, cfg.k, cfg.param))
 
 
 # -- perturbation -------------------------------------------------------------
@@ -192,7 +201,7 @@ def grr_perturb(x: int, eps: float, k: int, rng: RngStream) -> CategoryReport:
     """Report x with probability e^eps/(e^eps+k-1), else a uniform other."""
     if not 1 <= x <= k:
         raise RangeError("x", f"in [1, {k}]", x)
-    p = math.exp(eps) / (math.exp(eps) + k - 1)
+    p = grr_params(eps, k)[0]
     u = rng.uniform()
     if u < p:
         return CategoryReport(x)
@@ -202,7 +211,7 @@ def grr_perturb(x: int, eps: float, k: int, rng: RngStream) -> CategoryReport:
 def ss_perturb(x: int, eps: float, k: int, omega: int, rng: RngStream) -> SubsetReport:
     """Report a uniform size-omega subset biased to include x.
 
-    x enters with probability omega*e^eps/(omega*e^eps + k - omega); the other
+    x enters with probability p* (`ss_pure_pair`); the other
     slots are a uniform subset of the remaining categories, chosen as the
     smallest random 64-bit keys (one key per candidate, drawn in category
     order, which is what the vectorized kernel does too).
@@ -211,9 +220,7 @@ def ss_perturb(x: int, eps: float, k: int, omega: int, rng: RngStream) -> Subset
         raise RangeError("omega", f"an integer in [1, {k - 1}]", omega)
     if not 1 <= x <= k:
         raise RangeError("x", f"in [1, {k}]", x)
-    e = math.exp(eps)
-    p_inc = omega * e / (omega * e + k - omega)
-    include = rng.uniform() < p_inc
+    include = rng.uniform() < ss_pure_pair(eps, k, omega)[0]
     others = [c for c in range(1, k + 1) if c != x]
     keys = [(rng.u64(), c) for c in others]
     keys.sort()

@@ -92,11 +92,14 @@ def block_rows(width: int) -> int:
     return max(1, BLOCK_BYTES // (8 * width))
 
 
-def _pick_other(u: np.ndarray, x0: np.ndarray, m: int) -> np.ndarray:
-    """Map uniforms to a category in [0, m) excluding x0, uniformly (a
-    negative u, on rows the caller discards, maps anywhere)."""
-    j = np.minimum((u * (m - 1)).astype(np.int64), m - 2)
-    return j + (j >= x0)
+def _grr_report(keep, u: np.ndarray, p: float, x0, m: int) -> np.ndarray:
+    """GRR's reports over [0, m), as `protocols.grr_perturb` makes them: x0
+    where `keep` (u < p), else the value other than x0 that (u - p)/(1 - p)
+    picks uniformly.  Where p is 1 every u keeps, and nothing is mapped."""
+    if p == 1:
+        return x0
+    j = np.minimum(((u - p) / (1 - p) * (m - 1)).astype(np.int64), m - 2)
+    return np.where(keep, x0, j + (j >= x0))
 
 
 def _rank_attack_success(bits: np.ndarray, x0: np.ndarray, u_att: np.ndarray,
@@ -132,9 +135,7 @@ def _grr(cfgs, x0, seeds, totals):
         k, p = cfg.k, pure_params(cfg).p_star
         keep = u < p
         succ.append(int(np.count_nonzero(keep)))
-        counts += np.bincount(
-            np.where(keep, x0, _pick_other((u - p) / (1 - p), x0, k)),
-            minlength=k)
+        counts += np.bincount(_grr_report(keep, u, p, x0, k), minlength=k)
     return succ
 
 
@@ -248,7 +249,7 @@ def _lh(cfgs, x0, seeds, totals):
     for cfg, counts in zip(cfgs, totals):
         g, p = cfg.param, pure_params(cfg).p_star
         bx = hash_remainder(h_true, g, np.empty_like(h_true)).view(np.int64)
-        y0 = np.where(u < p, bx, _pick_other((u - p) / (1 - p), bx, g))
+        y0 = _grr_report(u < p, u, p, bx, g)
         for lo in range(0, x0.size, step):
             hs = h[lo:lo + step]
             part = hash_remainder(hs, g, buf[:len(hs)]).view(np.int64)
@@ -386,18 +387,15 @@ class RunGroup:
         return self.configs[0].k
 
 
-def simulate_run(group, x0: np.ndarray, master_seed: int, run: int):
-    """Simulate one run of every config of `group`, a RunGroup: every user
-    perturbs their (0-based) value in `x0` and is attacked once, on the
-    same draws for every config.
+def simulate_run(group: RunGroup, x0: np.ndarray, master_seed: int, run: int):
+    """Simulate one run of every config of `group`: every user perturbs
+    their (0-based) value in `x0` and is attacked once, on the same draws
+    for every config.
 
     Returns a list of (f_hat, successes), one per config in group order: the
     frequency estimate over the whole run and the number of users whose
-    value the attacker guessed.  A ProtocolConfig runs as a group of one and
-    returns its (f_hat, successes) alone.
+    value the attacker guessed.
     """
-    if isinstance(group, ProtocolConfig):
-        return simulate_run(RunGroup((group,)), x0, master_seed, run)[0]
     x0 = np.asarray(x0, dtype=np.int64)
     n, k, fam, cfgs = x0.size, group.k, group.family, group.configs
     kernel = _KERNELS[fam]

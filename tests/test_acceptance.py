@@ -289,8 +289,8 @@ def test_criterion_07_likelihood_ratios_bounded():
 
     for eps in (0.5, 1.0, 2.0, 4.0):
         for k in range(2, 7):
-            pp = lt.grr_params(eps, k)
-            dists = [[pp.p_star if y == x else pp.q_star
+            p, q = lt.grr_params(eps, k)
+            dists = [[p if y == x else q
                       for y in range(1, k + 1)]
                      for x in range(1, k + 1)]
             note(f"grr k={k} eps={eps:g}", eps, _max_pairwise_ratio(dists))

@@ -10,6 +10,7 @@ from scipy import special
 import oracles as orc
 from ldptune import attacks
 from ldptune.attacks import (
+    ASRS,
     _bucket_cuts,
     _she_hits,
     attack,
@@ -30,6 +31,7 @@ from ldptune.model import (
     EmptyInput,
     Family,
     ProtocolConfig,
+    PureParams,
     RangeError,
     RngStream,
     SubsetReport,
@@ -40,8 +42,8 @@ from ldptune.model import (
     validate_config,
 )
 from ldptune.optimizer import COARSE_GRID_POINTS
-from ldptune.protocols import (hash_buckets, perturb, sue_params, the_params,
-                               ue_pair_from_p)
+from ldptune.protocols import (PAIRS, hash_buckets, perturb, pure_params,
+                               sue_params, the_params, ue_pair_from_p)
 
 
 def _vc(family, eps, k, param=None):
@@ -205,6 +207,33 @@ class TestClosedForms:
                 den = w * math.exp(eps) + k - w
                 if math.isfinite(den):
                     assert got == math.exp(eps) / den
+
+    @pytest.mark.parametrize("eps", [2.0, 709.5, MAX_EPS])
+    def test_one_form_for_floats_and_arrays(self, eps):
+        # each pure family's ASR and (p*, q*) take a float param, and give
+        # python floats (a numpy scalar would warn where a python float
+        # overflows to inf quietly), or an array, and give each float's bits
+        k = 1000
+        params = {Family.GRR: [None], Family.SS: [1, 2, 500, 999],
+                  Family.UE: [0.5, 0.75, 0.9], Family.THE: [0.5, 0.75, 1.0],
+                  Family.LH: [2, 5, 999, 1000, 10 ** 6]}
+        assert set(ASRS) == set(PAIRS) == set(params)
+        for fam, xs in params.items():
+            asrs = [ASRS[fam](eps, k, x) for x in xs]
+            pairs = [PAIRS[fam](eps, k, x) for x in xs]
+            assert all(type(v) is float for v in [*asrs, *sum(pairs, ())]), fam
+            for x, a, pair in zip(xs, asrs, pairs):
+                cfg = _vc(fam, eps, k, x)
+                assert expected_asr(cfg) == a
+                assert pure_params(cfg) == PureParams(*pair)
+            if fam is Family.GRR:
+                continue
+            with np.errstate(all="ignore"):  # as the optimizer calls them
+                arr_asr = ASRS[fam](eps, k, np.array(xs))
+                arr_pair = PAIRS[fam](eps, k, np.array(xs))
+            assert arr_asr.tolist() == asrs, fam
+            assert [a.tolist() for a in arr_pair] == [list(v)
+                                                      for v in zip(*pairs)]
 
     def test_she_analytic_asr_unsupported(self):
         with pytest.raises(UnsupportedFamily):

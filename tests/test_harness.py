@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -647,6 +648,21 @@ class TestCli:
         row = dict(zip(CSV_HEADER, out.splitlines()[1].split(",")))
         for col in ("param_value", "analytic_asr", "analytic_mse"):
             assert math.isfinite(float(row[col])), row
+
+    @pytest.mark.parametrize("name,eps", [("grr", "40"), ("blh", "40"),
+                                          ("grr", "709.5")])
+    def test_simulate_where_p_rounds_to_one_is_quiet(self, capsys, name,
+                                                     eps):
+        # every user keeps their value there, so no row is mapped to an
+        # other value through (u - p)/(1 - p), and numpy has nothing to
+        # warn about on stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _main(capsys, "simulate", "--protocol", name,
+                                   "--eps", eps, "--k", "10", "--runs", "1",
+                                   "--n", "1000")
+        assert code == 0, err
+        assert [str(w.message) for w in caught] == []
 
     def test_olh_past_its_budget_limit(self, capsys):
         # g = round(e^eps + 1) fits 2^63 up to eps = 63 ln 2 = 43.668; past

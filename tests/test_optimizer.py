@@ -1,6 +1,8 @@
 """Two-objective parameter tuning: grid/continuous solvers and invariants."""
 
 import functools
+import hashlib
+import itertools
 import math
 import subprocess
 import sys
@@ -13,6 +15,7 @@ from scipy.optimize import minimize_scalar
 
 import oracles as orc
 from ldptune.model import (
+    MAX_EPS,
     MAX_G,
     PASS_SIZE,
     EmptyCandidates,
@@ -23,6 +26,7 @@ from ldptune.model import (
     validate_config,
 )
 from ldptune.cli import main
+from ldptune.harness import pareto_sweep
 from ldptune.optimizer import (
     _P_CAP,
     COARSE_GRID_POINTS,
@@ -40,6 +44,7 @@ from ldptune.optimizer import (
 from ldptune.protocols import (analytic_mse, olh_g, round_half_away,
                                ss_default_omega)
 from ldptune.attacks import expected_asr
+from ldptune.presets import PROTOCOL_NAMES, resolve_protocol
 
 W_HALF = ObjectiveWeights(0.5, 0.5)
 W_MSE = ObjectiveWeights(0.0, 1.0)
@@ -428,3 +433,47 @@ class TestBoundedAlh:
                            capture_output=True, text=True, timeout=60)
         assert r.returncode in (0, 2)
         assert "Traceback" not in r.stderr
+
+
+def _resolutions():
+    """One line per resolution of the, ass, aue, alh and athe over k, eps,
+    w_asr and n: the repr of its reported numbers, or of its error."""
+    for name, k, eps, w, n in itertools.product(
+            ("the", "ass", "aue", "alh", "athe"), (2, 10, 100, 1000),
+            (0.5, 2.0, 8.0, 43.7, 300.0, 709.5), (0.0, 0.5, 1.0), (1, 1e4)):
+        try:
+            r = resolve_protocol(name, eps, k, ObjectiveWeights.from_w_asr(w),
+                                 n).optimization
+            yield repr((r.theta_star, r.objective_value, r.asr_at_opt,
+                        r.mse_at_opt, r.evaluations))
+        except (RangeError, NonFinite) as exc:
+            yield repr((type(exc).__name__, str(exc)))
+
+
+# sha256 of `_resolutions()` joined by newlines, pinned from the optimizer
+# whose array objective stated the SS and LH forms in a branch per family
+_RESOLUTIONS_DIGEST = (
+    "005731fff234d75b06742bdd8fe28ceb9eb253436d6750f9213a9656787edd03")
+
+# budgets around the olh limit (63 ln 2), sue's (73.47) and the eps cap
+_CAP_EPS = (43.6, 43.7, 73.4, 74.0, 300.0, 700.0, 709.5, MAX_EPS)
+
+
+class TestPinnedResolutions:
+    def test_resolutions_pinned(self):
+        got = "\n".join(_resolutions()).encode()
+        assert hashlib.sha256(got).hexdigest() == _RESOLUTIONS_DIGEST
+
+    @pytest.mark.parametrize("name", [n for n in PROTOCOL_NAMES if n != "she"])
+    def test_eps_cap_band(self, name):
+        # every point answers with finite columns or names eps in its error
+        for eps, k in itertools.product(_CAP_EPS, (2, 10, 1000, 10 ** 4)):
+            try:
+                (row,) = pareto_sweep([name], [eps], [k], W_HALF)
+            except RangeError as exc:
+                assert exc.field == "eps", (eps, k, exc)
+                continue
+            values = [row.analytic_asr, row.analytic_mse]
+            if row.param_value is not None:
+                values.append(row.param_value)
+            assert all(math.isfinite(v) for v in values), (eps, k, row)

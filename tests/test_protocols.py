@@ -20,6 +20,7 @@ from ldptune.model import (
     CategoryReport,
     Family,
     HashedReport,
+    MAX_EPS,
     ProtocolConfig,
     RangeError,
     SubsetReport,
@@ -72,9 +73,9 @@ def _vc(family, eps, k, param=None):
 
 class TestParameterRules:
     def test_grr_params_closed_form(self):
-        pp = grr_params(math.log(3.0), 4)
-        assert pp.p_star == pytest.approx(0.5, abs=1e-15)
-        assert pp.q_star == pytest.approx(1.0 / 6.0, abs=1e-15)
+        p, q = grr_params(math.log(3.0), 4)
+        assert p == pytest.approx(0.5, abs=1e-15)
+        assert q == pytest.approx(1.0 / 6.0, abs=1e-15)
 
     def test_sue_params(self):
         p, q = sue_params(2.0 * math.log(3.0))
@@ -265,7 +266,7 @@ class TestPerturbStructure:
         eps, k, n = 1.0, 4, 20000
         hits = sum(grr_perturb(2, eps, k, derive_stream(1, 0, u)).value == 2
                    for u in range(n))
-        p = grr_params(eps, k).p_star
+        p = grr_params(eps, k)[0]
         assert abs(hits / n - p) < 4 * math.sqrt(p * (1 - p) / n)
 
     def test_ss_report_structure(self):
@@ -465,25 +466,39 @@ class TestScalarBulkEquivalence:
           for i, (f, v) in enumerate(_BULK_CASES)),
     ])
     def test_pipelines_agree_bitwise(self, family, param, k, n):
-        from ldptune.attacks import attack
-        eps = 1.5
-        cfg = _vc(family, eps, k, param)
-        x0 = np.random.default_rng(5).integers(0, k, size=n)
-        f_bulk, s_bulk = simulate_run(cfg, x0, 99, 3)
+        _assert_pipelines_agree(family, 1.5, param, k, n)
 
-        succ = 0
-        reports = []
-        for u in range(len(x0)):
-            rng = derive_stream(99, 3, u)
-            rep = perturb(int(x0[u]) + 1, cfg, rng)
-            succ += attack(rep, cfg, rng) == int(x0[u]) + 1
-            reports.append(rep)
-        if family is Family.SHE:
-            f_scalar = she_estimate(reports)
-        else:
-            f_scalar = estimate_frequencies(reports, cfg)
-        assert s_bulk == succ
-        assert np.array_equal(f_bulk, f_scalar)
+    @pytest.mark.parametrize("eps", [709.5, MAX_EPS], ids=["709.5", "max"])
+    @pytest.mark.parametrize("family,param", [
+        (Family.GRR, None), (Family.SS, 1), (Family.SS, 3),
+        (Family.UE, 0.5), (Family.UE, 0.9), (Family.LH, 2), (Family.LH, 5),
+        (Family.SHE, None), (Family.THE, 0.75),
+    ], ids=lambda v: str(getattr(v, "value", v)))
+    def test_pipelines_agree_near_the_eps_cap(self, family, param, eps):
+        # past eps = 709.09 omega e^eps overflows for omega >= 2: SS's
+        # inclusion must take the divided-through p* in both pipelines
+        _assert_pipelines_agree(family, eps, param, 7, 300)
+
+
+def _assert_pipelines_agree(family, eps, param, k, n):
+    from ldptune.attacks import attack
+    cfg = _vc(family, eps, k, param)
+    x0 = np.random.default_rng(5).integers(0, k, size=n)
+    f_bulk, s_bulk = simulate_run(RunGroup((cfg,)), x0, 99, 3)[0]
+
+    succ = 0
+    reports = []
+    for u in range(len(x0)):
+        rng = derive_stream(99, 3, u)
+        rep = perturb(int(x0[u]) + 1, cfg, rng)
+        succ += attack(rep, cfg, rng) == int(x0[u]) + 1
+        reports.append(rep)
+    if family is Family.SHE:
+        f_scalar = she_estimate(reports)
+    else:
+        f_scalar = estimate_frequencies(reports, cfg)
+    assert s_bulk == succ
+    assert np.array_equal(f_bulk, f_scalar)
 
 
 # sha256 of simulate_run's (f_hat bytes, successes) for one preset per family
@@ -535,7 +550,7 @@ _SWEEP_DIGESTS = {
 def _run_digest(name, eps):
     x0 = np.random.default_rng(2024).integers(0, 100, size=50_000)
     cfg = resolve_protocol(name, float(eps), 100).config
-    f_hat, successes = simulate_run(cfg, x0, 12345, 1)
+    f_hat, successes = simulate_run(RunGroup((cfg,)), x0, 12345, 1)[0]
     return hashlib.sha256(np.asarray(f_hat, dtype=np.float64).tobytes()
                           + str(int(successes)).encode()).hexdigest()
 
@@ -556,7 +571,7 @@ class TestBlockedRuns:
         cfg = resolve_protocol(name, 2.0, k).config
         tracemalloc.start()
         try:
-            simulate_run(cfg, x0, 1, 0)
+            simulate_run(RunGroup((cfg,)), x0, 1, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -592,7 +607,7 @@ class TestRunGroups:
         grouped = simulate_run(RunGroup(cfgs), x0, 99, 3)
         assert len(grouped) == len(cfgs)
         for cfg, (f_hat, succ) in zip(cfgs, grouped):
-            f_one, s_one = simulate_run(cfg, x0, 99, 3)
+            f_one, s_one = simulate_run(RunGroup((cfg,)), x0, 99, 3)[0]
             assert type(succ) is int and succ == s_one, cfg
             assert np.array_equal(f_hat, f_one), cfg
 
@@ -728,14 +743,15 @@ class TestTheCuts:
                 for name in ("the", "athe") for eps in (1.0, 3.0, 5.0)]
         x0 = np.random.default_rng(1).integers(0, 30, size=3000)
         _the_cuts.cache_clear()
-        serial = [simulate_run(cfg, x0, 7, 0) for cfg in cfgs]
+        serial = [simulate_run(RunGroup((cfg,)), x0, 7, 0)[0] for cfg in cfgs]
         _the_cuts.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(8) as pool:
-                runs = list(pool.map(lambda c: simulate_run(c, x0, 7, 0),
-                                     cfgs * 4, timeout=120))
+                runs = list(pool.map(
+                    lambda c: simulate_run(RunGroup((c,)), x0, 7, 0)[0],
+                    cfgs * 4, timeout=120))
         finally:
             sys.setswitchinterval(interval)
         for (f_hat, succ), (f_ref, s_ref) in zip(runs, serial * 4):
@@ -775,10 +791,10 @@ import hashlib, json, sys
 import numpy as np
 from ldptune.attacks import expected_asr_she_mc
 from ldptune.presets import resolve_protocol
-from ldptune.simulate import simulate_run
+from ldptune.simulate import RunGroup, simulate_run
 x0 = np.random.default_rng(2024).integers(0, 100, size=50_000)
-f_hat, successes = simulate_run(resolve_protocol("the", 4.0, 100).config,
-                                x0, 12345, 1)
+group = RunGroup((resolve_protocol("the", 4.0, 100).config,))
+f_hat, successes = simulate_run(group, x0, 12345, 1)[0]
 hits = {eps: expected_asr_she_mc(eps, 100, 10 ** 5).asr
         for eps in (2, 4, 6, 8, 10)}
 json.dump({"the": hashlib.sha256(f_hat.tobytes()
