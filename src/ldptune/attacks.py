@@ -43,9 +43,10 @@ from .model import (
 )
 from .protocols import grr_params, support, the_params
 
-# seed of the stream used when a caller does not supply one (keeps analytic
-# sweeps deterministic without a --seed flag)
+# the SHE Monte Carlo's master seed, from which each (eps, k) point derives
+# its stream, and its trial count unless a caller sets one
 DEFAULT_ORACLE_SEED = 0x0A5CE5EED
+DEFAULT_SHE_TRIALS = 10 ** 6
 
 
 # log(2 pi)/2 and the Stirling-series coefficients of Cephes `lgam` used
@@ -102,8 +103,8 @@ def lgamma_table(k: int) -> np.ndarray:
     return table[:k]
 
 
-def logsumexp(a, axis: int | None = None):
-    """log(sum(exp(a))) over `axis` (all of `a` when None), to the bit as
+def logsumexp(a):
+    """log(sum(exp(a))) over the last axis of `a`, to the bit as
     scipy.special.logsumexp (BSD-3) returns it for real input and no weights.
 
     The maxima are taken out of the sum: with c of them equal to the max,
@@ -112,19 +113,18 @@ def logsumexp(a, axis: int | None = None):
     row, a +inf entry) it is log(sum(exp(a))) instead.
     """
     a = np.asarray(a, dtype=float)
-    axis = tuple(range(a.ndim)) if axis is None else axis
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a, axis=axis, keepdims=True)
+        a_max = np.max(a, axis=-1, keepdims=True)
         top = a == a_max
-        count = np.sum(top, axis=axis, keepdims=True, dtype=float)
-        s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max), axis=axis,
+        count = np.sum(top, axis=-1, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max), axis=-1,
                    keepdims=True) / count
         out = np.log1p(s) + np.log(count) + a_max
         finite = np.isfinite(out)
         if not finite.all():
-            direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
+            direct = np.log(np.sum(np.exp(a), axis=-1, keepdims=True))
             out = np.where(finite, out, direct)
-    return np.squeeze(out, axis=axis)[()]
+    return np.squeeze(out, axis=-1)[()]
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ def bitvector_expected_asr(p, q, k: int):
         logs += np.multiply.outer(libm(math.log, q), m - 1)
         logs += np.multiply.outer(l1q, k - m)
         logs -= np.log(m)
-        hit = libm(math.exp, logsumexp(logs, axis=-1))
+        hit = libm(math.exp, logsumexp(logs))
         asr[on] = hit + (1 - p) * libm(math.exp, (k - 1) * l1q) / k
     return float(asr[0]) if scalar else asr
 
@@ -350,14 +350,13 @@ def _she_hits(first: np.ndarray, top: np.ndarray, b: float, cuts: tuple,
     return hits, band.size
 
 
-def expected_asr_she_mc(eps: float, k: int, trials: int = 10 ** 6,
-                        rng: RngStream | None = None) -> AsrResult:
+def expected_asr_she_mc(eps: float, k: int,
+                        trials: int = DEFAULT_SHE_TRIALS) -> AsrResult:
     """Monte Carlo estimate of Pr[1 + Z_x > max of the other k-1 Z_i] with
     Z i.i.d. Laplace(0, 2/eps): sample, compare, average.
 
-    Each trial takes the next k draws of `rng`, which advances by trials x k.
-    Without `rng` the draws come from the stream of this (eps, k) point, the
-    one every sweep uses, so equal arguments give equal estimates.
+    Trial t takes draws t k, ..., t k + k - 1 of the stream of this (eps, k)
+    point, the one every sweep uses, so equal arguments give equal estimates.
     The draws are mixed in passes of about 3 PASS_SIZE draws through reused
     buffers, and only to their pre-final states; each trial keeps column 0's
     state and the largest state of the rest.  `_she_hits` decides the
@@ -370,16 +369,11 @@ def expected_asr_she_mc(eps: float, k: int, trials: int = 10 ** 6,
     if not (is_int(trials) and trials >= 1):
         raise RangeError("trials", "an integer >= 1", trials)
     check_eps(eps)
-    if k == 1:
-        return AsrResult(1.0, trials, 0.0)
     check_k(k)
-    if rng is None:
-        rng = derive_stream(DEFAULT_ORACLE_SEED,
-                            int(round(eps * 10 ** 6)) & ((1 << 32) - 1), k)
+    seed = derive_stream(DEFAULT_ORACLE_SEED,
+                         int(round(eps * 10 ** 6)) & ((1 << 32) - 1), k).seed
     b = 2.0 / eps
     cuts = _bucket_cuts(b)
-    seed = rng.seed
-    c0 = rng.reserve(trials * k)
     # trials per pass: about 3 PASS_SIZE draws (2 and 4 PASS_SIZE were 5-15%
     # slower at k = 100 on a 2 MiB L2 x86_64 core), and whole passes per
     # screen group of at most PASS_SIZE / 2 trials, whatever k is
@@ -401,7 +395,7 @@ def expected_asr_she_mc(eps: float, k: int, trials: int = 10 ** 6,
         gm = min(group, trials - g0)
         for lo in range(0, gm, per_pass):
             m = min(per_pass, gm - lo)
-            c = c0 + (g0 + lo) * k
+            c = (g0 + lo) * k
             s = np.add(offsets[:, :m], np.uint64((seed + c * GAMMA) & MASK64),
                        out=buf[:m * k].reshape(k, m))
             mix64_rounds(buf[:m * k], scratch[:m * k])
@@ -410,7 +404,7 @@ def expected_asr_she_mc(eps: float, k: int, trials: int = 10 ** 6,
 
         def rows(idx, g0=g0):
             start = (idx.astype(np.uint64) + np.uint64(g0)) * np.uint64(k)
-            return draws_u64(seed, (start + np.uint64(c0))[:, None] + cols)
+            return draws_u64(seed, start[:, None] + cols)
 
         hits += _she_hits(first[:gm], top[:gm], b, cuts, rows)[0]
     asr = hits / trials

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .attacks import DEFAULT_SHE_TRIALS
 from .harness import (ExperimentConfig, ParetoRow, export, pareto_sweep,
                       parse_data_spec, parse_grid)
 from .model import DataError, NonFinite, RangeError
@@ -62,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write rows to this path (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     she = argparse.ArgumentParser(add_help=False)
-    she.add_argument("--she-trials", type=int, default=10 ** 6)
+    she.add_argument("--she-trials", type=int, default=DEFAULT_SHE_TRIALS)
     experiment = argparse.ArgumentParser(add_help=False)
     experiment.add_argument("--n", type=int,
                             help="users per run (default: dataset size for CSV data)")

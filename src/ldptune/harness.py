@@ -23,7 +23,7 @@ import numpy as np
 
 from .model import (MASK64, DataError, Family, ProtocolConfig, RangeError,
                     check_k, derive_stream, is_int)
-from .attacks import expected_asr, expected_asr_she_mc
+from .attacks import DEFAULT_SHE_TRIALS, expected_asr, expected_asr_she_mc
 from .optimizer import ObjectiveWeights
 from .presets import ResolvedProtocol, resolve_protocol
 from .protocols import analytic_mse
@@ -248,8 +248,8 @@ def _simulate(configs, experiments: dict, workers: int, keep) -> dict:
     {config: [kept value per run, in run order]}.  `experiments` maps each
     config's k to its resolved experiment (`_experiment_at`); all of them
     share one run count and master seed.  Each run simulates the configs of
-    one family and one k as one RunGroup, over one set of draws; `workers`
-    threads map over the runs."""
+    one family and one k as one RunGroup, over one set of draws; at most
+    `workers` threads, one per run and per CPU, map over the runs."""
     groups = {}
     for cfg in configs:
         groups.setdefault((cfg.family, cfg.k), {})[cfg] = None
@@ -273,8 +273,9 @@ def _simulate(configs, experiments: dict, workers: int, keep) -> dict:
         return out
 
     runs = range(ek.runs)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
+    threads = min(workers, ek.runs, os.cpu_count() or 1)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
             per_run = list(ex.map(one, runs))
     else:
         per_run = [one(r) for r in runs]
@@ -324,7 +325,7 @@ CSV_HEADER = tuple(f.name for f in fields(ParetoRow))
 
 def pareto_sweep(protocols, eps_grid, k_grid, weights: ObjectiveWeights,
                  experiment: ExperimentConfig | None = None, workers: int = 1,
-                 she_trials: int = 10 ** 6, param=None):
+                 she_trials: int = DEFAULT_SHE_TRIALS, param=None):
     """Resolve every (protocol, eps, k) point and compute its columns.
 
     State-of-the-art names use their fixed parameter rules; adaptive names

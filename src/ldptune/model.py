@@ -88,10 +88,6 @@ class NonFinite(ArithmeticError):
         super().__init__(f"objective returned {value!r} at x={x!r}")
 
 
-class EmptyCandidates(ValueError):
-    """Grid search received no candidates."""
-
-
 @dataclass(frozen=True)
 class ProtocolConfig:
     """One protocol instance: family tag, privacy budget, domain size, and the
@@ -428,18 +424,11 @@ class RngStream:
         """One float64 in [0, 1)."""
         return (self.u64() >> 11) * 2.0 ** -53
 
-    def reserve(self, count: int) -> int:
-        """Advance the stream by `count` and return the counter of the first
-        skipped draw: the skipped draws are `draws_u64(seed, c)` for c in
-        [returned, returned + count)."""
-        c = self._count
-        self._count = c + count
-        return c
-
     def u64s(self, count: int) -> np.ndarray:
         """The next `count` raw draws, built in place on one array; advances
         the stream by `count`."""
-        c = self.reserve(count)
+        c = self._count
+        self._count = c + count
         z = np.arange(c + 1, c + 1 + count, dtype=_U64)
         z *= _NP_GAMMA
         z += _U64(self.seed)

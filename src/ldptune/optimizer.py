@@ -30,7 +30,6 @@ import numpy as np
 from .model import (
     MAX_G,
     PASS_SIZE,
-    EmptyCandidates,
     Family,
     NonFinite,
     ProtocolConfig,
@@ -92,15 +91,16 @@ def objective(cfg: ProtocolConfig, weights: ObjectiveWeights, n: float = 1) -> f
             + weights.w_mse * analytic_mse(cfg, n))
 
 
-def minimize_scalar_bounded(f, lo: float, hi: float, tol: float = REFINE_TOL):
-    """Minimize f on [lo, hi] to within tol of a stationary point or boundary.
+def minimize_scalar_bounded(f, lo: float, hi: float):
+    """Minimize f on [lo, hi] to within REFINE_TOL of a stationary point or
+    boundary.
 
     Brent's bounded method (Brent 1973, "Algorithms for Minimization without
     Derivatives", ch. 5): golden-section steps, parabolic ones where the fit
     is acceptable.  A port of scipy.optimize's `_minimize_scalar_bounded`
     (BSD-3) that keeps its operation order, its absolute tolerance `xatol`
-    = tol and its 500-call cap, so it probes the same points and returns the
-    same bits as `minimize_scalar(method="bounded")`.
+    = REFINE_TOL and its 500-call cap, so it probes the same points and
+    returns the same bits as `minimize_scalar(method="bounded")`.
 
     Returns (x*, f*, calls), calls being the probes of f (scipy's `nfev`).
     Raises NonFinite when any probe of f is not finite.
@@ -123,7 +123,7 @@ def minimize_scalar_bounded(f, lo: float, hi: float, tol: float = REFINE_TOL):
     calls = 1
     rat = e = 0.0
     xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + tol / 3.0
+    tol1 = sqrt_eps * abs(xf) + REFINE_TOL / 3.0
     tol2 = 2.0 * tol1
     while abs(xf - xm) > tol2 - 0.5 * (b - a):
         golden = True
@@ -168,42 +168,23 @@ def minimize_scalar_bounded(f, lo: float, hi: float, tol: float = REFINE_TOL):
             elif fu <= ffulc or fulc == xf or fulc == nfc:
                 fulc, ffulc = x, fu
         xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + tol / 3.0
+        tol1 = sqrt_eps * abs(xf) + REFINE_TOL / 3.0
         tol2 = 2.0 * tol1
         if calls >= 500:
             break
     return float(xf), float(fx), calls
 
 
-def grid_search(f, candidates):
-    """Exhaustive argmin over candidates; ties go to the smallest candidate.
-
-    Returns (x*, f*).
-    """
-    best_x = None
-    best_f = None
-    seen = False
-    for c in candidates:
-        seen = True
-        v = f(c)
-        if best_f is None or v < best_f or (v == best_f and c < best_x):
-            best_x, best_f = c, v
-    if not seen:
-        raise EmptyCandidates("no candidates to search")
-    return best_x, best_f
-
-
 def grid_argmin(f, grid: np.ndarray, values, width: int = 1):
-    """`grid_search(f, grid.tolist())`, with f's values on the grid taken
-    from `values`, its array form.
+    """The first minimizer of f over the ascending array `grid`, and f
+    there, with f's values on the grid taken from `values`, its array form.
 
-    `values` maps a slice of the ascending array `grid` to the values of f
-    there, bit for bit, holding `width` floats per point.  It is called on
-    PASS_SIZE // width points at a time, so its temporaries stay near
-    128 KiB: small enough to reuse freed heap pages instead of growing the
-    resident set, whatever k is.  Ties go to the smallest point.  Where a
-    value is not finite, f is called at the first such point, to raise its
-    own error there.
+    `values` maps a slice of `grid` to the values of f there, bit for bit,
+    holding `width` floats per point.  It is called on PASS_SIZE // width
+    points at a time, so its temporaries stay near 128 KiB: small enough to
+    reuse freed heap pages instead of growing the resident set, whatever k
+    is.  Ties go to the smallest point.  Where a value is not finite, f is
+    called at the first such point, to raise its own error there.
     """
     rows = max(1, PASS_SIZE // width)
     with np.errstate(all="ignore"):
@@ -281,7 +262,7 @@ def _grid_then_refine(family: Family, eps: float, k: int,
     x0, f0 = grid_argmin(
         f, grid, array_objective(family, eps, k, weights, n), k)
     xr, fr, calls = minimize_scalar_bounded(f, max(0.5, x0 - cell),
-                                            min(hi, x0 + cell), REFINE_TOL)
+                                            min(hi, x0 + cell))
     return _result(family, eps, k, xr if fr < f0 else x0, weights, n,
                    len(grid) + calls)
 
@@ -334,7 +315,7 @@ def optimize_alh(eps: float, k: int, weights: ObjectiveWeights,
         else:
             lo = mid + 1
     near = [g for g in (lo - 1, lo, lo + 1) if k <= g <= top]
-    g, _ = grid_search(f, sorted({g_low, *near}))
+    g = min(sorted({g_low, *near}), key=f)
     return _result(Family.LH, eps, k, g, weights, n, k - 1 + 2 * steps)
 
 

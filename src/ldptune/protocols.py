@@ -23,6 +23,7 @@ Families and their standard instantiations:
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 
@@ -358,11 +359,6 @@ def first_order_mse(p_star, q_star, n: float = 1):
     return q_star * (1 - q_star) / (n * square)
 
 
-def generic_pure_mse(pp: PureParams, n: float = 1) -> float:
-    """First-order per-coordinate variance q*(1-q*)/(n (p*-q*)^2)."""
-    return first_order_mse(pp.p_star, pp.q_star, n)
-
-
 def analytic_mse(cfg: ProtocolConfig, n: float = 1) -> float:
     """Closed-form approximate estimator variance, per user at n=1.
 
@@ -375,7 +371,7 @@ def analytic_mse(cfg: ProtocolConfig, n: float = 1) -> float:
     """
     try:
         mse = (8.0 / (n * cfg.eps ** 2) if cfg.family is Family.SHE
-               else generic_pure_mse(pure_params(cfg), n))
+               else first_order_mse(*astuple(pure_params(cfg)), n))
     except ZeroDivisionError:
         mse = math.inf
     if not math.isfinite(mse):

@@ -114,6 +114,16 @@ def ue_asr_binomial(p, q, k):
     return hit + miss
 
 
+def bitvector_asr_closed(p, q, k):
+    """Same quantity in closed form, for q > 0: the other set bits number
+    B ~ Binomial(k-1, q), E[1/(1+B)] = (1-(1-q)^k)/(kq), and an empty
+    report (the true bit off, B = 0) falls back to a uniform guess.  p and
+    q may be floats or arrays."""
+    l1q = np.log1p(-np.asarray(q, dtype=float))
+    return (p * -np.expm1(k * l1q) / (k * q)
+            + (1 - p) * np.exp((k - 1) * l1q) / k)
+
+
 def lh_asr_ideal(p, k, g, trials, seed=0):
     """Attack success rate under an idealized uniformly random hash, averaged
     over `trials` independent hash functions with the conditional success
@@ -204,9 +214,9 @@ def splitmix_draws(seed, first, count):
     return z ^ (z >> u(31))
 
 
-def she_mc_hits(eps, k, trials, seed, first):
+def she_mc_hits(eps, k, trials, seed):
     """Attack hits of the SHE Monte Carlo with every draw transformed: trial
-    t takes draws first + t k, ..., first + t k + k - 1 of `splitmix_draws`;
+    t takes draws t k, ..., t k + k - 1 of `splitmix_draws`;
     each becomes the Laplace(0, 2/eps) sample of its 53-bit uniform
     (j + 1/2) 2^-53 - 1/2, j capped at 2^53 - 2, and the trial hits when the
     first coordinate's sample + 1 is its row's first maximum."""
@@ -215,7 +225,7 @@ def she_mc_hits(eps, k, trials, seed, first):
     hits = 0
     for t0 in range(0, trials, rows):
         m = min(rows, trials - t0)
-        z = splitmix_draws(seed, first + t0 * k, m * k).reshape(m, k)
+        z = splitmix_draws(seed, t0 * k, m * k).reshape(m, k)
         j = np.minimum((z >> np.uint64(11)).astype(float), 2.0 ** 53 - 2)
         u = (j + 0.5) * 2.0 ** -53 - 0.5
         v = np.copysign(np.log1p(np.abs(u) * -2.0) * b, u)

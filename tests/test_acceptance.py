@@ -38,7 +38,7 @@ import pytest
 
 import ldptune as lt
 import oracles as orc
-from ldptune.protocols import hash_buckets
+from ldptune.protocols import first_order_mse, hash_buckets
 
 MASTER_SEED = 7
 W_HALF = lt.ObjectiveWeights(0.5, 0.5)
@@ -106,7 +106,7 @@ def adjudication():
                               workers=WORKERS)
     mc = float(np.mean([s.empirical_mse for s in stats]))
     pp = lt.pure_params(rp.config)
-    generic = lt.generic_pure_mse(pp, n)
+    generic = first_order_mse(pp.p_star, pp.q_star, n)
     alternative = orc.ss_alt_variance(eps, k, omega, n)
     exact = orc.exact_mean_variance(pp.p_star, pp.q_star, k, n)
     rel_g = abs(mc - generic) / generic

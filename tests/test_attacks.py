@@ -42,8 +42,9 @@ from ldptune.model import (
     validate_config,
 )
 from ldptune.optimizer import COARSE_GRID_POINTS
-from ldptune.protocols import (PAIRS, hash_buckets, perturb, pure_params,
-                               sue_params, the_params, ue_pair_from_p)
+from ldptune.protocols import (PAIRS, hash_buckets, oue_params, perturb,
+                               pure_params, sue_params, the_params,
+                               ue_pair_from_p)
 
 
 def _vc(family, eps, k, param=None):
@@ -180,6 +181,25 @@ class TestClosedForms:
                     for a, b in zip(p.tolist(), q.tolist())]
             assert got.tolist() == want
 
+    @pytest.mark.parametrize("k", [2, 3, 10, 100, 1000, 10 ** 4])
+    def test_bitvector_asr_equals_binomial_closed_form(self, k):
+        # the log-space support-size sum against E[1/(1+B)] in closed form
+        # (`oracles.bitvector_asr_closed`), at the UE and THE pairs the
+        # presets and optimizers use, up to the eps cap
+        for eps in (0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 40.0, 73.0,
+                    100.0, 300.0, 709.5):
+            pairs = [oue_params(eps),
+                     *(the_params(eps, t) for t in (0.5, 0.75, 1.0)),
+                     *(ue_pair_from_p(eps, p) for p in (0.5, 0.9, 0.999))]
+            if eps <= 73.0:  # sue's p rounds to 1 past 73.47
+                pairs.append(sue_params(eps))
+            p, q = np.array(pairs).T
+            want = orc.bitvector_asr_closed(p, q, k)
+            got = [bitvector_expected_asr(a, b, k) for a, b in pairs]
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+            np.testing.assert_allclose(bitvector_expected_asr(p, q, k), want,
+                                       rtol=1e-9, atol=0)
+
     def test_lh_asr_near_eps_cap(self):
         # e^eps is finite but (e^eps + g - 1) max(k/g, 1) overflows
         assert expected_asr(_vc(Family.LH, 709.78, 10, 2)) == 0.2
@@ -271,8 +291,9 @@ class TestScipyPorts:
             assert np.float64(ours).tobytes() == np.float64(ref).tobytes(), a
 
     def test_logsumexp_axis1_equals_scipy(self):
+        # a 2-d input sums its last axis, row by row
         a = np.vstack([r for r in self._rows() if len(r) == 50])
-        ours = logsumexp(a, axis=1)
+        ours = logsumexp(a)
         assert ours.shape == (len(a),)
         assert ours.tobytes() == special.logsumexp(a, axis=1).tobytes()
         assert ours[2] == -np.inf  # the all -inf row
@@ -307,12 +328,17 @@ class TestBruteForce:
 
 class TestSheMonteCarlo:
     def test_deterministic_given_stream(self):
-        a = expected_asr_she_mc(2.0, 5, 4000, derive_stream(7, 0, 0))
-        b = expected_asr_she_mc(2.0, 5, 4000, derive_stream(7, 0, 0))
+        # equal arguments draw the same stream, that of their (eps, k) point
+        a = expected_asr_she_mc(2.0, 5, 4000)
+        b = expected_asr_she_mc(2.0, 5, 4000)
         assert a.asr == b.asr
 
-    def test_k_one_is_certain(self):
-        assert expected_asr_she_mc(1.0, 1, 10).asr == 1.0
+    @pytest.mark.parametrize("k", [1, 1.0, True])
+    def test_k_one_is_a_range_error(self, k):
+        # as resolve_protocol("she", eps, 1) is: k = 1 has no other value
+        with pytest.raises(RangeError) as exc:
+            expected_asr_she_mc(2.0, k, 10)
+        assert exc.value.field == "k"
 
     @pytest.mark.parametrize("eps,k,field", [(0.0, 10, "eps"), (-1.0, 10, "eps"),
                                              (math.inf, 10, "eps"),
@@ -338,13 +364,13 @@ class TestSheMonteCarlo:
         assert expected_asr_she_mc(2.0, 10, np.int64(5)).n == 5
 
     def test_bounds_and_monotonicity(self):
-        lo = expected_asr_she_mc(0.5, 8, 30000, derive_stream(8, 0, 0)).asr
-        hi = expected_asr_she_mc(6.0, 8, 30000, derive_stream(8, 0, 1)).asr
+        lo = expected_asr_she_mc(0.5, 8, 30000).asr
+        hi = expected_asr_she_mc(6.0, 8, 30000).asr
         assert 0 < lo < hi < 1
         assert lo < 0.3 and hi > 0.5
 
     def test_matches_independent_oracle(self):
-        r = expected_asr_she_mc(2.0, 6, 2 * 10 ** 5, derive_stream(9, 0, 0))
+        r = expected_asr_she_mc(2.0, 6, 2 * 10 ** 5)
         ref = orc.she_asr_mc(2.0, 6, 2 * 10 ** 5, seed=1234)
         assert abs(r.asr - ref) < 4 * math.sqrt(2.0) * r.stderr
 
@@ -522,35 +548,35 @@ class TestSheScreen:
         assert _screen(z, 2.0 / eps)[0] == _full_hits(z, 2.0 / eps)
 
 
+def _point_seed(eps, k):
+    """Seed of the stream `expected_asr_she_mc` draws at (eps, k)."""
+    return derive_stream(attacks.DEFAULT_ORACLE_SEED,
+                         int(round(eps * 10 ** 6)) & ((1 << 32) - 1), k).seed
+
+
 class TestSheMonteCarloStream:
     """`expected_asr_she_mc` gives the hits of a full transform of every
-    draw (`oracles.she_mc_hits`) and advances the stream by trials x k."""
+    draw of its (eps, k) point's stream (`oracles.she_mc_hits`)."""
 
     @pytest.mark.parametrize("eps", [0.5, 2.0, 14.0, 700.0])
     @pytest.mark.parametrize("k,trials", [(2, 20001), (3, 20001),
                                           (100, 20001), (1000, 3001),
                                           (40000, 5)])
     def test_hits_equal_full_transform(self, eps, k, trials):
-        # trials is not a multiple of the trials per pass or per screen, and
-        # the stream starts part-way through
-        seed, start = 12345 + k, 17
-        rng = RngStream(seed)
-        rng.u64s(start)
-        r = expected_asr_she_mc(eps, k, trials, rng)
-        assert r.asr == orc.she_mc_hits(eps, k, trials, seed, start) / trials
-        assert rng.u64() == int(orc.splitmix_draws(seed, start + trials * k,
-                                                   1)[0])
+        # trials is not a multiple of the trials per pass or per screen
+        r = expected_asr_she_mc(eps, k, trials)
+        seed = _point_seed(eps, k)
+        assert r.asr == orc.she_mc_hits(eps, k, trials, seed) / trials
 
     @pytest.mark.parametrize("k", [3, 100])
     def test_confirm_regenerates_the_trials_rows(self, k, monkeypatch):
         # with an infinite margin every trial that is not a sure miss is
         # decided on its regenerated row, in each of three screen groups
         monkeypatch.setattr(attacks, "order_margin", lambda v: np.inf)
-        seed, start, trials = 99, 5, 20001
-        rng = RngStream(seed)
-        rng.u64s(start)
-        r = expected_asr_she_mc(2.0, k, trials, rng)
-        assert r.asr == orc.she_mc_hits(2.0, k, trials, seed, start) / trials
+        trials = 20001
+        r = expected_asr_she_mc(2.0, k, trials)
+        seed = _point_seed(2.0, k)
+        assert r.asr == orc.she_mc_hits(2.0, k, trials, seed) / trials
 
     @pytest.mark.parametrize("k", [2, 100])
     def test_memory_bounded_in_trials(self, k):
@@ -558,7 +584,7 @@ class TestSheMonteCarloStream:
         # k is, and no pass holds more than about 2 PASS_SIZE draws
         tracemalloc.start()
         try:
-            expected_asr_she_mc(2.0, k, 4 * 10 ** 5 // k, RngStream(5))
+            expected_asr_she_mc(2.0, k, 4 * 10 ** 5 // k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -179,6 +179,37 @@ class TestRunExperiment:
             assert ra.empirical_asr == rb.empirical_asr
             assert np.array_equal(ra.f_hat, rb.f_hat)
 
+    @pytest.mark.parametrize("workers,runs,cpus,threads", [
+        (100_000, 6, 2, 2), (4, 6, None, 1), (8, 3, 16, 3), (2, 6, 16, 2),
+        (1, 6, 16, 1)])
+    def test_threads_capped_by_runs_and_cpus(self, workers, runs, cpus,
+                                             threads, monkeypatch):
+        # a pool gets min(workers, runs, CPUs) threads, and none is made
+        # when that is 1.  The stand-in pool records its size and maps in
+        # this thread, so the test starts no thread
+        pools = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        want = run_experiment(self.GRR8, self._cfg(runs=runs))
+        monkeypatch.setattr("ldptune.harness.ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        got = run_experiment(self.GRR8, self._cfg(runs=runs), workers=workers)
+        assert pools == ([threads] if threads > 1 else [])
+        for ra, rb in zip(got, want, strict=True):
+            assert np.array_equal(ra.f_hat, rb.f_hat)
+
     def test_adaptive_resolved_protocol(self):
         stats = run_experiment(resolve_protocol("ass", 2.0, 8, W_HALF),
                                ExperimentConfig(500, 2, 1))

@@ -18,7 +18,6 @@ from ldptune.model import (
     MAX_EPS,
     MAX_G,
     PASS_SIZE,
-    EmptyCandidates,
     Family,
     NonFinite,
     ProtocolConfig,
@@ -30,10 +29,10 @@ from ldptune.harness import pareto_sweep
 from ldptune.optimizer import (
     _P_CAP,
     COARSE_GRID_POINTS,
+    REFINE_TOL,
     ObjectiveWeights,
     array_objective,
     grid_argmin,
-    grid_search,
     minimize_scalar_bounded,
     objective,
     optimize_alh,
@@ -76,13 +75,12 @@ class TestBadDomain:
 
 class TestMinimizeScalarBounded:
     def test_quadratic(self):
-        x, f, _ = minimize_scalar_bounded(lambda t: (t - 2.0) ** 2, 0.0, 5.0,
-                                          tol=1e-6)
+        x, f, _ = minimize_scalar_bounded(lambda t: (t - 2.0) ** 2, 0.0, 5.0)
         assert abs(x - 2.0) < 1e-4
         assert f < 1e-8
 
     def test_boundary_minimum(self):
-        x, f, _ = minimize_scalar_bounded(lambda t: t, 1.0, 3.0, tol=1e-6)
+        x, f, _ = minimize_scalar_bounded(lambda t: t, 1.0, 3.0)
         assert abs(x - 1.0) < 1e-4
         assert f == pytest.approx(x)
 
@@ -101,10 +99,10 @@ class TestMinimizeScalarBounded:
     def _assert_same_as_scipy(f, lo, hi):
         ours, ref = [], []
         x, fx, calls = minimize_scalar_bounded(
-            lambda t: ours.append(t) or f(t), lo, hi, 1e-6)
+            lambda t: ours.append(t) or f(t), lo, hi)
         res = minimize_scalar(lambda t: ref.append(t) or f(t),
                               bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-6})
+                              options={"xatol": REFINE_TOL})
         assert ours == ref  # the same probes, so the same call count
         assert (x, fx) == (float(res.x), float(res.fun))
         assert calls == res.nfev == len(ours)
@@ -137,20 +135,6 @@ class TestMinimizeScalarBounded:
                           (the_f, 0.5, 1.0),
                           (the_f, max(0.5, t0 - cell), min(1.0, t0 + cell))]:
             self._assert_same_as_scipy(f, lo, hi)
-
-
-class TestGridSearch:
-    def test_argmin(self):
-        x, f = grid_search(lambda c: (c - 3) ** 2, [1, 2, 3, 4])
-        assert x == 3 and f == 0
-
-    def test_ties_break_toward_smallest(self):
-        x, _ = grid_search(lambda c: 0.0, [4, 2, 9])
-        assert x == 2
-
-    def test_empty_candidates(self):
-        with pytest.raises(EmptyCandidates):
-            grid_search(lambda c: c, [])
 
 
 class TestGridArgmin:
@@ -196,7 +180,7 @@ class TestGridArgmin:
         for vals in (rng.random(50), rng.integers(0, 4, 50).astype(float)):
             got = grid_argmin(lambda c: vals[c], grid, lambda x: vals[x],
                               self.WIDTH)
-            assert got == grid_search(lambda c: vals[c], grid.tolist())
+            assert got == orc.grid_argmin(lambda c: vals[c], grid.tolist())
 
 
 class TestFrozenOptima:

@@ -32,7 +32,7 @@ from ldptune.model import (
 from ldptune.protocols import (
     analytic_mse,
     estimate_frequencies,
-    generic_pure_mse,
+    first_order_mse,
     grr_params,
     grr_perturb,
     hash_bucket,
@@ -430,7 +430,9 @@ class TestVarianceForms:
         assert orc.ss_alt_variance(eps, 10, 2, 1) == pytest.approx(9.6875, rel=1e-9)
         cfg = _vc(Family.SS, eps, 10, 2)
         assert analytic_mse(cfg, 1) == pytest.approx(6.875, rel=1e-9)
-        assert generic_pure_mse(pure_params(cfg), 1) == pytest.approx(6.875, rel=1e-9)
+        pp = pure_params(cfg)
+        assert first_order_mse(pp.p_star, pp.q_star, 1) == pytest.approx(
+            6.875, rel=1e-9)
 
     def test_mse_scales_inversely_with_n(self):
         cfg = _vc(Family.GRR, 1.0, 4)
