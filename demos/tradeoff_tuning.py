@@ -26,7 +26,7 @@ def main():
         print(f"  {'w_asr':>6s} {pname:>8s} {'ASR':>9s} {'MSE*1':>9s}")
         for step in range(0, 11, 2):
             w_asr = step / 10
-            res = solve(EPS, K, lt.ObjectiveWeights(w_asr, 1 - w_asr))
+            res = solve(EPS, K, lt.ObjectiveWeights(w_asr))
             val = res.theta_star
             val = f"{val:.4f}" if isinstance(val, float) else str(val)
             print(f"  {w_asr:6.1f} {val:>8s} {res.asr_at_opt:9.5f} "

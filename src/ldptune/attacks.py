@@ -21,12 +21,10 @@ from .model import (
     GAMMA,
     MASK64,
     PASS_SIZE,
-    CategoryReport,
     EmptyInput,
     Family,
     ProtocolConfig,
     RangeError,
-    RealVectorReport,
     RngStream,
     UnsupportedFamily,
     check_eps,
@@ -39,9 +37,10 @@ from .model import (
     mix64_final,
     mix64_rounds,
     order_margin,
+    past_overflow,
     ue_pair_from_p,
 )
-from .protocols import grr_params, support, the_params
+from .protocols import check_report, grr_params, support, the_params
 
 # the SHE Monte Carlo's master seed, from which each (eps, k) point derives
 # its stream, and its trial count unless a caller sets one
@@ -143,18 +142,15 @@ def attack(report, cfg: ProtocolConfig, rng: RngStream) -> int:
     category and real-vector attacks consume none.
     """
     fam = cfg.family
-    if fam is Family.GRR:
-        if not isinstance(report, CategoryReport):
-            raise UnsupportedFamily("report does not match family grr")
-        return report.value
     if fam in (Family.SS, Family.UE, Family.THE, Family.LH):
         sup = sorted(support(report, cfg))
         u = rng.uniform()
         if not sup:
             return min(int(u * cfg.k), cfg.k - 1) + 1
         return sup[min(int(u * len(sup)), len(sup) - 1)]
-    if not isinstance(report, RealVectorReport):
-        raise UnsupportedFamily("report does not match family she")
+    check_report(report, fam)
+    if fam is Family.GRR:
+        return report.value
     return int(np.argmax(report.values)) + 1
 
 
@@ -218,13 +214,7 @@ def ss_expected_asr(eps: float, k: int, omega):
     taken divided through by e^eps, 1 / (omega + (k - omega) / e^eps)."""
     e = math.exp(eps)
     den = omega * e + k - omega
-    finite = np.isfinite(den)
-    if finite.all():
-        return e / den
-    div = 1 / (omega + (k - omega) / e)
-    if np.ndim(omega) == 0:
-        return div
-    return np.where(finite, e / den, div)
+    return past_overflow(den, e / den, lambda: 1 / (omega + (k - omega) / e))
 
 
 def lh_expected_asr(eps: float, k: int, g):
@@ -235,13 +225,7 @@ def lh_expected_asr(eps: float, k: int, g):
     hashed = e + g - 1
     preimage = np.maximum(k / g, 1.0) if np.ndim(g) else max(k / g, 1.0)
     den = hashed * preimage
-    finite = np.isfinite(den)
-    if finite.all():
-        return e / den
-    div = e / hashed / preimage
-    if np.ndim(g) == 0:
-        return div
-    return np.where(finite, e / den, div)
+    return past_overflow(den, e / den, lambda: e / hashed / preimage)
 
 
 # each pure family's closed-form ASR as a function of (eps, k, param), where

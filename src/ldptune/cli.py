@@ -130,7 +130,7 @@ def _sweep(args) -> int:
     experiment = _experiment(args)
     rows = pareto_sweep(names, args.grid(args.eps),
                         args.grid(args.k, integer=True),
-                        ObjectiveWeights.from_w_asr(args.w_asr),
+                        ObjectiveWeights(args.w_asr),
                         experiment=experiment, workers=args.workers,
                         she_trials=args.she_trials, param=args.param)
     _emit(rows, args)
@@ -138,7 +138,7 @@ def _sweep(args) -> int:
 
 
 def _optimize(args) -> int:
-    weights = ObjectiveWeights.from_w_asr(args.w_asr)
+    weights = ObjectiveWeights(args.w_asr)
     rp = resolve_protocol(args.protocol, args.eps, args.k, weights, n=args.n)
     opt = rp.optimization
     row = ParetoRow(rp.name, float(args.eps), int(args.k), rp.param_name,

@@ -282,6 +282,12 @@ def _simulate(configs, experiments: dict, workers: int, keep) -> dict:
     return {cfg: [r[cfg] for r in per_run] for g in groups for cfg in g.configs}
 
 
+def _check_workers(workers) -> None:
+    """Raise RangeError unless `workers` is an integer >= 1."""
+    if not (is_int(workers) and workers >= 1):
+        raise RangeError("workers", "an integer >= 1", workers)
+
+
 def run_experiment(protocol, experiment: ExperimentConfig, workers: int = 1):
     """Simulate `experiment.runs` independent runs of `protocol` (a
     ProtocolConfig or a ResolvedProtocol); returns a list of RunStats in run
@@ -292,8 +298,7 @@ def run_experiment(protocol, experiment: ExperimentConfig, workers: int = 1):
     elif not isinstance(protocol, ProtocolConfig):
         raise RangeError("protocol", "ProtocolConfig or ResolvedProtocol",
                          protocol)
-    if workers < 1:
-        raise RangeError("workers", "an integer >= 1", workers)
+    _check_workers(workers)
     experiments = {protocol.k: _experiment_at(experiment, protocol.k)}
     return _simulate([protocol], experiments, workers, lambda s: s)[protocol]
 
@@ -343,8 +348,7 @@ def pareto_sweep(protocols, eps_grid, k_grid, weights: ObjectiveWeights,
     """
     if not (is_int(she_trials) and she_trials >= 1):
         raise RangeError("she-trials", "an integer >= 1", she_trials)
-    if workers < 1:
-        raise RangeError("workers", "an integer >= 1", workers)
+    _check_workers(workers)
     ks = [int(check_k(k)) for k in k_grid]
     points = []
     experiment_at = {}

@@ -149,6 +149,18 @@ def libm(f, x):
     return np.fromiter(map(f, x.tolist()), float, len(x))
 
 
+def past_overflow(den, plain, divided):
+    """`plain` where the denominator `den` is finite, and `divided()`, the
+    same form divided through so it cannot overflow, where `den` is not (near
+    the eps cap): a python float for a float `den`, an array otherwise."""
+    finite = np.isfinite(den)
+    if finite.all():
+        return plain
+    if np.ndim(den) == 0:
+        return divided()
+    return np.where(finite, plain, divided())
+
+
 def ue_pair_from_p(eps: float, p: float) -> tuple:
     """The tight UE pair with keep-probability p: q = p/(e^eps(1-p)+p)."""
     return p, p / (math.exp(eps) * (1 - p) + p)

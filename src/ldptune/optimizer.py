@@ -54,22 +54,17 @@ _P_CAP = 1.0 - 1e-6
 
 @dataclass(frozen=True)
 class ObjectiveWeights:
-    """Convex weights for the two objectives; must sum to 1."""
+    """Convex weights for the two objectives: w_asr, and w_mse = 1 - w_asr."""
 
     w_asr: float
-    w_mse: float
 
     def __post_init__(self):
-        for name, v in (("w_asr", self.w_asr), ("w_mse", self.w_mse)):
-            if not (isinstance(v, (int, float)) and 0 <= v <= 1):
-                raise RangeError(name, "a real in [0, 1]", v)
-        if abs(self.w_asr + self.w_mse - 1) > 1e-12:
-            raise RangeError("w_asr + w_mse", "1 within 1e-12",
-                             self.w_asr + self.w_mse)
+        if not (isinstance(self.w_asr, (int, float)) and 0 <= self.w_asr <= 1):
+            raise RangeError("w_asr", "a real in [0, 1]", self.w_asr)
 
-    @classmethod
-    def from_w_asr(cls, w_asr: float) -> "ObjectiveWeights":
-        return cls(w_asr, 1.0 - w_asr)
+    @property
+    def w_mse(self) -> float:
+        return 1.0 - self.w_asr
 
 
 @dataclass(frozen=True)

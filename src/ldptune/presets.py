@@ -23,8 +23,8 @@ from .optimizer import (
 )
 from .protocols import olh_g, oue_params, ss_default_omega, sue_params
 
-DEFAULT_WEIGHTS = ObjectiveWeights(0.5, 0.5)
-_MSE_ONLY = ObjectiveWeights(0.0, 1.0)
+DEFAULT_WEIGHTS = ObjectiveWeights(0.5)
+_MSE_ONLY = ObjectiveWeights(0.0)
 
 # every name's family and the rule that fixes its free parameter from
 # (eps, k, weights, n): a value, or an OptimizationResult whose config is the

@@ -44,6 +44,7 @@ from .model import (
     libm,
     mix64,
     mix64_inplace,
+    past_overflow,
     ue_pair_from_p,
 )
 
@@ -146,17 +147,13 @@ def ss_pure_pair(eps: float, k: int, omega):
     ratios are taken divided through by w e^eps, which cannot overflow."""
     e = math.exp(eps)
     w = omega
-    p_star = w * e / (w * e + k - w)
     den = (k - 1) * (w * e + k - w)
-    q_star = (w * e * (w - 1) + (k - w) * w) / den
-    finite = np.isfinite(den)
-    if finite.all():
-        return p_star, q_star
-    r = (k - w) / w / e
-    p_div, q_div = 1 / (1 + r), (w - 1 + (k - w) / e) / ((k - 1) * (1 + r))
-    if np.ndim(w) == 0:
-        return p_div, q_div
-    return np.where(finite, p_star, p_div), np.where(finite, q_star, q_div)
+    p_star = past_overflow(den, w * e / (w * e + k - w),
+                           lambda: 1 / (1 + (k - w) / w / e))
+    q_star = past_overflow(den, (w * e * (w - 1) + (k - w) * w) / den,
+                           lambda: ((w - 1 + (k - w) / e)
+                                    / ((k - 1) * (1 + (k - w) / w / e))))
+    return p_star, q_star
 
 
 def lh_pair(eps: float, k: int, g):
@@ -192,6 +189,12 @@ def pure_params(cfg: ProtocolConfig) -> PureParams:
 
 # -- perturbation -------------------------------------------------------------
 
+def _check_x(x: int, k: int) -> None:
+    """Raise RangeError unless the user value x is in [1, k]."""
+    if not 1 <= x <= k:
+        raise RangeError("x", f"in [1, {k}]", x)
+
+
 def _uniform_other(u: float, x0: int, k: int) -> int:
     """Map u in [0,1) to a 0-based category != x0, uniformly."""
     j = min(int(u * (k - 1)), k - 2)
@@ -200,8 +203,7 @@ def _uniform_other(u: float, x0: int, k: int) -> int:
 
 def grr_perturb(x: int, eps: float, k: int, rng: RngStream) -> CategoryReport:
     """Report x with probability e^eps/(e^eps+k-1), else a uniform other."""
-    if not 1 <= x <= k:
-        raise RangeError("x", f"in [1, {k}]", x)
+    _check_x(x, k)
     p = grr_params(eps, k)[0]
     u = rng.uniform()
     if u < p:
@@ -219,8 +221,7 @@ def ss_perturb(x: int, eps: float, k: int, omega: int, rng: RngStream) -> Subset
     """
     if not 1 <= omega < k:
         raise RangeError("omega", f"an integer in [1, {k - 1}]", omega)
-    if not 1 <= x <= k:
-        raise RangeError("x", f"in [1, {k}]", x)
+    _check_x(x, k)
     include = rng.uniform() < ss_pure_pair(eps, k, omega)[0]
     others = [c for c in range(1, k + 1) if c != x]
     keys = [(rng.u64(), c) for c in others]
@@ -235,8 +236,7 @@ def ss_perturb(x: int, eps: float, k: int, omega: int, rng: RngStream) -> Subset
 def ue_perturb(x: int, p: float, q: float, k: int, rng: RngStream) -> BitVectorReport:
     """Randomized one-hot: bit x keeps with probability p, others flip on
     with probability q; one draw per bit in index order."""
-    if not 1 <= x <= k:
-        raise RangeError("x", f"in [1, {k}]", x)
+    _check_x(x, k)
     u = rng.uniforms(k)
     thresholds = np.full(k, q)
     thresholds[x - 1] = p
@@ -247,8 +247,7 @@ def lh_perturb(x: int, eps: float, k: int, g: int, rng: RngStream) -> HashedRepo
     """Draw a fresh hash seed, bucket x, then GRR over the g buckets."""
     if g < 2:
         raise RangeError("g", "an integer >= 2", g)
-    if not 1 <= x <= k:
-        raise RangeError("x", f"in [1, {k}]", x)
+    _check_x(x, k)
     seed = rng.u64()
     bucket = grr_perturb(hash_bucket(seed, x, g), eps, g, rng)
     return HashedReport(seed, bucket.value)
@@ -256,8 +255,7 @@ def lh_perturb(x: int, eps: float, k: int, g: int, rng: RngStream) -> HashedRepo
 
 def she_perturb(x: int, eps: float, k: int, rng: RngStream) -> RealVectorReport:
     """One-hot of x plus i.i.d. Laplace(0, 2/eps) noise per coordinate."""
-    if not 1 <= x <= k:
-        raise RangeError("x", f"in [1, {k}]", x)
+    _check_x(x, k)
     b = 2.0 / eps
     v = rng.laplaces(k, b)
     v[x - 1] += 1.0
@@ -296,6 +294,18 @@ def perturb(x: int, cfg: ProtocolConfig, rng: RngStream):
 
 # -- support and estimation ---------------------------------------------------
 
+# each family's report class
+REPORTS = {Family.GRR: CategoryReport, Family.SS: SubsetReport,
+           Family.UE: BitVectorReport, Family.LH: HashedReport,
+           Family.SHE: RealVectorReport, Family.THE: BitVectorReport}
+
+
+def check_report(report, fam: Family) -> None:
+    """Raise UnsupportedFamily unless `report` is of `fam`'s report class."""
+    if not isinstance(report, REPORTS[fam]):
+        raise UnsupportedFamily(f"report does not match family {fam.value}")
+
+
 def support(report, cfg: ProtocolConfig) -> frozenset:
     """Categories (1-based) the report supports.
 
@@ -303,25 +313,18 @@ def support(report, cfg: ProtocolConfig) -> frozenset:
     SHE reports support no discrete set.
     """
     fam = cfg.family
+    if fam is Family.SHE:
+        raise UnsupportedFamily("SHE reports have no support set")
+    check_report(report, fam)
     if fam is Family.GRR:
-        if not isinstance(report, CategoryReport):
-            raise UnsupportedFamily("report does not match family grr")
         return frozenset((report.value,))
     if fam is Family.SS:
-        if not isinstance(report, SubsetReport):
-            raise UnsupportedFamily("report does not match family ss")
         return frozenset(report.values)
-    if fam in (Family.UE, Family.THE):
-        if not isinstance(report, BitVectorReport):
-            raise UnsupportedFamily(f"report does not match family {fam.value}")
-        return frozenset(int(i) + 1 for i in np.flatnonzero(report.bits))
     if fam is Family.LH:
-        if not isinstance(report, HashedReport):
-            raise UnsupportedFamily("report does not match family lh")
         cats = np.arange(1, cfg.k + 1)
         buckets = hash_buckets(_U64(report.seed), cats, cfg.param) + 1
         return frozenset(int(c) for c in cats[buckets == report.value])
-    raise UnsupportedFamily("SHE reports have no support set")
+    return frozenset(int(i) + 1 for i in np.flatnonzero(report.bits))
 
 
 def estimate_from_counts(counts: np.ndarray, n: int, pp: PureParams) -> np.ndarray:

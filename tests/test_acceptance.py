@@ -41,8 +41,8 @@ import oracles as orc
 from ldptune.protocols import first_order_mse, hash_buckets
 
 MASTER_SEED = 7
-W_HALF = lt.ObjectiveWeights(0.5, 0.5)
-W_MSE_ONLY = lt.ObjectiveWeights(0.0, 1.0)
+W_HALF = lt.ObjectiveWeights(0.5)
+W_MSE_ONLY = lt.ObjectiveWeights(0.0)
 
 SWEEP_K = 100
 SWEEP_N = 5 * 10 ** 4

@@ -42,6 +42,7 @@ from ldptune.model import (
     validate_config,
 )
 from ldptune.optimizer import COARSE_GRID_POINTS
+from test_protocols import FAMILY_PARAMS, REPORT_FAMILIES
 from ldptune.protocols import (PAIRS, hash_buckets, oue_params, perturb,
                                pure_params, sue_params, the_params,
                                ue_pair_from_p)
@@ -105,6 +106,17 @@ class TestAttackBehavior:
         from ldptune.model import RealVectorReport
         rep = RealVectorReport(np.asarray([0.3, 0.9, 0.9, 0.2]))
         assert attack(rep, cfg, derive_stream(5, 0, 1)) == 2
+
+    @pytest.mark.parametrize("fam", list(Family))
+    def test_wrong_report_type_names_the_family(self, fam):
+        cfg = _vc(fam, 1.0, 4, FAMILY_PARAMS[fam])
+        for report, fams in REPORT_FAMILIES:
+            if fam in fams:
+                assert 1 <= attack(report, cfg, derive_stream(7, 0, 0)) <= 4
+                continue
+            with pytest.raises(UnsupportedFamily,
+                               match=f"^report does not match family {fam.value}$"):
+                attack(report, cfg, derive_stream(7, 0, 0))
 
     def test_attack_consumes_no_draw_for_grr(self):
         cfg = _vc(Family.GRR, 1.0, 5)

@@ -38,7 +38,30 @@ from ldptune.model import Family, ProtocolConfig, RangeError, validate_config
 from ldptune.optimizer import ObjectiveWeights
 from ldptune.presets import ADAPTIVE_NAMES, PROTOCOL_NAMES, resolve_protocol
 
-W_HALF = ObjectiveWeights(0.5, 0.5)
+W_HALF = ObjectiveWeights(0.5)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Stands in for the harness's thread pool: records each pool's size and
+    maps in this thread, so a test starts no thread."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("ldptune.harness.ThreadPoolExecutor", Pool)
+    return sizes
 
 
 class TestGenDirichlet:
@@ -183,27 +206,10 @@ class TestRunExperiment:
         (100_000, 6, 2, 2), (4, 6, None, 1), (8, 3, 16, 3), (2, 6, 16, 2),
         (1, 6, 16, 1)])
     def test_threads_capped_by_runs_and_cpus(self, workers, runs, cpus,
-                                             threads, monkeypatch):
+                                             threads, pools, monkeypatch):
         # a pool gets min(workers, runs, CPUs) threads, and none is made
-        # when that is 1.  The stand-in pool records its size and maps in
-        # this thread, so the test starts no thread
-        pools = []
-
-        class Pool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
+        # when that is 1
         want = run_experiment(self.GRR8, self._cfg(runs=runs))
-        monkeypatch.setattr("ldptune.harness.ThreadPoolExecutor", Pool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         got = run_experiment(self.GRR8, self._cfg(runs=runs), workers=workers)
         assert pools == ([threads] if threads > 1 else [])
@@ -242,6 +248,24 @@ class TestRunExperiment:
         for workers in (0, -2):
             with pytest.raises(RangeError, match="workers"):
                 run_experiment(self.GRR8, self._cfg(), workers=workers)
+
+    @pytest.mark.parametrize("workers", [1.5, 2.0, True])
+    def test_workers_must_be_an_integer(self, workers, pools, monkeypatch):
+        # 1.5 and 2.0 once built a pool of that size and True ran serially;
+        # both entry points now raise before any point resolves or runs
+        def no_call(*args, **kwargs):
+            raise AssertionError("reached past the workers check")
+        monkeypatch.setattr("ldptune.harness.resolve_protocol", no_call)
+        monkeypatch.setattr("ldptune.harness.simulate_run", no_call)
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        exp = self._cfg(runs=4)
+        for call in (lambda: run_experiment(self.GRR8, exp, workers=workers),
+                     lambda: pareto_sweep(["grr"], [1.0], [8], W_HALF,
+                                          experiment=exp, workers=workers)):
+            with pytest.raises(RangeError) as exc:
+                call()
+            assert exc.value.field == "workers"
+        assert pools == []
 
     def test_dataset_k_mismatch(self, tmp_path):
         # a Dataset, and a CSV spec whose file holds 3 categories; the sweep
@@ -407,7 +431,7 @@ class TestParetoSweep:
             pareto_sweep(["grr"], [1.0], [10], W_HALF, workers=0)
 
     def test_adaptive_mse_only_duplicates_baselines(self):
-        w = ObjectiveWeights(0.0, 1.0)
+        w = ObjectiveWeights(0.0)
         rows = {r.protocol: r for r in pareto_sweep(
             ["ss", "olh", "oue", "ass", "alh", "aue"], [4.0], [100], w)}
         assert rows["ass"].param_value == rows["ss"].param_value
@@ -880,6 +904,28 @@ class TestCli:
         code, out, _ = _main(capsys, *argv, "--n", "50", "--seed",
                              str(2 ** 64 - 1), "--workers", "2")
         assert code == 0 and out == plain
+
+    def test_option_strings_pinned(self):
+        # every subcommand's flags; a flag added or lost fails here (the
+        # benchmark commands pass --she-trials and --workers)
+        common = ["-h", "--help", "--w-asr", "--out", "--format"]
+        experiment = ["--n", "--seed", "--data", "--workers"]
+        want = {
+            "analyze": [*common, "--she-trials", "--protocol", "--eps", "--k",
+                        "--param"],
+            "optimize": [*common, "--protocol", "--eps", "--k", "--n"],
+            "simulate": [*common, "--she-trials", *experiment, "--protocol",
+                         "--eps", "--k", "--runs", "--param"],
+            "pareto": [*common, "--she-trials", *experiment, "--protocols",
+                       "--eps", "--k", "--runs"],
+        }
+        parser = cli.build_parser()
+        sub, = (a for a in parser._actions if a.dest == "command")
+        got = {name: [s for a in p._actions for s in a.option_strings]
+               for name, p in sub.choices.items()}
+        assert got == want
+        assert [s for a in parser._actions
+                for s in a.option_strings] == ["-h", "--help"]
 
     def test_fuzzed_argv_exit_cleanly(self, tmp_path, capsys):
         # seeded argv: each starts valid, then up to two flags take a value

@@ -45,14 +45,14 @@ from ldptune.protocols import (analytic_mse, olh_g, round_half_away,
 from ldptune.attacks import expected_asr
 from ldptune.presets import PROTOCOL_NAMES, resolve_protocol
 
-W_HALF = ObjectiveWeights(0.5, 0.5)
-W_MSE = ObjectiveWeights(0.0, 1.0)
+W_HALF = ObjectiveWeights(0.5)
+W_MSE = ObjectiveWeights(0.0)
 
 
 class TestObjective:
     def test_weighted_sum(self):
         cfg = validate_config(ProtocolConfig(Family.GRR, 1.0, 5))
-        w = ObjectiveWeights(0.3, 0.7)
+        w = ObjectiveWeights(0.3)
         expect = 0.3 * expected_asr(cfg) + 0.7 * analytic_mse(cfg, 1)
         assert objective(cfg, w) == pytest.approx(expect, rel=1e-15)
 
@@ -118,7 +118,7 @@ class TestMinimizeScalarBounded:
     @pytest.mark.parametrize("eps,k,w", [(1.0, 10, 0.5), (4.0, 100, 0.3),
                                          (8.0, 100, 0.9), (2.0, 1000, 0.0)])
     def test_same_as_scipy_on_refinement_objectives(self, eps, k, w):
-        weights = ObjectiveWeights.from_w_asr(w)
+        weights = ObjectiveWeights(w)
 
         def ue_f(p):
             return objective(ProtocolConfig(Family.UE, eps, k, p), weights)
@@ -230,7 +230,7 @@ class TestWeightCollapse:
 class TestGridExhaustiveness:
     def test_ass_no_better_candidate(self):
         eps, k = 2.0, 30
-        w = ObjectiveWeights(0.7, 0.3)
+        w = ObjectiveWeights(0.7)
         r = optimize_ass(eps, k, w)
         for omega in range(1, k):
             cfg = validate_config(ProtocolConfig(Family.SS, eps, k, omega))
@@ -238,7 +238,7 @@ class TestGridExhaustiveness:
 
     def test_alh_no_better_candidate(self):
         eps, k = 2.0, 30
-        w = ObjectiveWeights(0.4, 0.6)
+        w = ObjectiveWeights(0.4)
         r = optimize_alh(eps, k, w)
         hi = max(k, olh_g(eps))
         for g in range(2, hi + 1):
@@ -266,7 +266,7 @@ class TestContinuousSanity:
             assert objective(cfg, W_HALF) >= r.objective_value - 1e-9
 
     def test_returned_params_in_bounds(self):
-        for w in (W_HALF, ObjectiveWeights(0.9, 0.1)):
+        for w in (W_HALF, ObjectiveWeights(0.9)):
             assert 0.5 <= optimize_aue(2.0, 50, w).theta_star < 1.0
             assert 0.5 <= optimize_athe(2.0, 50, w).theta_star <= 1.0
             g = optimize_alh(2.0, 50, w).theta_star
@@ -285,7 +285,7 @@ class TestDominanceDirection:
         eps, k = 4.0, 100
         asrs, mses = [], []
         for i in range(11):
-            w = ObjectiveWeights(i / 10.0, 1.0 - i / 10.0)
+            w = ObjectiveWeights(i / 10.0)
             r = solver(eps, k, w)
             asrs.append(r.asr_at_opt)
             mses.append(r.mse_at_opt)
@@ -321,7 +321,7 @@ class TestScreenedGrids:
 
     @pytest.mark.parametrize("k,eps,w", SCREEN_CASES)
     def test_screen_matches_exhaustive_scalar_grid(self, k, eps, w):
-        weights = ObjectiveWeights.from_w_asr(w)
+        weights = ObjectiveWeights(w)
         f = {fam: _scalar_objective(fam, eps, k, weights)
              for fam in self.GRIDS}
         for fam, grid in self.GRIDS.items():
@@ -393,7 +393,7 @@ class TestBoundedAlh:
     def test_large_eps_beats_log_spaced_probes(self, eps, w_asr):
         # past e^eps = 2^53, e + g - 1 rounds to e for small g and the scalar
         # objective has plateaus; the search must not stop on one
-        k, w = 10, ObjectiveWeights.from_w_asr(w_asr)
+        k, w = 10, ObjectiveWeights(w_asr)
         r = optimize_alh(eps, k, w)
         # olh's g, past eps = 63 ln 2 beyond what a config holds
         top = min(round_half_away(math.exp(eps) + 1), MAX_G)
@@ -426,7 +426,7 @@ def _resolutions():
             ("the", "ass", "aue", "alh", "athe"), (2, 10, 100, 1000),
             (0.5, 2.0, 8.0, 43.7, 300.0, 709.5), (0.0, 0.5, 1.0), (1, 1e4)):
         try:
-            r = resolve_protocol(name, eps, k, ObjectiveWeights.from_w_asr(w),
+            r = resolve_protocol(name, eps, k, ObjectiveWeights(w),
                                  n).optimization
             yield repr((r.theta_star, r.objective_value, r.asr_at_opt,
                         r.mse_at_opt, r.evaluations))

@@ -23,6 +23,7 @@ from ldptune.model import (
     MAX_EPS,
     ProtocolConfig,
     RangeError,
+    RealVectorReport,
     SubsetReport,
     UnsupportedFamily,
     derive_stream,
@@ -346,14 +347,46 @@ class TestPerturbStructure:
             assert isinstance(perturb(2, cfg, derive_stream(9, 0, 0)), typ)
 
     def test_perturb_rejects_out_of_domain_value(self):
-        cfg = _vc(Family.GRR, 1.0, 4)
-        with pytest.raises(RangeError):
-            perturb(0, cfg, derive_stream(0, 0, 0))
-        with pytest.raises(RangeError):
-            perturb(5, cfg, derive_stream(0, 0, 0))
+        for fam, param in FAMILY_PARAMS.items():
+            cfg = _vc(fam, 1.0, 4, param)
+            for x in (0, 5):
+                with pytest.raises(RangeError) as exc:
+                    perturb(x, cfg, derive_stream(0, 0, 0))
+                assert exc.value.field == "x", fam
+
+
+# a valid free parameter at k = 4 for each family, and one report of each
+# class with the families it belongs to
+FAMILY_PARAMS = {Family.GRR: None, Family.SS: 2, Family.UE: 0.7,
+                 Family.LH: 2, Family.SHE: None, Family.THE: 0.8}
+REPORT_FAMILIES = [
+    (CategoryReport(2), {Family.GRR}),
+    (SubsetReport((1, 3)), {Family.SS}),
+    (BitVectorReport(np.asarray([0, 1, 0, 1])), {Family.UE, Family.THE}),
+    (HashedReport(7, 1), {Family.LH}),
+    (RealVectorReport(np.asarray([0.1, 0.9, 0.3, 0.2])), {Family.SHE}),
+]
 
 
 class TestSupport:
+    @pytest.mark.parametrize("fam", [f for f in Family if f is not Family.SHE])
+    def test_wrong_report_type_names_the_family(self, fam):
+        cfg = _vc(fam, 1.0, 4, FAMILY_PARAMS[fam])
+        for report, fams in REPORT_FAMILIES:
+            if fam in fams:
+                support(report, cfg)
+                continue
+            with pytest.raises(UnsupportedFamily,
+                               match=f"^report does not match family {fam.value}$"):
+                support(report, cfg)
+
+    def test_she_reports_have_no_support(self):
+        cfg = _vc(Family.SHE, 1.0, 4)
+        for report, _ in REPORT_FAMILIES:
+            with pytest.raises(UnsupportedFamily,
+                               match="^SHE reports have no support set$"):
+                support(report, cfg)
+
     def test_grr_support_is_singleton(self):
         cfg = _vc(Family.GRR, 1.0, 4)
         assert support(CategoryReport(3), cfg) == frozenset({3})
