@@ -16,7 +16,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
@@ -43,11 +42,18 @@ class MissingColumn(DataError):
         self.available = available
         super().__init__(f"column {column!r} not in header {available}")
 
+    def __reduce__(self):
+        return type(self), (self.column, self.available)
+
 
 class UnparsableRow(DataError):
     def __init__(self, line, detail):
         self.line = line
+        self.detail = detail
         super().__init__(f"line {line}: {detail}")
+
+    def __reduce__(self):
+        return type(self), (self.line, self.detail)
 
 
 class EmptyAfterFiltering(DataError):
@@ -243,13 +249,39 @@ def _experiment_at(experiment: ExperimentConfig, k: int) -> ExperimentConfig:
     return replace(experiment, n=n, data=ds)
 
 
+def _one_run(task) -> list:
+    """The RunStats of one run, `task` = (groups, users, seed, run), for
+    every config of every group in order; `users` maps each k to its 0-based
+    values and their empirical frequencies."""
+    groups, users, seed, run = task
+    out = []
+    for group in groups:
+        x0, f_true = users[group.k]
+        results = simulate_run(group, x0, seed, run)
+        for f_hat, successes in results:
+            mse = float(np.mean((f_hat - f_true) ** 2))
+            out.append(RunStats(successes / x0.size, mse, f_hat))
+    return out
+
+
+def _process_pool(processes: int):
+    """A pool of `processes` forked worker processes.  Its modules are
+    imported here, so a serial sweep never loads them."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(processes,
+                               mp_context=multiprocessing.get_context("fork"))
+
+
 def _simulate(configs, experiments: dict, workers: int, keep) -> dict:
     """`keep(stats)` of the RunStats of every run of each config, as
     {config: [kept value per run, in run order]}.  `experiments` maps each
     config's k to its resolved experiment (`_experiment_at`); all of them
     share one run count and master seed.  Each run simulates the configs of
-    one family and one k as one RunGroup, over one set of draws; at most
-    `workers` threads, one per run and per CPU, map over the runs."""
+    one family and one k as one RunGroup, over one set of draws.  The runs
+    are mapped over min(workers, runs, CPUs) forked processes, or in this
+    process when that is 1 or the platform cannot fork; the streams are
+    counter-based, so the results do not depend on which."""
     groups = {}
     for cfg in configs:
         groups.setdefault((cfg.family, cfg.k), {})[cfg] = None
@@ -260,26 +292,15 @@ def _simulate(configs, experiments: dict, workers: int, keep) -> dict:
         users[k] = x0, np.bincount(x0, minlength=k) / ek.n
     # every k's experiment has the sweep's run count and master seed
     ek = next(iter(experiments.values()))
-    seed = ek.master_seed
-
-    def one(run):
-        out = {}
-        for group in groups:
-            x0, f_true = users[group.k]
-            results = simulate_run(group, x0, seed, run)
-            for cfg, (f_hat, successes) in zip(group.configs, results):
-                mse = float(np.mean((f_hat - f_true) ** 2))
-                out[cfg] = keep(RunStats(successes / x0.size, mse, f_hat))
-        return out
-
-    runs = range(ek.runs)
-    threads = min(workers, ek.runs, os.cpu_count() or 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            per_run = list(ex.map(one, runs))
+    tasks = [(groups, users, ek.master_seed, run) for run in range(ek.runs)]
+    processes = min(workers, ek.runs, os.cpu_count() or 1)
+    if processes > 1 and hasattr(os, "fork"):
+        with _process_pool(processes) as ex:
+            per_run = list(ex.map(_one_run, tasks))
     else:
-        per_run = [one(r) for r in runs]
-    return {cfg: [r[cfg] for r in per_run] for g in groups for cfg in g.configs}
+        per_run = [_one_run(t) for t in tasks]
+    ordered = [cfg for g in groups for cfg in g.configs]
+    return {cfg: [keep(r[i]) for r in per_run] for i, cfg in enumerate(ordered)}
 
 
 def _check_workers(workers) -> None:

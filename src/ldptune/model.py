@@ -66,6 +66,9 @@ class RangeError(ValueError):
         self.got = got
         super().__init__(f"{field} must be {allowed}, got {got!r}")
 
+    def __reduce__(self):
+        return type(self), (self.field, self.allowed, self.got)
+
 
 class UnsupportedFamily(ValueError):
     """Operation not defined for this protocol family."""
@@ -86,6 +89,9 @@ class NonFinite(ArithmeticError):
         self.x = x
         self.value = value
         super().__init__(f"objective returned {value!r} at x={x!r}")
+
+    def __reduce__(self):
+        return type(self), (self.x, self.value)
 
 
 @dataclass(frozen=True)

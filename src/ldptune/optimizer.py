@@ -59,8 +59,10 @@ class ObjectiveWeights:
     w_asr: float
 
     def __post_init__(self):
-        if not (isinstance(self.w_asr, (int, float)) and 0 <= self.w_asr <= 1):
-            raise RangeError("w_asr", "a real in [0, 1]", self.w_asr)
+        w = self.w_asr
+        if not (isinstance(w, (int, float)) and not isinstance(w, bool)
+                and 0 <= w <= 1):
+            raise RangeError("w_asr", "a real in [0, 1]", w)
 
     @property
     def w_mse(self) -> float:

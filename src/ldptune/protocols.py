@@ -41,6 +41,7 @@ from .model import (
     RngStream,
     SubsetReport,
     UnsupportedFamily,
+    is_int,
     libm,
     mix64,
     mix64_inplace,
@@ -190,9 +191,9 @@ def pure_params(cfg: ProtocolConfig) -> PureParams:
 # -- perturbation -------------------------------------------------------------
 
 def _check_x(x: int, k: int) -> None:
-    """Raise RangeError unless the user value x is in [1, k]."""
-    if not 1 <= x <= k:
-        raise RangeError("x", f"in [1, {k}]", x)
+    """Raise RangeError unless the user value x is an integer in [1, k]."""
+    if not (is_int(x) and 1 <= x <= k):
+        raise RangeError("x", f"an integer in [1, {k}]", x)
 
 
 def _uniform_other(u: float, x0: int, k: int) -> int:

@@ -48,8 +48,7 @@ SWEEP_K = 100
 SWEEP_N = 5 * 10 ** 4
 SWEEP_RUNS = 100
 SWEEP_EPS = (2.0, 4.0, 6.0, 8.0, 10.0)
-# more threads than cores only hand the GIL back and forth between the
-# kernels' numpy calls; results do not depend on the count
+# one forked worker process per core; results do not depend on the count
 WORKERS = min(4, os.cpu_count() or 1)
 
 

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -34,7 +35,8 @@ from ldptune.harness import (
     parse_grid,
     run_experiment,
 )
-from ldptune.model import Family, ProtocolConfig, RangeError, validate_config
+from ldptune.model import (Family, NonFinite, ProtocolConfig, RangeError,
+                           validate_config)
 from ldptune.optimizer import ObjectiveWeights
 from ldptune.presets import ADAPTIVE_NAMES, PROTOCOL_NAMES, resolve_protocol
 
@@ -43,14 +45,11 @@ W_HALF = ObjectiveWeights(0.5)
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Stands in for the harness's thread pool: records each pool's size and
-    maps in this thread, so a test starts no thread."""
+    """Stands in for the harness's process pool: records each pool's size
+    and maps in this process, so a test forks nothing."""
     sizes = []
 
     class Pool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
         def __enter__(self):
             return self
 
@@ -60,7 +59,11 @@ def pools(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr("ldptune.harness.ThreadPoolExecutor", Pool)
+    def pool(processes):
+        sizes.append(processes)
+        return Pool()
+
+    monkeypatch.setattr("ldptune.harness._process_pool", pool)
     return sizes
 
 
@@ -195,12 +198,18 @@ class TestRunExperiment:
             assert ra.empirical_mse == rb.empirical_mse
             assert np.array_equal(ra.f_hat, rb.f_hat)
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        # four forked workers give the serial path's bits, in run order,
+        # and none is left running after the sweep
+        import multiprocessing
         a = run_experiment(self.GRR8, self._cfg(runs=6), workers=1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         b = run_experiment(self.GRR8, self._cfg(runs=6), workers=4)
-        for ra, rb in zip(a, b):
+        for ra, rb in zip(a, b, strict=True):
             assert ra.empirical_asr == rb.empirical_asr
+            assert ra.empirical_mse == rb.empirical_mse
             assert np.array_equal(ra.f_hat, rb.f_hat)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers,runs,cpus,threads", [
         (100_000, 6, 2, 2), (4, 6, None, 1), (8, 3, 16, 3), (2, 6, 16, 2),
@@ -215,6 +224,30 @@ class TestRunExperiment:
         assert pools == ([threads] if threads > 1 else [])
         for ra, rb in zip(got, want, strict=True):
             assert np.array_equal(ra.f_hat, rb.f_hat)
+
+    def test_no_pool_without_fork(self, pools, monkeypatch):
+        # a platform that cannot fork runs every run in this process
+        want = run_experiment(self.GRR8, self._cfg(runs=4))
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.delattr(os, "fork", raising=False)
+        got = run_experiment(self.GRR8, self._cfg(runs=4), workers=4)
+        assert pools == []
+        for ra, rb in zip(got, want, strict=True):
+            assert np.array_equal(ra.f_hat, rb.f_hat)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        # a RangeError raised in a worker process crosses the pool intact,
+        # not as a broken pool; the fork inherits the patched kernel
+        def bad_run(group, x0, seed, run):
+            raise RangeError("x", "an integer in [1, 8]", 1.5)
+        monkeypatch.setattr("ldptune.harness.simulate_run", bad_run)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(RangeError) as exc:
+            pareto_sweep(["grr", "oue"], [2.0], [8], W_HALF,
+                         experiment=self._cfg(runs=4), workers=2)
+        assert (exc.value.field, exc.value.allowed, exc.value.got) == (
+            "x", "an integer in [1, 8]", 1.5)
 
     def test_adaptive_resolved_protocol(self):
         stats = run_experiment(resolve_protocol("ass", 2.0, 8, W_HALF),
@@ -353,6 +386,25 @@ class TestRunExperiment:
             out[n] = float(np.mean([s.empirical_mse for s in stats]))
         ratio = out[2000] / out[4000]
         assert abs(ratio - 2.0) < 0.3
+
+
+class TestPickledErrors:
+    @pytest.mark.parametrize("exc,fields", [
+        (RangeError("workers", "an integer >= 1", 1.5),
+         {"field": "workers", "allowed": "an integer >= 1", "got": 1.5}),
+        (NonFinite(0.25, math.inf), {"x": 0.25, "value": math.inf}),
+        (MissingColumn("b", ["a", "c"]),
+         {"column": "b", "available": ["a", "c"]}),
+        (UnparsableRow(3, "not an integer: 'x'"),
+         {"line": 3, "detail": "not an integer: 'x'"}),
+    ])
+    def test_round_trip(self, exc, fields):
+        # an error raised in a worker process reaches the caller pickled;
+        # these once failed to unpickle, as __init__ takes fields
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc)
+        assert {f: getattr(back, f) for f in fields} == fields
 
 
 class TestParetoSweep:
@@ -685,6 +737,17 @@ class TestCli:
         assert ra.returncode == 0 and rb.returncode == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_pareto_stdout_worker_counts_byte_identical(self):
+        # CSV on stdout: output buffered before a fork would be written
+        # once more by each worker process
+        common = ["pareto", "--protocols", "grr,oue,ss", "--eps", "2",
+                  "--k", "8", "--n", "300", "--runs", "2", "--seed", "5"]
+        ra = self._run(*common, "--workers", "1")
+        rb = self._run(*common, "--workers", "2")
+        assert ra.returncode == 0 and rb.returncode == 0, rb.stderr
+        assert ra.stdout.count("\n") == 4
+        assert rb.stdout == ra.stdout
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "o.json"
         r = self._run("analyze", "--protocol", "ss", "--eps", "2", "--k",
@@ -816,6 +879,19 @@ class TestCli:
                            text=True)
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == "[]"
+
+    def test_import_and_serial_sweep_load_no_pool(self):
+        # the process pool's modules are imported only when a pool is made
+        code = ("import sys, ldptune.cli\n"
+                "before = 'concurrent.futures.process' in sys.modules\n"
+                "ldptune.cli.main(['pareto', '--protocols', 'grr', '--eps',"
+                " '2', '--k', '8', '--n', '100', '--runs', '2',"
+                " '--workers', '1', '--out', sys.argv[1]])\n"
+                "print(before, 'concurrent.futures.process' in sys.modules)")
+        r = subprocess.run([sys.executable, "-c", code, os.devnull],
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "False False"
 
     def test_io_error_exit_3(self):
         r = self._run("analyze", "--protocol", "grr", "--eps", "1", "--k",

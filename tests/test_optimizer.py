@@ -73,6 +73,19 @@ class TestBadDomain:
         assert exc.value.field == "k"
 
 
+class TestWeights:
+    @pytest.mark.parametrize("w", [True, False, -0.1, 1.5, "0.5", None])
+    def test_w_asr_must_be_a_real_in_unit_interval(self, w):
+        # ObjectiveWeights(True) once gave w_asr True
+        with pytest.raises(RangeError) as exc:
+            ObjectiveWeights(w)
+        assert str(exc.value) == f"w_asr must be a real in [0, 1], got {w!r}"
+
+    @pytest.mark.parametrize("w", [0, 1, 0.25, np.float64(0.75)])
+    def test_ints_and_floats_pass(self, w):
+        assert ObjectiveWeights(w).w_mse == 1.0 - w
+
+
 class TestMinimizeScalarBounded:
     def test_quadratic(self):
         x, f, _ = minimize_scalar_bounded(lambda t: (t - 2.0) ** 2, 0.0, 5.0)

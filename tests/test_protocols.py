@@ -354,6 +354,21 @@ class TestPerturbStructure:
                     perturb(x, cfg, derive_stream(0, 0, 0))
                 assert exc.value.field == "x", fam
 
+    @pytest.mark.parametrize("x", [1.5, 2.0, True, 2.5])
+    def test_perturb_rejects_non_integer_value(self, x):
+        # grr_perturb(1.5, ...) once returned CategoryReport(1.5) and
+        # ue_perturb(2.5, ...) raised numpy's IndexError
+        for fam, param in FAMILY_PARAMS.items():
+            cfg = _vc(fam, 1.0, 4, param)
+            with pytest.raises(RangeError) as exc:
+                perturb(x, cfg, derive_stream(0, 0, 0))
+            assert str(exc.value) == f"x must be an integer in [1, 4], got {x!r}"
+        with pytest.raises(RangeError, match=r"x must be an integer in \[1, 4\]"):
+            ue_perturb(x, 0.5, 0.1, 4, derive_stream(0, 0, 0))
+        # numpy integers are values too
+        rep = grr_perturb(np.int64(2), 9.0, 4, derive_stream(0, 0, 0))
+        assert rep == grr_perturb(2, 9.0, 4, derive_stream(0, 0, 0))
+
 
 # a valid free parameter at k = 4 for each family, and one report of each
 # class with the families it belongs to
