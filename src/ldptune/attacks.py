@@ -27,11 +27,11 @@ from .model import (
     RangeError,
     RngStream,
     UnsupportedFamily,
+    check_count,
     check_eps,
     check_k,
     derive_stream,
     draws_u64,
-    is_int,
     laplace_inplace,
     libm,
     mix64_final,
@@ -86,8 +86,8 @@ def lgamma_table(k: int) -> np.ndarray:
 
     Below 13 it is the log of (j-1)!, which float64 holds exactly; from 13
     on see `_lgam`.  The table only grows, so each value is computed once
-    per process (8 bytes per entry are kept).  Two threads may both grow
-    it; either table they store is correct.
+    per process (8 bytes per entry are kept); a forked worker process
+    starts from its parent's table.
     """
     global _lgam_cache
     table = _lgam_cache
@@ -350,13 +350,16 @@ def expected_asr_she_mc(eps: float, k: int,
     bracket's order margin are regenerated in full.  So the estimate is the
     one a full transform of every draw gives, bit for bit.
     """
-    if not (is_int(trials) and trials >= 1):
-        raise RangeError("trials", "an integer >= 1", trials)
+    check_count("trials", trials)
     check_eps(eps)
     check_k(k)
+    b = 2.0 / eps
+    # samples reach 53 ln 2 = 36.74 b; past that they would overflow
+    if not math.isfinite(36.75 * b):
+        raise RangeError("eps", "at least 73.5 / float max (4.09e-307), so "
+                         "that Laplace samples of scale 2/eps are finite", eps)
     seed = derive_stream(DEFAULT_ORACLE_SEED,
                          int(round(eps * 10 ** 6)) & ((1 << 32) - 1), k).seed
-    b = 2.0 / eps
     cuts = _bucket_cuts(b)
     # trials per pass: about 3 PASS_SIZE draws (2 and 4 PASS_SIZE were 5-15%
     # slower at k = 100 on a 2 MiB L2 x86_64 core), and whole passes per

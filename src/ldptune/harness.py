@@ -20,8 +20,8 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .model import (MASK64, DataError, Family, ProtocolConfig, RangeError,
-                    check_k, derive_stream, is_int)
+from .model import (DataError, Family, ProtocolConfig, RangeError,
+                    check_count, check_k, check_seed, derive_stream, is_int)
 from .attacks import DEFAULT_SHE_TRIALS, expected_asr, expected_asr_she_mc
 from .optimizer import ObjectiveWeights
 from .presets import ResolvedProtocol, resolve_protocol
@@ -96,10 +96,9 @@ class Dataset:
 def gen_dirichlet(k: int, n: int, seed: int) -> Dataset:
     """Draw one flat-Dirichlet frequency vector (normalized independent unit
     exponentials), then sample n categories i.i.d. from it."""
-    if k < 1:
-        raise RangeError("k", "an integer >= 1", k)
-    if n < 1:
-        raise RangeError("n", "an integer >= 1", n)
+    check_count("k", k)
+    check_count("n", n)
+    seed = check_seed(seed)
     rng = derive_stream(seed, _DATA_RUN_TAG, 0)
     expo = -np.log1p(-rng.uniforms(k))
     f = expo / expo.sum()
@@ -213,15 +212,10 @@ class ExperimentConfig:
     data: object = "dirichlet"
 
     def __post_init__(self):
-        if not (is_int(self.runs) and self.runs >= 1):
-            raise RangeError("runs", "an integer >= 1", self.runs)
+        check_count("runs", self.runs)
         if self.n is not None and not (is_int(self.n) and self.n >= 1):
             raise RangeError("n", "an integer >= 1 (or None for CSV length)", self.n)
-        # streams take the seed mod 2^64, so a seed outside would alias one inside
-        if not (is_int(self.master_seed) and 0 <= self.master_seed <= MASK64):
-            raise RangeError("seed", "an integer in [0, 2^64)", self.master_seed)
-        # a numpy seed would overflow the streams' python-int arithmetic
-        object.__setattr__(self, "master_seed", int(self.master_seed))
+        object.__setattr__(self, "master_seed", check_seed(self.master_seed))
 
 
 @dataclass(frozen=True)
@@ -273,15 +267,15 @@ def _process_pool(processes: int):
                                mp_context=multiprocessing.get_context("fork"))
 
 
-def _simulate(configs, experiments: dict, workers: int, keep) -> dict:
-    """`keep(stats)` of the RunStats of every run of each config, as
-    {config: [kept value per run, in run order]}.  `experiments` maps each
-    config's k to its resolved experiment (`_experiment_at`); all of them
-    share one run count and master seed.  Each run simulates the configs of
-    one family and one k as one RunGroup, over one set of draws.  The runs
-    are mapped over min(workers, runs, CPUs) forked processes, or in this
-    process when that is 1 or the platform cannot fork; the streams are
-    counter-based, so the results do not depend on which."""
+def _simulate(configs, experiments: dict, workers: int) -> dict:
+    """The RunStats of every run of each config, as {config: [RunStats per
+    run, in run order]}.  `experiments` maps each config's k to its resolved
+    experiment (`_experiment_at`); all of them share one run count and
+    master seed.  Each run simulates the configs of one family and one k as
+    one RunGroup, over one set of draws.  The runs are mapped over
+    min(workers, runs, CPUs) forked processes, or in this process when that
+    is 1 or the platform cannot fork; the streams are counter-based, so the
+    results do not depend on which."""
     groups = {}
     for cfg in configs:
         groups.setdefault((cfg.family, cfg.k), {})[cfg] = None
@@ -300,13 +294,7 @@ def _simulate(configs, experiments: dict, workers: int, keep) -> dict:
     else:
         per_run = [_one_run(t) for t in tasks]
     ordered = [cfg for g in groups for cfg in g.configs]
-    return {cfg: [keep(r[i]) for r in per_run] for i, cfg in enumerate(ordered)}
-
-
-def _check_workers(workers) -> None:
-    """Raise RangeError unless `workers` is an integer >= 1."""
-    if not (is_int(workers) and workers >= 1):
-        raise RangeError("workers", "an integer >= 1", workers)
+    return {cfg: [r[i] for r in per_run] for i, cfg in enumerate(ordered)}
 
 
 def run_experiment(protocol, experiment: ExperimentConfig, workers: int = 1):
@@ -319,9 +307,9 @@ def run_experiment(protocol, experiment: ExperimentConfig, workers: int = 1):
     elif not isinstance(protocol, ProtocolConfig):
         raise RangeError("protocol", "ProtocolConfig or ResolvedProtocol",
                          protocol)
-    _check_workers(workers)
+    check_count("workers", workers)
     experiments = {protocol.k: _experiment_at(experiment, protocol.k)}
-    return _simulate([protocol], experiments, workers, lambda s: s)[protocol]
+    return _simulate([protocol], experiments, workers)[protocol]
 
 
 @dataclass(frozen=True)
@@ -367,9 +355,8 @@ def pareto_sweep(protocols, eps_grid, k_grid, weights: ObjectiveWeights,
     point, the points of one family and one k simulated together
     (`_simulate`); then the rows.
     """
-    if not (is_int(she_trials) and she_trials >= 1):
-        raise RangeError("she-trials", "an integer >= 1", she_trials)
-    _check_workers(workers)
+    check_count("she-trials", she_trials)
+    check_count("workers", workers)
     ks = [int(check_k(k)) for k in k_grid]
     points = []
     experiment_at = {}
@@ -393,17 +380,16 @@ def pareto_sweep(protocols, eps_grid, k_grid, weights: ObjectiveWeights,
     empirical = {}
     if experiment_at:  # an experiment, and at least one point
         empirical = _simulate([p[3].config for p in points], experiment_at,
-                              workers,
-                              lambda s: (s.empirical_asr, s.empirical_mse))
+                              workers)
     rows = []
     for name, eps, k, rp, a_asr, estderr, a_mse in points:
         easr = emse = n_col = runs_col = seed_col = None
         if experiment is not None:
             ek = experiment_at[k]
-            asrs, mses = zip(*empirical[rp.config])
-            easr = float(np.mean(asrs))
+            stats = empirical[rp.config]
+            easr = float(np.mean([s.empirical_asr for s in stats]))
             estderr = math.sqrt(easr * (1 - easr) / (ek.n * ek.runs))
-            emse = float(np.mean(mses))
+            emse = float(np.mean([s.empirical_mse for s in stats]))
             n_col, runs_col, seed_col = ek.n, ek.runs, ek.master_seed
         rows.append(ParetoRow(name, float(eps), k, rp.param_name,
                               rp.param_value, float(a_asr), float(a_mse),
@@ -416,7 +402,7 @@ def pareto_sweep(protocols, eps_grid, k_grid, weights: ObjectiveWeights,
 def _fmt(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+    if is_int(v):
         return str(int(v))
     if isinstance(v, float):
         return format(v, ".17g")

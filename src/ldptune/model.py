@@ -99,7 +99,7 @@ class ProtocolConfig:
     """One protocol instance: family tag, privacy budget, domain size, and the
     family's one free parameter.  Construction turns `family` into a Family,
     coerces `param` to the family's type and checks every invariant below
-    (`validate_config`), so a config that exists is valid.
+    (`check_param`), so a config that exists is valid.
 
     Parameters
     ----------
@@ -125,8 +125,8 @@ class ProtocolConfig:
     def __post_init__(self):
         fam = Family(self.family)
         object.__setattr__(self, "family", fam)
-        object.__setattr__(self, "param", _coerce_param(fam, self.param))
-        validate_config(self)
+        object.__setattr__(self, "param", check_param(
+            fam, self.param, check_eps(self.eps), check_k(self.k)))
 
 
 def is_int(v) -> bool:
@@ -134,15 +134,9 @@ def is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def _coerce_param(fam: Family, value):
-    """`value` as `fam` stores it (see ProtocolConfig), or else unchanged."""
-    if fam in (Family.UE, Family.THE) and (is_int(value)
-                                           or isinstance(value, float)):
-        return float(value)
-    if (fam in (Family.SS, Family.LH) and isinstance(value, float)
-            and math.isfinite(value) and abs(value - round(value)) <= 1e-9):
-        return int(round(value))
-    return value
+def is_real(v) -> bool:
+    """Whether `v` is a real: a python int or float, not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def libm(f, x):
@@ -175,8 +169,7 @@ def ue_pair_from_p(eps: float, p: float) -> tuple:
 def check_eps(eps) -> float:
     """Return `eps` when it is a real in (0, MAX_EPS], so that e^eps is
     finite; raise RangeError otherwise."""
-    if not (isinstance(eps, (int, float)) and not isinstance(eps, bool)
-            and 0 < eps <= MAX_EPS):
+    if not (is_real(eps) and 0 < eps <= MAX_EPS):
         raise RangeError("eps", f"a real in (0, {MAX_EPS:.6f}], where e^eps "
                          "is finite", eps)
     return eps
@@ -190,25 +183,38 @@ def check_k(k) -> int:
     return k
 
 
-def validate_config(cfg: ProtocolConfig) -> ProtocolConfig:
-    """Check every invariant of `cfg`; return it unchanged when valid.
-    Every ProtocolConfig runs it on construction.
+def check_count(field: str, v) -> int:
+    """Return `v` if it is an integer >= 1; else raise RangeError on `field`."""
+    if not (is_int(v) and v >= 1):
+        raise RangeError(field, "an integer >= 1", v)
+    return v
 
-    Raises
-    ------
-    RangeError
-        Naming the violated field, the allowed range, and the actual value.
-    """
-    fam, v = cfg.family, cfg.param
-    check_eps(cfg.eps)
-    check_k(cfg.k)
+
+def check_seed(seed) -> int:
+    """Return `seed` as a python int if it is an integer in [0, 2^64), the
+    range in which streams tell seeds apart; else raise RangeError."""
+    if not (is_int(seed) and 0 <= seed <= MASK64):
+        raise RangeError("seed", "an integer in [0, 2^64)", seed)
+    return int(seed)
+
+
+def check_param(fam: Family, v, eps=None, k=None):
+    """Return `v`, family `fam`'s free parameter, as a ProtocolConfig stores
+    it (p and theta floats, omega and g ints) when it is in the family's
+    range; raise RangeError otherwise.  The range of omega reads k, and UE's
+    tightness reads eps; GRR and SHE take None."""
     name = PARAM_NAME[fam]
+    if fam in (Family.UE, Family.THE) and (is_int(v) or isinstance(v, float)):
+        v = float(v)
+    elif (fam in (Family.SS, Family.LH) and isinstance(v, float)
+          and math.isfinite(v) and abs(v - round(v)) <= 1e-9):
+        v = int(round(v))
     if not name:
         if v is not None:
             raise RangeError("param", f"absent for {fam.value}", v)
     elif fam is Family.SS:
-        if not (is_int(v) and 1 <= v < cfg.k):
-            raise RangeError(name, f"an integer in [1, {cfg.k - 1}]", v)
+        if not (is_int(v) and 1 <= v < k):
+            raise RangeError(name, f"an integer in [1, {k - 1}]", v)
     elif fam is Family.LH:
         if not (is_int(v) and 2 <= v <= MAX_G):
             raise RangeError(name, "an integer in [2, 2^63]", v)
@@ -217,13 +223,19 @@ def validate_config(cfg: ProtocolConfig) -> ProtocolConfig:
             raise RangeError(name, "a real in (0, 1)", v)
         # q is derived, but rounds: as p nears 1 the pair's own budget drifts
         # from eps, either way (by up to 0.1 nats at eps = 1)
-        q = ue_pair_from_p(cfg.eps, v)[1]
-        if not (q > 0 and abs(math.log(v * (1 - q) / ((1 - v) * q)) - cfg.eps)
+        q = ue_pair_from_p(eps, v)[1]
+        if not (q > 0 and abs(math.log(v * (1 - q) / ((1 - v) * q)) - eps)
                 <= UE_TIGHTNESS_TOL):
-            raise RangeError("(p, q)", f"tight for eps={cfg.eps} within "
+            raise RangeError("(p, q)", f"tight for eps={eps} within "
                              f"{UE_TIGHTNESS_TOL}", (v, q))
     elif not (isinstance(v, float) and 0.5 <= v <= 1):  # THE
         raise RangeError(name, "a real in [0.5, 1]", v)
+    return v
+
+
+def validate_config(cfg: ProtocolConfig) -> ProtocolConfig:
+    """Return `cfg` after running its construction's checks again."""
+    ProtocolConfig(cfg.family, cfg.eps, cfg.k, cfg.param)
     return cfg
 
 
@@ -239,8 +251,6 @@ class PureParams:
         if not (0 < self.p_star <= 1) or not (0 <= self.q_star < 1):
             raise RangeError("(p_star, q_star)", "p* in (0,1], q* in [0,1)",
                              (self.p_star, self.q_star))
-        if self.p_star <= self.q_star:
-            raise RangeError("p_star", f"> q_star = {self.q_star}", self.p_star)
 
 
 # -- reports ------------------------------------------------------------------
@@ -443,14 +453,10 @@ class RngStream:
         return (self.u64() >> 11) * 2.0 ** -53
 
     def u64s(self, count: int) -> np.ndarray:
-        """The next `count` raw draws, built in place on one array; advances
-        the stream by `count`."""
+        """The next `count` raw draws; advances the stream by `count`."""
         c = self._count
         self._count = c + count
-        z = np.arange(c + 1, c + 1 + count, dtype=_U64)
-        z *= _NP_GAMMA
-        z += _U64(self.seed)
-        return mix64_inplace(z)
+        return draws_u64(self.seed, np.arange(c, c + count, dtype=_U64))
 
     def uniforms(self, count: int) -> np.ndarray:
         """`count` float64 draws at once; advances the stream by `count`."""

@@ -35,6 +35,7 @@ from .model import (
     ProtocolConfig,
     RangeError,
     check_k,
+    is_real,
 )
 from .attacks import ASRS, expected_asr
 from .protocols import (
@@ -60,8 +61,7 @@ class ObjectiveWeights:
 
     def __post_init__(self):
         w = self.w_asr
-        if not (isinstance(w, (int, float)) and not isinstance(w, bool)
-                and 0 <= w <= 1):
+        if not (is_real(w) and 0 <= w <= 1):
             raise RangeError("w_asr", "a real in [0, 1]", w)
 
     @property

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .model import (PARAM_NAME, Family, ProtocolConfig, RangeError, check_eps,
-                    check_k)
+                    check_k, is_real)
 from .optimizer import (
     ObjectiveWeights,
     OptimizationResult,
@@ -85,8 +85,7 @@ def resolve_protocol(name: str, eps: float, k: int,
         raise RangeError("protocol", f"one of {', '.join(PROTOCOL_NAMES)}", name)
     check_eps(eps)
     check_k(k)
-    if not (isinstance(n, (int, float)) and not isinstance(n, bool)
-            and 0 < n < math.inf):
+    if not (is_real(n) and 0 < n < math.inf):
         raise RangeError("n", "a finite real > 0", n)
     if param is not None and not math.isfinite(param):
         raise RangeError("param", "a finite real", param)

@@ -41,6 +41,7 @@ from .model import (
     RngStream,
     SubsetReport,
     UnsupportedFamily,
+    check_param,
     is_int,
     libm,
     mix64,
@@ -182,10 +183,16 @@ def pure_params(cfg: ProtocolConfig) -> PureParams:
     ------
     UnsupportedFamily
         For SHE.
+    RangeError
+        On eps where p* <= q*: where e^eps rounds to 1, or the pair to equal.
     """
     if cfg.family is Family.SHE:
         raise UnsupportedFamily("SHE is not pure; it has no (p*, q*)")
-    return PureParams(*PAIRS[cfg.family](cfg.eps, cfg.k, cfg.param))
+    pp = PureParams(*PAIRS[cfg.family](cfg.eps, cfg.k, cfg.param))
+    if pp.p_star <= pp.q_star:
+        raise RangeError("eps", f"large enough that p* > q* at k={cfg.k} "
+                         f"(p* = {pp.p_star!r}, q* = {pp.q_star!r})", cfg.eps)
+    return pp
 
 
 # -- perturbation -------------------------------------------------------------
@@ -220,8 +227,7 @@ def ss_perturb(x: int, eps: float, k: int, omega: int, rng: RngStream) -> Subset
     smallest random 64-bit keys (one key per candidate, drawn in category
     order, which is what the vectorized kernel does too).
     """
-    if not 1 <= omega < k:
-        raise RangeError("omega", f"an integer in [1, {k - 1}]", omega)
+    omega = check_param(Family.SS, omega, k=k)
     _check_x(x, k)
     include = rng.uniform() < ss_pure_pair(eps, k, omega)[0]
     others = [c for c in range(1, k + 1) if c != x]
@@ -246,8 +252,7 @@ def ue_perturb(x: int, p: float, q: float, k: int, rng: RngStream) -> BitVectorR
 
 def lh_perturb(x: int, eps: float, k: int, g: int, rng: RngStream) -> HashedReport:
     """Draw a fresh hash seed, bucket x, then GRR over the g buckets."""
-    if g < 2:
-        raise RangeError("g", "an integer >= 2", g)
+    g = check_param(Family.LH, g)
     _check_x(x, k)
     seed = rng.u64()
     bucket = grr_perturb(hash_bucket(seed, x, g), eps, g, rng)
@@ -265,8 +270,7 @@ def she_perturb(x: int, eps: float, k: int, rng: RngStream) -> RealVectorReport:
 
 def the_threshold(v, theta: float) -> BitVectorReport:
     """Bit i = 1 iff v_i > theta."""
-    if not 0.5 <= theta <= 1.0:
-        raise RangeError("theta", "a real in [0.5, 1]", theta)
+    theta = check_param(Family.THE, theta)
     vals = v.values if isinstance(v, RealVectorReport) else np.asarray(v, dtype=float)
     return BitVectorReport((vals > theta).astype(np.uint8))
 

@@ -211,17 +211,17 @@ class TestRunExperiment:
             assert np.array_equal(ra.f_hat, rb.f_hat)
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("workers,runs,cpus,threads", [
+    @pytest.mark.parametrize("workers,runs,cpus,processes", [
         (100_000, 6, 2, 2), (4, 6, None, 1), (8, 3, 16, 3), (2, 6, 16, 2),
         (1, 6, 16, 1)])
-    def test_threads_capped_by_runs_and_cpus(self, workers, runs, cpus,
-                                             threads, pools, monkeypatch):
-        # a pool gets min(workers, runs, CPUs) threads, and none is made
-        # when that is 1
+    def test_processes_capped_by_runs_and_cpus(self, workers, runs, cpus,
+                                               processes, pools, monkeypatch):
+        # a pool gets min(workers, runs, CPUs) worker processes, and none is
+        # made when that is 1
         want = run_experiment(self.GRR8, self._cfg(runs=runs))
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         got = run_experiment(self.GRR8, self._cfg(runs=runs), workers=workers)
-        assert pools == ([threads] if threads > 1 else [])
+        assert pools == ([processes] if processes > 1 else [])
         for ra, rb in zip(got, want, strict=True):
             assert np.array_equal(ra.f_hat, rb.f_hat)
 

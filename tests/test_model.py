@@ -84,10 +84,11 @@ class TestValidateConfig:
         assert exc.value.field == "(p, q)"
 
     def test_ue_requires_p_greater_than_q(self):
-        # where e^eps rounds to 1 the derived q equals p: no pure pair
+        # where e^eps rounds to 1 the derived q equals p: no pure pair, and
+        # the budget is what is too small
         with pytest.raises(RangeError) as exc:
             pure_params(_cfg(Family.UE, 0.3, eps=1e-17))
-        assert exc.value.field == "p_star"
+        assert exc.value.field == "eps" and "k=4" in str(exc.value)
 
     def test_stray_params_rejected(self):
         for family, value in ((Family.GRR, 2), (Family.SHE, 0.8)):

@@ -43,7 +43,7 @@ from ldptune.optimizer import (
 from ldptune.protocols import (analytic_mse, olh_g, round_half_away,
                                ss_default_omega)
 from ldptune.attacks import expected_asr
-from ldptune.presets import PROTOCOL_NAMES, resolve_protocol
+from ldptune.presets import ADAPTIVE_NAMES, PROTOCOL_NAMES, resolve_protocol
 
 W_HALF = ObjectiveWeights(0.5)
 W_MSE = ObjectiveWeights(0.0)
@@ -455,6 +455,10 @@ _RESOLUTIONS_DIGEST = (
 # budgets around the olh limit (63 ln 2), sue's (73.47) and the eps cap
 _CAP_EPS = (43.6, 43.7, 73.4, 74.0, 300.0, 700.0, 709.5, MAX_EPS)
 
+# budgets from the least float up: e^eps rounds to 1 below 2^-53, and SHE's
+# Laplace samples overflow below 4.09e-307
+_LOW_EPS = (5e-324, 1e-300, 1e-17, 2.0 ** -53, 1.2e-16, 1e-12, 1e-8)
+
 
 class TestPinnedResolutions:
     def test_resolutions_pinned(self):
@@ -474,3 +478,38 @@ class TestPinnedResolutions:
             if row.param_value is not None:
                 values.append(row.param_value)
             assert all(math.isfinite(v) for v in values), (eps, k, row)
+
+    @pytest.mark.parametrize("name", PROTOCOL_NAMES)
+    def test_low_eps_band(self, name):
+        # where e^eps rounds to 1 or the pair (p*, q*) rounds to equal, and
+        # where SHE's Laplace scale 2/eps overflows, the error names eps
+        for eps, k in itertools.product(_LOW_EPS, (2, 10, 1000)):
+            try:
+                (row,) = pareto_sweep([name], [eps], [k], W_HALF,
+                                      she_trials=100)
+            except RangeError as exc:
+                assert "eps" in exc.field, (eps, k, exc)
+                continue
+            assert math.isfinite(row.analytic_asr), (eps, k, row)
+            assert math.isfinite(row.analytic_mse), (eps, k, row)
+
+
+# each adaptive name and the standard names whose parameter it tunes
+_BASELINES = {"ass": ("ss",), "aue": ("sue", "oue"), "alh": ("blh", "olh"),
+              "athe": ("the",)}
+
+
+@pytest.mark.parametrize("name", ADAPTIVE_NAMES)
+def test_adaptive_objective_at_most_its_baselines(name):
+    # the paper's claim: at the same weights and n, tuning the free
+    # parameter never does worse than the standard rule for it
+    for eps, k, w, n in itertools.product(
+            (0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 14.0, 30.0), (2, 10, 100),
+            (0.0, 0.25, 0.5, 0.75, 1.0), (1, 1e4)):
+        weights = ObjectiveWeights(w)
+        best = objective(resolve_protocol(name, eps, k, weights, n).config,
+                         weights, n)
+        for base in _BASELINES[name]:
+            cfg = resolve_protocol(base, eps, k, weights, n).config
+            bound = objective(cfg, weights, n)
+            assert best <= bound * (1 + 1e-12), (name, base, eps, k, w, n)

@@ -56,6 +56,7 @@ from ldptune.protocols import (
     ue_pair_from_p,
     ue_perturb,
 )
+from ldptune.harness import gen_dirichlet
 from ldptune.presets import resolve_protocol
 from ldptune.simulate import (
     RunGroup,
@@ -185,6 +186,51 @@ class TestFamilyConfig:
     def test_theta_stored_as_float(self):
         cfg = ProtocolConfig(Family.THE, 2.0, 10, 1)
         assert cfg.param == 1.0 and type(cfg.param) is float
+
+
+def _stream():
+    return derive_stream(5, 0, 0)
+
+
+# each entry point fed an input its config class rejects, and the field its
+# RangeError names: the scalar paths and the dataset generator share the
+# configs' checks
+_LOOSE_INPUTS = {
+    "ss omega 1.5": (lambda: ss_perturb(1, 1.0, 10, 1.5, _stream()), "omega"),
+    "ss omega True": (lambda: ss_perturb(1, 1.0, 10, True, _stream()),
+                      "omega"),
+    "lh g 2.5": (lambda: lh_perturb(1, 1.0, 10, 2.5, _stream()), "g"),
+    "lh g 2^64": (lambda: lh_perturb(1, 1.0, 10, 2 ** 64, _stream()), "g"),
+    "threshold theta True": (lambda: the_threshold(np.zeros(4), True),
+                             "theta"),
+    "the theta True": (lambda: the_perturb(1, 1.0, 10, True, _stream()),
+                       "theta"),
+    "dirichlet n 2.5": (lambda: gen_dirichlet(10, 2.5, 0), "n"),
+    "dirichlet k 2.5": (lambda: gen_dirichlet(2.5, 10, 0), "k"),
+    "dirichlet k True": (lambda: gen_dirichlet(True, 10, 0), "k"),
+    "dirichlet seed -1": (lambda: gen_dirichlet(10, 10, -1), "seed"),
+    "dirichlet seed 2^70": (lambda: gen_dirichlet(10, 10, 2 ** 70), "seed"),
+    "dirichlet seed 1.5": (lambda: gen_dirichlet(10, 10, 1.5), "seed"),
+}
+
+
+class TestOneRulePerInput:
+    @pytest.mark.parametrize("case", list(_LOOSE_INPUTS))
+    def test_entry_point_rejects_what_a_config_rejects(self, case):
+        call, field = _LOOSE_INPUTS[case]
+        with pytest.raises(RangeError) as exc:
+            call()
+        assert exc.value.field == field
+
+    def test_scalar_params_coerced_as_a_config_coerces_them(self):
+        # omega 2.0 is omega 2, and theta 1 is theta 1.0, as in a config
+        assert (ss_perturb(3, 1.0, 10, 2.0, _stream())
+                == ss_perturb(3, 1.0, 10, 2, _stream()))
+        assert (lh_perturb(3, 1.0, 10, 4.0, _stream())
+                == lh_perturb(3, 1.0, 10, 4, _stream()))
+        v = np.array([0.5, 1.0, 1.5])
+        assert np.array_equal(the_threshold(v, 1).bits,
+                              the_threshold(v, 1.0).bits)
 
 
 class TestPureParams:
