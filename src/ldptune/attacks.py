@@ -246,7 +246,7 @@ def expected_asr(cfg: ProtocolConfig) -> float:
     """Closed-form expected attack success rate of a pure family, `ASRS` at
     the config's param.  SHE has no closed form; use `expected_asr_she_mc`.
     """
-    if cfg.family is Family.SHE:
+    if cfg.family not in ASRS:
         raise UnsupportedFamily("SHE expected ASR is Monte Carlo; "
                                 "use expected_asr_she_mc")
     return ASRS[cfg.family](cfg.eps, cfg.k, cfg.param)

@@ -20,12 +20,12 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .model import (DataError, Family, ProtocolConfig, RangeError,
-                    check_count, check_k, check_seed, derive_stream, is_int)
+from .model import (DataError, ProtocolConfig, RangeError, check_count,
+                    check_k, check_seed, derive_stream, is_int)
 from .attacks import DEFAULT_SHE_TRIALS, expected_asr, expected_asr_she_mc
 from .optimizer import ObjectiveWeights
 from .presets import ResolvedProtocol, resolve_protocol
-from .protocols import analytic_mse
+from .protocols import PAIRS, analytic_mse
 from .simulate import RunGroup, simulate_run
 
 # run-index namespace reserved for dataset generation, disjoint from
@@ -79,13 +79,25 @@ class CsvProvenance:
 class Dataset:
     """Fixed user values (1-based categories), their domain size, and where
     they came from; `base_frequencies` holds the drawn frequency vector for
-    synthetic data, `rejected` the filtered-row count for CSV data."""
+    synthetic data, `rejected` the filtered-row count for CSV data.  The
+    values must form a non-empty 1-D integer array in [1, k] (DataError)."""
 
     values: np.ndarray
     k: int
     provenance: object
     rejected: int = 0
     base_frequencies: np.ndarray | None = None
+
+    def __post_init__(self):
+        v = np.asarray(self.values)
+        object.__setattr__(self, "values", v)
+        if v.ndim != 1 or not v.size:
+            raise DataError(f"dataset values must be a non-empty 1-D array, "
+                            f"got shape {v.shape}")
+        bad = v[(v < 1) | (v > self.k)] if v.dtype.kind in "iu" else v
+        if bad.size:
+            raise DataError(f"dataset values must be integers in "
+                            f"[1, {self.k}], got {bad[0].item()!r}")
 
     def frequencies(self) -> np.ndarray:
         """Empirical category frequencies, the ground truth for MSE."""
@@ -364,11 +376,11 @@ def pareto_sweep(protocols, eps_grid, k_grid, weights: ObjectiveWeights,
         for k in ks:
             for eps in eps_grid:
                 rp = resolve_protocol(name, eps, k, weights, param=param)
-                if rp.config.family is Family.SHE:
+                if rp.config.family in PAIRS:
+                    a_asr, estderr = expected_asr(rp.config), None
+                else:
                     mc = expected_asr_she_mc(eps, k, she_trials)
                     a_asr, estderr = mc.asr, mc.stderr
-                else:
-                    a_asr, estderr = expected_asr(rp.config), None
                 n_col = None
                 if experiment is not None:
                     if k not in experiment_at:

@@ -52,9 +52,10 @@ class Family(str, Enum):
     THE = "the"
 
 
-# each family's free parameter, as messages and exports name it; "" for none
-PARAM_NAME = {Family.GRR: "", Family.SS: "omega", Family.UE: "p",
-              Family.LH: "g", Family.SHE: "", Family.THE: "theta"}
+# each family's free parameter: (name in messages and exports, stored type)
+PARAMS = {Family.GRR: ("", None), Family.SHE: ("", None),
+          Family.SS: ("omega", int), Family.LH: ("g", int),
+          Family.UE: ("p", float), Family.THE: ("theta", float)}
 
 
 class RangeError(ValueError):
@@ -200,16 +201,16 @@ def check_seed(seed) -> int:
 
 def check_param(fam: Family, v, eps=None, k=None):
     """Return `v`, family `fam`'s free parameter, as a ProtocolConfig stores
-    it (p and theta floats, omega and g ints) when it is in the family's
-    range; raise RangeError otherwise.  The range of omega reads k, and UE's
-    tightness reads eps; GRR and SHE take None."""
-    name = PARAM_NAME[fam]
-    if fam in (Family.UE, Family.THE) and (is_int(v) or isinstance(v, float)):
+    it (as its `PARAMS` type: p and theta floats, omega and g ints) when it
+    is in the family's range; raise RangeError otherwise.  The range of
+    omega reads k, and UE's tightness reads eps; GRR and SHE take None."""
+    name, kind = PARAMS[fam]
+    if kind is float and (is_int(v) or isinstance(v, float)):
         v = float(v)
-    elif (fam in (Family.SS, Family.LH) and isinstance(v, float)
-          and math.isfinite(v) and abs(v - round(v)) <= 1e-9):
+    elif (kind is int and isinstance(v, float) and math.isfinite(v)
+          and abs(v - round(v)) <= 1e-9):
         v = int(round(v))
-    if not name:
+    if kind is None:
         if v is not None:
             raise RangeError("param", f"absent for {fam.value}", v)
     elif fam is Family.SS:
@@ -231,12 +232,6 @@ def check_param(fam: Family, v, eps=None, k=None):
     elif not (isinstance(v, float) and 0.5 <= v <= 1):  # THE
         raise RangeError(name, "a real in [0.5, 1]", v)
     return v
-
-
-def validate_config(cfg: ProtocolConfig) -> ProtocolConfig:
-    """Return `cfg` after running its construction's checks again."""
-    ProtocolConfig(cfg.family, cfg.eps, cfg.k, cfg.param)
-    return cfg
 
 
 @dataclass(frozen=True)
@@ -460,9 +455,7 @@ class RngStream:
 
     def uniforms(self, count: int) -> np.ndarray:
         """`count` float64 draws at once; advances the stream by `count`."""
-        z = self.u64s(count)
-        z >>= _U64(11)
-        return z * 2.0 ** -53
+        return (self.u64s(count) >> _U64(11)) * 2.0 ** -53
 
     def laplaces(self, count: int, b: float) -> np.ndarray:
         return laplace_inplace(self.u64s(count), b)

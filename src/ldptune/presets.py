@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import (PARAM_NAME, Family, ProtocolConfig, RangeError, check_eps,
+from .model import (PARAMS, Family, ProtocolConfig, RangeError, check_eps,
                     check_k, is_real)
 from .optimizer import (
     ObjectiveWeights,
@@ -61,7 +61,7 @@ class ResolvedProtocol:
     @property
     def param_name(self) -> str:
         """The free parameter's name; "" for grr and she."""
-        return PARAM_NAME[self.config.family]
+        return PARAMS[self.config.family][0]
 
     @property
     def param_value(self):
@@ -87,8 +87,6 @@ def resolve_protocol(name: str, eps: float, k: int,
     check_k(k)
     if not (is_real(n) and 0 < n < math.inf):
         raise RangeError("n", "a finite real > 0", n)
-    if param is not None and not math.isfinite(param):
-        raise RangeError("param", "a finite real", param)
     if weights is None:
         weights = DEFAULT_WEIGHTS
     family, rule = PROTOCOLS[name]

@@ -186,7 +186,7 @@ def pure_params(cfg: ProtocolConfig) -> PureParams:
     RangeError
         On eps where p* <= q*: where e^eps rounds to 1, or the pair to equal.
     """
-    if cfg.family is Family.SHE:
+    if cfg.family not in PAIRS:
         raise UnsupportedFamily("SHE is not pure; it has no (p*, q*)")
     pp = PureParams(*PAIRS[cfg.family](cfg.eps, cfg.k, cfg.param))
     if pp.p_star <= pp.q_star:
@@ -280,21 +280,18 @@ def the_perturb(x: int, eps: float, k: int, theta: float, rng: RngStream) -> Bit
     return the_threshold(she_perturb(x, eps, k, rng), theta)
 
 
+# each family's (x, eps, k[, param], rng) perturbation; UE's via pure_params
+PERTURBS = {Family.GRR: grr_perturb, Family.SS: ss_perturb,
+            Family.UE: lambda x, eps, k, p, rng: ue_perturb(x, *astuple(
+                pure_params(ProtocolConfig(Family.UE, eps, k, p))), k, rng),
+            Family.LH: lh_perturb, Family.SHE: she_perturb,
+            Family.THE: the_perturb}
+
+
 def perturb(x: int, cfg: ProtocolConfig, rng: RngStream):
-    """Dispatch to the family's perturbation."""
-    fam = cfg.family
-    if fam is Family.GRR:
-        return grr_perturb(x, cfg.eps, cfg.k, rng)
-    if fam is Family.SS:
-        return ss_perturb(x, cfg.eps, cfg.k, cfg.param, rng)
-    if fam is Family.UE:
-        pp = pure_params(cfg)
-        return ue_perturb(x, pp.p_star, pp.q_star, cfg.k, rng)
-    if fam is Family.LH:
-        return lh_perturb(x, cfg.eps, cfg.k, cfg.param, rng)
-    if fam is Family.SHE:
-        return she_perturb(x, cfg.eps, cfg.k, rng)
-    return the_perturb(x, cfg.eps, cfg.k, cfg.param, rng)
+    """Dispatch to the family's perturbation in `PERTURBS`."""
+    param = () if cfg.param is None else (cfg.param,)
+    return PERTURBS[cfg.family](x, cfg.eps, cfg.k, *param, rng)
 
 
 # -- support and estimation ---------------------------------------------------
@@ -318,7 +315,7 @@ def support(report, cfg: ProtocolConfig) -> frozenset:
     SHE reports support no discrete set.
     """
     fam = cfg.family
-    if fam is Family.SHE:
+    if fam not in PAIRS:
         raise UnsupportedFamily("SHE reports have no support set")
     check_report(report, fam)
     if fam is Family.GRR:
@@ -378,8 +375,8 @@ def analytic_mse(cfg: ProtocolConfig, n: float = 1) -> float:
     overflow or divide by zero.
     """
     try:
-        mse = (8.0 / (n * cfg.eps ** 2) if cfg.family is Family.SHE
-               else first_order_mse(*astuple(pure_params(cfg)), n))
+        mse = (first_order_mse(*astuple(pure_params(cfg)), n)
+               if cfg.family in PAIRS else 8.0 / (n * cfg.eps ** 2))
     except ZeroDivisionError:
         mse = math.inf
     if not math.isfinite(mse):

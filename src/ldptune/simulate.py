@@ -8,8 +8,8 @@ rows (GRR, which holds no k-wide array, `BLOCK_BYTES // 64`), so one 64-bit
 array of a block takes at most `BLOCK_BYTES` and memory stays flat in n.
 Each per-family kernel takes one block, draws it once, evaluates every config
 of the group on those draws, adds each config's column counts (SHE: column
-sums) into that config's running total and returns each config's attack
-successes.
+sums) into that config's float64 running total (counts stay exact, being at
+most n) and returns each config's attack successes.
 
 Each user owns the counter-based stream derived from (master_seed, run,
 user), whose j-th draw is addressable directly and does not depend on the
@@ -77,6 +77,7 @@ from .model import (
     stream_seeds,
 )
 from .protocols import (
+    PAIRS,
     estimate_from_counts,
     hash_buckets,
     hash_remainder,
@@ -399,8 +400,7 @@ def simulate_run(group: RunGroup, x0: np.ndarray, master_seed: int, run: int):
     x0 = np.asarray(x0, dtype=np.int64)
     n, k, fam, cfgs = x0.size, group.k, group.family, group.configs
     kernel = _KERNELS[fam]
-    dtype = np.float64 if fam is Family.SHE else np.int64
-    totals = [np.zeros(k, dtype=dtype) for _ in cfgs]
+    totals = [np.zeros(k) for _ in cfgs]
     succ = [0] * len(cfgs)
     # a GRR user holds no k-wide array, but GRR makes several user-wide
     # temporaries: blocks of 8 values a user keep each at PASS_SIZE entries
@@ -410,7 +410,7 @@ def simulate_run(group: RunGroup, x0: np.ndarray, master_seed: int, run: int):
         seeds = stream_seeds(master_seed, run, np.arange(lo, hi))
         succ = [a + b for a, b in zip(succ, kernel(cfgs, x0[lo:hi], seeds,
                                                    totals))]
-    if fam is Family.SHE:
+    if fam not in PAIRS:
         return [(total / n, s) for total, s in zip(totals, succ)]
     return [(estimate_from_counts(total, n, pure_params(cfg)), s)
             for cfg, total, s in zip(cfgs, totals, succ)]

@@ -165,15 +165,13 @@ def test_criterion_03_closed_forms_match_enumeration():
         cases += 1
 
     for eps, k in itertools.product(eps_grid, ks):
-        check(lt.validate_config(lt.ProtocolConfig(lt.Family.GRR, eps, k)))
+        check(lt.ProtocolConfig(lt.Family.GRR, eps, k))
         for omega in range(1, k):
-            check(lt.validate_config(
-                lt.ProtocolConfig(lt.Family.SS, eps, k, omega)))
+            check(lt.ProtocolConfig(lt.Family.SS, eps, k, omega))
         for p in p_grid:
-            check(lt.validate_config(lt.ProtocolConfig(lt.Family.UE, eps, k, p)))
+            check(lt.ProtocolConfig(lt.Family.UE, eps, k, p))
         for theta in theta_grid:
-            check(lt.validate_config(
-                lt.ProtocolConfig(lt.Family.THE, eps, k, theta)))
+            check(lt.ProtocolConfig(lt.Family.THE, eps, k, theta))
 
     lh_worst_z = 0.0
     for eps in eps_grid:

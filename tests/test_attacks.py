@@ -39,7 +39,6 @@ from ldptune.model import (
     derive_stream,
     laplace_inplace,
     order_margin,
-    validate_config,
 )
 from ldptune.optimizer import COARSE_GRID_POINTS
 from test_protocols import FAMILY_PARAMS, REPORT_FAMILIES
@@ -49,7 +48,7 @@ from ldptune.protocols import (PAIRS, hash_buckets, oue_params, perturb,
 
 
 def _vc(family, eps, k, param=None):
-    return validate_config(ProtocolConfig(family, eps, k, param))
+    return ProtocolConfig(family, eps, k, param)
 
 
 class TestAttackBehavior:

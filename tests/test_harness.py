@@ -35,8 +35,8 @@ from ldptune.harness import (
     parse_grid,
     run_experiment,
 )
-from ldptune.model import (Family, NonFinite, ProtocolConfig, RangeError,
-                           validate_config)
+from ldptune.model import (DataError, Family, NonFinite, ProtocolConfig,
+                           RangeError)
 from ldptune.optimizer import ObjectiveWeights
 from ldptune.presets import ADAPTIVE_NAMES, PROTOCOL_NAMES, resolve_protocol
 
@@ -97,6 +97,27 @@ class TestGenDirichlet:
         emp = ds.frequencies()
         stderr = np.sqrt(f * (1 - f) / n)
         assert np.all(np.abs(emp - f) <= 4 * np.maximum(stderr, 1e-12))
+
+
+class TestDatasetValues:
+    @pytest.mark.parametrize("values,bad", [([0, 1, 2], 0), ([1, 2, 5], 5),
+                                            ([1.5, 2], 1.5)])
+    def test_bad_values_rejected_at_construction(self, values, bad):
+        # they used to pass, and fail mid-run with numpy errors
+        with pytest.raises(DataError) as exc:
+            Dataset(values, 4, "uniform")
+        assert str(exc.value) == ("dataset values must be integers in "
+                                  f"[1, 4], got {bad!r}")
+
+    @pytest.mark.parametrize("values", [[], [[1, 2]], 3])
+    def test_values_must_be_a_non_empty_vector(self, values):
+        with pytest.raises(DataError, match="non-empty 1-D array"):
+            Dataset(values, 4, "uniform")
+
+    def test_valid_values_kept(self):
+        values = (np.arange(10) % 4) + 1
+        assert Dataset(values, 4, "uniform").values is values
+        assert np.array_equal(Dataset([1, 4], 4, "uniform").values, [1, 4])
 
 
 class TestLoadCsvColumn:
@@ -182,7 +203,7 @@ class TestParseDataSpec:
 
 
 class TestRunExperiment:
-    GRR8 = validate_config(ProtocolConfig(Family.GRR, 2.0, 8))
+    GRR8 = ProtocolConfig(Family.GRR, 2.0, 8)
 
     def _cfg(self, **kw):
         base = dict(n=2000, runs=3, master_seed=5, data="dirichlet")
@@ -331,7 +352,7 @@ class TestRunExperiment:
     def test_grr_uniform_closed_form_example(self):
         # mean empirical ASR within 4 stderr of e^2/(e^2+15)
         eps, k, n, runs = 2.0, 16, 10 ** 5, 100
-        cfg = validate_config(ProtocolConfig(Family.GRR, eps, k))
+        cfg = ProtocolConfig(Family.GRR, eps, k)
         values = (np.arange(n) % k) + 1
         ds = Dataset(values, k, "uniform")
         stats = run_experiment(cfg, ExperimentConfig(n, runs, 7, ds), workers=4)
@@ -376,7 +397,7 @@ class TestRunExperiment:
 
     def test_mse_scales_inversely_with_n(self):
         eps, k, runs = 2.0, 10, 60
-        cfg = validate_config(ProtocolConfig(Family.GRR, eps, k))
+        cfg = ProtocolConfig(Family.GRR, eps, k)
         out = {}
         for n in (2000, 4000):
             values = (np.arange(n) % k) + 1
@@ -648,6 +669,20 @@ class TestResolveProtocol:
             with pytest.raises(RangeError) as exc:
                 resolve_protocol(name, 2.0, k)
             assert exc.value.field == "k"
+
+    def test_pinned_param_checked_by_the_config(self):
+        # a param that is not a number is a RangeError on the family's
+        # parameter, as any other bad one, and a numpy int is an omega
+        with pytest.raises(RangeError) as exc:
+            resolve_protocol("ss", 1.0, 10, param="x")
+        assert exc.value.field == "omega"
+        with pytest.raises(RangeError) as exc:
+            resolve_protocol("grr", 1.0, 10, param="x")
+        assert exc.value.field == "param"
+        assert resolve_protocol("ss", 1.0, 10, param=np.int64(3)).param_value == 3
+        with pytest.raises(RangeError) as exc:
+            resolve_protocol("ss", 1.0, 10, param=math.inf)
+        assert str(exc.value) == "omega must be an integer in [1, 9], got inf"
 
     @pytest.mark.parametrize("name", ("the",) + ADAPTIVE_NAMES)
     def test_reports_the_optimizers_config(self, name):

@@ -22,7 +22,6 @@ from ldptune.model import (
     NonFinite,
     ProtocolConfig,
     RangeError,
-    validate_config,
 )
 from ldptune.cli import main
 from ldptune.harness import pareto_sweep
@@ -51,13 +50,13 @@ W_MSE = ObjectiveWeights(0.0)
 
 class TestObjective:
     def test_weighted_sum(self):
-        cfg = validate_config(ProtocolConfig(Family.GRR, 1.0, 5))
+        cfg = ProtocolConfig(Family.GRR, 1.0, 5)
         w = ObjectiveWeights(0.3)
         expect = 0.3 * expected_asr(cfg) + 0.7 * analytic_mse(cfg, 1)
         assert objective(cfg, w) == pytest.approx(expect, rel=1e-15)
 
     def test_n_scales_mse_term(self):
-        cfg = validate_config(ProtocolConfig(Family.GRR, 1.0, 5))
+        cfg = ProtocolConfig(Family.GRR, 1.0, 5)
         a = objective(cfg, W_MSE, n=1)
         b = objective(cfg, W_MSE, n=10)
         assert b == pytest.approx(a / 10, rel=1e-12)
@@ -246,7 +245,7 @@ class TestGridExhaustiveness:
         w = ObjectiveWeights(0.7)
         r = optimize_ass(eps, k, w)
         for omega in range(1, k):
-            cfg = validate_config(ProtocolConfig(Family.SS, eps, k, omega))
+            cfg = ProtocolConfig(Family.SS, eps, k, omega)
             assert objective(cfg, w) >= r.objective_value - 1e-12
 
     def test_alh_no_better_candidate(self):
@@ -255,7 +254,7 @@ class TestGridExhaustiveness:
         r = optimize_alh(eps, k, w)
         hi = max(k, olh_g(eps))
         for g in range(2, hi + 1):
-            cfg = validate_config(ProtocolConfig(Family.LH, eps, k, g))
+            cfg = ProtocolConfig(Family.LH, eps, k, g)
             assert objective(cfg, w) >= r.objective_value - 1e-12
 
 
@@ -266,7 +265,7 @@ class TestContinuousSanity:
         rng = np.random.default_rng(0)
         probes = list(0.5 + rng.random(64) * (1 - 1e-6 - 0.5)) + [0.5, 1 - 1e-6]
         for p in probes:
-            cfg = validate_config(ProtocolConfig(Family.UE, eps, k, p))
+            cfg = ProtocolConfig(Family.UE, eps, k, p)
             assert objective(cfg, W_HALF) >= r.objective_value - 1e-9
 
     def test_athe_beats_probes_and_endpoints(self):
@@ -275,7 +274,7 @@ class TestContinuousSanity:
         rng = np.random.default_rng(1)
         probes = list(0.5 + rng.random(64) * 0.5) + [0.5, 1.0]
         for theta in probes:
-            cfg = validate_config(ProtocolConfig(Family.THE, eps, k, theta))
+            cfg = ProtocolConfig(Family.THE, eps, k, theta)
             assert objective(cfg, W_HALF) >= r.objective_value - 1e-9
 
     def test_returned_params_in_bounds(self):

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from ldptune.attacks import expected_asr_she_mc
+from ldptune.attacks import ASRS, expected_asr, expected_asr_she_mc
 from ldptune.model import (
+    PARAMS,
     BitVectorReport,
     CategoryReport,
     Family,
@@ -28,9 +29,11 @@ from ldptune.model import (
     UnsupportedFamily,
     derive_stream,
     laplace_inplace,
-    validate_config,
 )
 from ldptune.protocols import (
+    PAIRS,
+    PERTURBS,
+    REPORTS,
     analytic_mse,
     estimate_frequencies,
     first_order_mse,
@@ -59,6 +62,7 @@ from ldptune.protocols import (
 from ldptune.harness import gen_dirichlet
 from ldptune.presets import resolve_protocol
 from ldptune.simulate import (
+    _KERNELS,
     RunGroup,
     _at_or_past,
     _order_cut,
@@ -70,7 +74,7 @@ from ldptune.simulate import (
 
 
 def _vc(family, eps, k, param=None):
-    return validate_config(ProtocolConfig(family, eps, k, param))
+    return ProtocolConfig(family, eps, k, param)
 
 
 class TestParameterRules:
@@ -231,6 +235,26 @@ class TestOneRulePerInput:
         v = np.array([0.5, 1.0, 1.5])
         assert np.array_equal(the_threshold(v, 1).bits,
                               the_threshold(v, 1.0).bits)
+
+
+class TestFamilyTables:
+    # each per-family fact is read from one table, so the tables must agree
+    def test_pure_families_are_the_pair_and_asr_tables(self):
+        assert set(PAIRS) == set(ASRS) == set(Family) - {Family.SHE}
+
+    def test_every_family_in_every_dispatch_table(self):
+        for table in (PARAMS, REPORTS, _KERNELS, PERTURBS):
+            assert set(table) == set(Family)
+
+    @pytest.mark.parametrize("fam", list(Family))
+    def test_unsupported_exactly_outside_the_tables(self, fam):
+        cfg = _vc(fam, 1.0, 4, FAMILY_PARAMS[fam])
+        for fn, table in ((pure_params, PAIRS), (expected_asr, ASRS)):
+            if fam in table:
+                fn(cfg)
+            else:
+                with pytest.raises(UnsupportedFamily):
+                    fn(cfg)
 
 
 class TestPureParams:
