@@ -1,7 +1,7 @@
 """Datasets, end-to-end seeded experiments, Pareto sweeps, and export.
 
 A Dataset is a fixed list of 1-based category values; experiments share it
-across runs so only protocol noise varies.  `_experiment_at` is the one place
+across runs so only protocol noise varies.  `_dataset_at` is the one place
 an experiment's data (a Dataset or a spec for `parse_data_spec`) becomes the
 users of a run at domain size k.  `run_experiment(protocol, experiment)`
 executes (perturb -> estimate -> attack) per run through the vectorized
@@ -228,6 +228,8 @@ class ExperimentConfig:
         if self.n is not None and not (is_int(self.n) and self.n >= 1):
             raise RangeError("n", "an integer >= 1 (or None for CSV length)", self.n)
         object.__setattr__(self, "master_seed", check_seed(self.master_seed))
+        if not isinstance(self.data, (Dataset, str)):
+            raise RangeError("data", "a Dataset or a data spec", self.data)
 
 
 @dataclass(frozen=True)
@@ -240,10 +242,9 @@ class RunStats:
     f_hat: np.ndarray
 
 
-def _experiment_at(experiment: ExperimentConfig, k: int) -> ExperimentConfig:
-    """`experiment` with its data a Dataset of domain size k and its n the
-    users each run takes (the whole dataset when n is None).  A resolved
-    experiment resolves to itself without parsing anything."""
+def _dataset_at(experiment: ExperimentConfig, k: int) -> Dataset:
+    """The users each run of `experiment` takes at domain size k: its data
+    as a Dataset, cut to its first n values (all of them when n is None)."""
     ds = experiment.data
     if not isinstance(ds, Dataset):
         ds = parse_data_spec(ds, k, experiment.n, experiment.master_seed)
@@ -252,7 +253,7 @@ def _experiment_at(experiment: ExperimentConfig, k: int) -> ExperimentConfig:
     n = len(ds.values) if experiment.n is None else experiment.n
     if n > len(ds.values):
         raise DataMismatch(f"n={n} exceeds dataset size {len(ds.values)}")
-    return replace(experiment, n=n, data=ds)
+    return replace(ds, values=ds.values[:n])
 
 
 def _one_run(task) -> list:
@@ -279,12 +280,13 @@ def _process_pool(processes: int):
                                mp_context=multiprocessing.get_context("fork"))
 
 
-def _simulate(configs, experiments: dict, workers: int) -> dict:
+def _simulate(configs, data: dict, experiment: ExperimentConfig,
+              workers: int) -> dict:
     """The RunStats of every run of each config, as {config: [RunStats per
-    run, in run order]}.  `experiments` maps each config's k to its resolved
-    experiment (`_experiment_at`); all of them share one run count and
-    master seed.  Each run simulates the configs of one family and one k as
-    one RunGroup, over one set of draws.  The runs are mapped over
+    run, in run order]}.  `data` maps each config's k to its users
+    (`_dataset_at`); `experiment` gives the run count and master seed.
+    Each run simulates the configs of one family and one k as one RunGroup,
+    over one set of draws.  The runs are mapped over
     min(workers, runs, CPUs) forked processes, or in this process when that
     is 1 or the platform cannot fork; the streams are counter-based, so the
     results do not depend on which."""
@@ -292,14 +294,10 @@ def _simulate(configs, experiments: dict, workers: int) -> dict:
     for cfg in configs:
         groups.setdefault((cfg.family, cfg.k), {})[cfg] = None
     groups = [RunGroup(tuple(g)) for g in groups.values()]
-    users = {}
-    for k, ek in experiments.items():
-        x0 = ek.data.values[:ek.n] - 1
-        users[k] = x0, np.bincount(x0, minlength=k) / ek.n
-    # every k's experiment has the sweep's run count and master seed
-    ek = next(iter(experiments.values()))
-    tasks = [(groups, users, ek.master_seed, run) for run in range(ek.runs)]
-    processes = min(workers, ek.runs, os.cpu_count() or 1)
+    users = {k: (ds.values - 1, ds.frequencies()) for k, ds in data.items()}
+    runs = experiment.runs
+    tasks = [(groups, users, experiment.master_seed, run) for run in range(runs)]
+    processes = min(workers, runs, os.cpu_count() or 1)
     if processes > 1 and hasattr(os, "fork"):
         with _process_pool(processes) as ex:
             per_run = list(ex.map(_one_run, tasks))
@@ -320,8 +318,8 @@ def run_experiment(protocol, experiment: ExperimentConfig, workers: int = 1):
         raise RangeError("protocol", "ProtocolConfig or ResolvedProtocol",
                          protocol)
     check_count("workers", workers)
-    experiments = {protocol.k: _experiment_at(experiment, protocol.k)}
-    return _simulate([protocol], experiments, workers)[protocol]
+    data = {protocol.k: _dataset_at(experiment, protocol.k)}
+    return _simulate([protocol], data, experiment, workers)[protocol]
 
 
 @dataclass(frozen=True)
@@ -362,50 +360,49 @@ def pareto_sweep(protocols, eps_grid, k_grid, weights: ObjectiveWeights,
     (single-protocol sweeps only).  `workers` is checked even without an
     experiment.
 
-    It works in three stages: every point's analytic columns, in row order
-    (so the first bad point raises, before any run); then every run of every
-    point, the points of one family and one k simulated together
-    (`_simulate`); then the rows.
+    It works in three stages: every point's config and analytic row, in row
+    order (so the first bad point raises, before any run); then every run of
+    every point, the points of one family and one k simulated together
+    (`_simulate`); then each row's empirical columns.
     """
     check_count("she-trials", she_trials)
     check_count("workers", workers)
     ks = [int(check_k(k)) for k in k_grid]
     points = []
-    experiment_at = {}
+    data = {}
     for name in protocols:
         for k in ks:
             for eps in eps_grid:
                 rp = resolve_protocol(name, eps, k, weights, param=param)
                 if rp.config.family in PAIRS:
-                    a_asr, estderr = expected_asr(rp.config), None
+                    a_asr, stderr = expected_asr(rp.config), None
                 else:
                     mc = expected_asr_she_mc(eps, k, she_trials)
-                    a_asr, estderr = mc.asr, mc.stderr
-                n_col = None
+                    a_asr, stderr = mc.asr, mc.stderr
+                n = None
                 if experiment is not None:
-                    if k not in experiment_at:
-                        experiment_at[k] = _experiment_at(experiment, k)
-                    n_col = experiment_at[k].n
-                a_mse = analytic_mse(rp.config, n_col if n_col else 1)
-                points.append((name, eps, k, rp, a_asr, estderr, a_mse))
+                    if k not in data:
+                        data[k] = _dataset_at(experiment, k)
+                    n = len(data[k].values)
+                a_mse = analytic_mse(rp.config, n or 1)
+                points.append((rp.config, ParetoRow(
+                    name, float(eps), k, rp.param_name, rp.param_value,
+                    float(a_asr), float(a_mse), empirical_asr_stderr=stderr,
+                    n=n)))
 
-    empirical = {}
-    if experiment_at:  # an experiment, and at least one point
-        empirical = _simulate([p[3].config for p in points], experiment_at,
-                              workers)
+    if not data:  # no experiment, or no point
+        return [row for _, row in points]
+    empirical = _simulate([cfg for cfg, _ in points], data, experiment,
+                          workers)
     rows = []
-    for name, eps, k, rp, a_asr, estderr, a_mse in points:
-        easr = emse = n_col = runs_col = seed_col = None
-        if experiment is not None:
-            ek = experiment_at[k]
-            stats = empirical[rp.config]
-            easr = float(np.mean([s.empirical_asr for s in stats]))
-            estderr = math.sqrt(easr * (1 - easr) / (ek.n * ek.runs))
-            emse = float(np.mean([s.empirical_mse for s in stats]))
-            n_col, runs_col, seed_col = ek.n, ek.runs, ek.master_seed
-        rows.append(ParetoRow(name, float(eps), k, rp.param_name,
-                              rp.param_value, float(a_asr), float(a_mse),
-                              easr, estderr, emse, n_col, runs_col, seed_col))
+    for cfg, row in points:
+        stats = empirical[cfg]
+        easr = float(np.mean([s.empirical_asr for s in stats]))
+        stderr = math.sqrt(easr * (1 - easr) / (row.n * experiment.runs))
+        rows.append(replace(
+            row, empirical_asr=easr, empirical_asr_stderr=stderr,
+            empirical_mse=float(np.mean([s.empirical_mse for s in stats])),
+            runs=experiment.runs, seed=experiment.master_seed))
     return rows
 
 

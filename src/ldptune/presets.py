@@ -76,9 +76,9 @@ def resolve_protocol(name: str, eps: float, k: int,
 
     `param` overrides the resolved free parameter (omega, p, g, or theta) and
     is rejected for grr/she, which have none.  Adaptive names optimize under
-    `weights` (default (0.5, 0.5)) and the user count `n`, a finite real > 0,
-    unless `param` pins the value directly.  `the` and the adaptive names
-    report the optimizer's own config.
+    `weights` (an ObjectiveWeights, default w_asr = 0.5) and the user count
+    `n`, a finite real > 0, unless `param` pins the value directly.  `the`
+    and the adaptive names report the optimizer's own config.
     """
     name = name.lower()
     if name not in PROTOCOLS:
@@ -89,6 +89,8 @@ def resolve_protocol(name: str, eps: float, k: int,
         raise RangeError("n", "a finite real > 0", n)
     if weights is None:
         weights = DEFAULT_WEIGHTS
+    elif not isinstance(weights, ObjectiveWeights):
+        raise RangeError("weights", "an ObjectiveWeights", weights)
     family, rule = PROTOCOLS[name]
     value = rule(eps, k, weights, n) if param is None else param
     if isinstance(value, OptimizationResult):

@@ -291,6 +291,12 @@ class TestRunExperiment:
             got = run_experiment(self.GRR8, exp)[0]
             assert np.array_equal(got.f_hat, want.f_hat)
 
+    @pytest.mark.parametrize("data", [123, None, b"dirichlet", ["dirichlet"]])
+    def test_data_must_be_a_dataset_or_a_spec(self, data):
+        with pytest.raises(RangeError) as exc:
+            ExperimentConfig(10, 1, 0, data=data)
+        assert exc.value.field == "data"
+
     def test_protocol_must_be_a_config(self):
         with pytest.raises(RangeError, match="ResolvedProtocol"):
             run_experiment(("ass", 2.0, 8), self._cfg())
@@ -343,6 +349,20 @@ class TestRunExperiment:
             with pytest.raises(DataMismatch):
                 pareto_sweep(["grr"], [2.0], [8], W_HALF,
                              experiment=self._cfg(data=data, n=200))
+
+    def test_mse_against_the_first_n_values(self):
+        # a run of n users from a longer dataset measures its MSE against
+        # the frequencies of those n values, not of the whole dataset, and
+        # a sweep reads the same n and MSE
+        ds = gen_dirichlet(8, 1000, 3)
+        exp = ExperimentConfig(100, 1, 0, ds)
+        (stats,) = run_experiment(self.GRR8, exp)
+        head = np.bincount(ds.values[:100] - 1, minlength=8) / 100
+        assert stats.empirical_mse == np.mean((stats.f_hat - head) ** 2)
+        assert stats.empirical_mse != np.mean(
+            (stats.f_hat - ds.frequencies()) ** 2)
+        (row,) = pareto_sweep(["grr"], [2.0], [8], W_HALF, experiment=exp)
+        assert (row.n, row.empirical_mse) == (100, stats.empirical_mse)
 
     def test_n_none_uses_dataset_length(self):
         ds = gen_dirichlet(8, 300, 0)
@@ -684,6 +704,16 @@ class TestResolveProtocol:
             resolve_protocol("ss", 1.0, 10, param=math.inf)
         assert str(exc.value) == "omega must be an integer in [1, 9], got inf"
 
+    def test_weights_must_be_objective_weights(self):
+        # checked where weights enter, for an adaptive name or not
+        calls = (lambda: resolve_protocol("aue", 1.0, 4, weights=(0.5,)),
+                 lambda: pareto_sweep(["ass"], [1.0], [4], 0.5),
+                 lambda: pareto_sweep(["grr"], [1.0], [4], 0.5))
+        for call in calls:
+            with pytest.raises(RangeError) as exc:
+                call()
+            assert exc.value.field == "weights"
+
     @pytest.mark.parametrize("name", ("the",) + ADAPTIVE_NAMES)
     def test_reports_the_optimizers_config(self, name):
         # past g = 2^53 a g rebuilt through a float would differ from the
@@ -728,6 +758,15 @@ class TestCli:
                       "100")
         assert r.returncode == 0
         assert "omega=7" in r.stderr
+
+    @pytest.mark.parametrize("name", ADAPTIVE_NAMES)
+    def test_optimize_prints_the_sweeps_row(self, capsys, name):
+        # the row optimize builds is the one the sweep builds for analyze
+        argv = ("--protocol", name, "--eps", "4", "--k", "100",
+                "--w-asr", "0.3")
+        code, out, _ = _main(capsys, "optimize", *argv)
+        assert code == 0 and out.count("\n") == 2
+        assert _main(capsys, "analyze", *argv)[:2] == (0, out)
 
     def test_analyze_reports_exact_large_g(self):
         r = self._run("analyze", "--protocol", "alh", "--eps", "40", "--k",
