@@ -13,6 +13,7 @@ the rows as CSV or JSON with full float64 round-trip precision.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -131,13 +132,15 @@ def _rows(reader, path: str):
 
 
 def load_csv_column(path: str, column: str, domain=None) -> Dataset:
-    """Read one column of a CSV file as a dataset.
+    """Read one column of the CSV file named by `path` as a dataset.
 
     With domain (lo, hi), integer values v in [lo, hi] map to categories
     v-lo+1 with k = hi-lo+1, and out-of-range rows are dropped with a count;
     without it, distinct values map to their sorted index.  Empty cells are
     dropped (counted) either way.
     """
+    if not isinstance(path, (str, os.PathLike)):  # not a file descriptor
+        raise RangeError("path", "a str or os.PathLike", path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         rows = _rows(reader, path)
@@ -350,7 +353,8 @@ CSV_HEADER = tuple(f.name for f in fields(ParetoRow))
 def pareto_sweep(protocols, eps_grid, k_grid, weights: ObjectiveWeights,
                  experiment: ExperimentConfig | None = None, workers: int = 1,
                  she_trials: int = DEFAULT_SHE_TRIALS, param=None):
-    """Resolve every (protocol, eps, k) point and compute its columns.
+    """Resolve every (protocol, eps, k) point and compute its columns.  The
+    three grids may be any iterables; each is read once, before any point.
 
     State-of-the-art names use their fixed parameter rules; adaptive names
     optimize under `weights`.  With an `experiment`, each point also runs the
@@ -370,25 +374,20 @@ def pareto_sweep(protocols, eps_grid, k_grid, weights: ObjectiveWeights,
     ks = [int(check_k(k)) for k in k_grid]
     points = []
     data = {}
-    for name in protocols:
-        for k in ks:
-            for eps in eps_grid:
-                rp = resolve_protocol(name, eps, k, weights, param=param)
-                if rp.config.family in PAIRS:
-                    a_asr, stderr = expected_asr(rp.config), None
-                else:
-                    mc = expected_asr_she_mc(eps, k, she_trials)
-                    a_asr, stderr = mc.asr, mc.stderr
-                n = None
-                if experiment is not None:
-                    if k not in data:
-                        data[k] = _dataset_at(experiment, k)
-                    n = len(data[k].values)
-                a_mse = analytic_mse(rp.config, n or 1)
-                points.append((rp.config, ParetoRow(
-                    name, float(eps), k, rp.param_name, rp.param_value,
-                    float(a_asr), float(a_mse), empirical_asr_stderr=stderr,
-                    n=n)))
+    for name, k, eps in itertools.product(protocols, ks, eps_grid):
+        rp = resolve_protocol(name, eps, k, weights, param=param)
+        if rp.config.family in PAIRS:
+            a_asr, stderr = expected_asr(rp.config), None
+        else:
+            mc = expected_asr_she_mc(eps, k, she_trials)
+            a_asr, stderr = mc.asr, mc.stderr
+        if experiment is not None and k not in data:
+            data[k] = _dataset_at(experiment, k)
+        n = len(data[k].values) if k in data else None
+        a_mse = analytic_mse(rp.config, n or 1)
+        points.append((rp.config, ParetoRow(
+            name, float(eps), k, rp.param_name, rp.param_value,
+            float(a_asr), float(a_mse), empirical_asr_stderr=stderr, n=n)))
 
     if not data:  # no experiment, or no point
         return [row for _, row in points]

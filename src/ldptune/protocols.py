@@ -28,6 +28,7 @@ from dataclasses import astuple
 import numpy as np
 
 from .model import (
+    GAMMA,
     MAX_G,
     BitVectorReport,
     CategoryReport,
@@ -51,7 +52,6 @@ from .model import (
 )
 
 _U64 = np.uint64
-_HGAMMA = 0x9E3779B97F4A7C15
 
 
 def round_half_away(x: float) -> int:
@@ -61,7 +61,7 @@ def round_half_away(x: float) -> int:
 
 def hash_bucket(seed: int, x: int, g: int) -> int:
     """Bucket of category x (1-based) under the seeded hash, in 1..g."""
-    return int(mix64(seed ^ mix64(x * _HGAMMA))) % g + 1
+    return int(mix64(seed ^ mix64(x * GAMMA))) % g + 1
 
 
 def hash_buckets(seeds, xs, g: int | None = None) -> np.ndarray:
@@ -72,7 +72,7 @@ def hash_buckets(seeds, xs, g: int | None = None) -> np.ndarray:
     gives that g's buckets.
     """
     hx = np.array(xs, dtype=_U64)
-    hx *= _U64(_HGAMMA)
+    hx *= _U64(GAMMA)
     h = np.asarray(np.asarray(seeds, dtype=_U64) ^ mix64_inplace(hx))
     mix64_inplace(h)
     if g is None:

@@ -2,9 +2,10 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The empirical sweep
 behind criteria 4 and 5 (12 protocols, five budgets, 100 runs of 5e4 users
-each, one `pareto_sweep`) took 110-133 s on a 2-core x86_64 machine (263-273
-s before each run simulated a family's points on shared draws); everything
-else finishes in a couple of minutes.
+each, one `pareto_sweep`) took 44-48 s on a 2-core x86_64 machine, its runs
+in forked worker processes (110-133 s in threads, and 263-273 s before each
+run simulated a family's points on shared draws); everything else finishes
+in about a minute.
 
 All empirical criteria are frozen at MASTER_SEED = 7.  The kernel has been
 checked for bias separately (criterion 9 and the adjudication stderr

@@ -180,6 +180,18 @@ class TestLoadCsvColumn:
         with pytest.raises(OSError):
             load_csv_column(str(tmp_path / "nope.csv"), "age")
 
+    def test_file_descriptor_is_a_range_error(self, tmp_path):
+        # open() takes an int as a descriptor and would close it on the way
+        # out, so the caller's own file would go with it
+        fd = os.open(self._write(tmp_path, "a\n1\n"), os.O_RDONLY)
+        try:
+            with pytest.raises(RangeError) as exc:
+                load_csv_column(fd, "a")
+            assert exc.value.field == "path"
+            os.fstat(fd)
+        finally:
+            os.close(fd)
+
 
 class TestParseDataSpec:
     def test_dirichlet(self):
@@ -560,6 +572,15 @@ class TestParetoSweep:
         assert row.empirical_asr == float(np.mean([s.empirical_asr for s in stats]))
         assert row.empirical_mse == float(np.mean([s.empirical_mse for s in stats]))
         assert (row.n, row.runs, row.seed) == (500, 1, 3)
+
+    @pytest.mark.parametrize("experiment", [None, ExperimentConfig(200, 1, 4)])
+    def test_generator_grids_give_the_list_rows(self, experiment):
+        # each grid is read once, so a one-shot iterable keeps every point
+        grids = (["grr", "oue"], [1.0, 2.0], [8, 10])
+        rows = pareto_sweep(*grids, W_HALF, experiment=experiment)
+        assert len(rows) == 8
+        assert pareto_sweep(*((v for v in g) for g in grids), W_HALF,
+                            experiment=experiment) == rows
 
     def test_param_override(self):
         row = pareto_sweep(["ss"], [2.0], [10], W_HALF, param=3)[0]

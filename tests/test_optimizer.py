@@ -512,3 +512,20 @@ def test_adaptive_objective_at_most_its_baselines(name):
             cfg = resolve_protocol(base, eps, k, weights, n).config
             bound = objective(cfg, weights, n)
             assert best <= bound * (1 + 1e-12), (name, base, eps, k, w, n)
+
+
+def test_headline_asr_reduction_and_its_mse_cost():
+    # the abstract's headline, "reducing ASR by up to five orders of
+    # magnitude": at eps 14, k 1e6, w_asr 0.9 and n 1e4, ass and alh cut
+    # their baseline's ASR by more than 1e5, and raise its MSE about as much
+    # (README, "Findings worth knowing about")
+    w, k, n = ObjectiveWeights(0.9), 10 ** 6, 10 ** 4
+    for base, tuned, params, mse_cost in (
+            ("ss", "ass", (1, 230769), 1.97e5),
+            ("olh", "alh", (1202605, 4), 1.0e5)):
+        b, t = (resolve_protocol(name, 14.0, k, w, n).config
+                for name in (base, tuned))
+        assert (b.param, t.param) == params
+        assert expected_asr(b) / expected_asr(t) >= 1e5, tuned
+        assert analytic_mse(t, n) / analytic_mse(b, n) == pytest.approx(
+            mse_cost, rel=0.01), tuned
