@@ -7,7 +7,7 @@ protocols over a grid with optional empirical columns.  `analyze`,
 `simulate` and `pareto` are one sweep, `_sweep`; they differ only in what
 their parsers put in `args`.  Exit codes: 0 on success, otherwise the code
 of the first `EXIT_CODES` row the error matches: 4 for data errors, 3 for
-I/O errors, 2 for configuration errors.
+I/O errors, 2 for configuration errors, 1 for a lost worker process.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import argparse
 import sys
 
 from .attacks import DEFAULT_SHE_TRIALS
-from .harness import (ExperimentConfig, ParetoRow, export, pareto_sweep,
-                      parse_data_spec, parse_grid)
+from .harness import (ExperimentConfig, ParetoRow, WorkerLost, export,
+                      pareto_sweep, parse_data_spec, parse_grid)
 from .model import DataError, NonFinite, RangeError
 from .optimizer import ObjectiveWeights
 from .presets import ADAPTIVE_NAMES, PROTOCOL_NAMES, resolve_protocol
@@ -25,7 +25,7 @@ from .presets import ADAPTIVE_NAMES, PROTOCOL_NAMES, resolve_protocol
 # (error class, exit code): an error exits with the code of the first row it
 # matches; an error no row matches escapes as a traceback
 EXIT_CODES = ((DataError, 4), (OSError, 3), (ValueError, 2), (NonFinite, 2),
-              (MemoryError, 2))
+              (MemoryError, 2), (WorkerLost, 1))
 
 
 def _emit(rows, args) -> None:

@@ -65,6 +65,11 @@ class DataMismatch(DataError):
     """Dataset shape conflicts with the experiment's (k, n)."""
 
 
+class WorkerLost(RuntimeError):
+    """A worker process of a sweep ended before returning its runs, as when
+    the system kills it for memory; the CLI exits 1 on it."""
+
+
 @dataclass(frozen=True)
 class DirichletProvenance:
     seed: int
@@ -302,8 +307,13 @@ def _simulate(configs, data: dict, experiment: ExperimentConfig,
     tasks = [(groups, users, experiment.master_seed, run) for run in range(runs)]
     processes = min(workers, runs, os.cpu_count() or 1)
     if processes > 1 and hasattr(os, "fork"):
-        with _process_pool(processes) as ex:
-            per_run = list(ex.map(_one_run, tasks))
+        from concurrent.futures import BrokenExecutor
+        try:
+            with _process_pool(processes) as ex:
+                per_run = list(ex.map(_one_run, tasks))
+        except BrokenExecutor:
+            raise WorkerLost("a worker process ended before returning its "
+                             "runs (killed, as for memory)") from None
     else:
         per_run = [_one_run(t) for t in tasks]
     ordered = [cfg for g in groups for cfg in g.configs]
@@ -320,6 +330,8 @@ def run_experiment(protocol, experiment: ExperimentConfig, workers: int = 1):
     elif not isinstance(protocol, ProtocolConfig):
         raise RangeError("protocol", "ProtocolConfig or ResolvedProtocol",
                          protocol)
+    if not isinstance(experiment, ExperimentConfig):
+        raise RangeError("experiment", "an ExperimentConfig", experiment)
     check_count("workers", workers)
     data = {protocol.k: _dataset_at(experiment, protocol.k)}
     return _simulate([protocol], data, experiment, workers)[protocol]
@@ -371,6 +383,9 @@ def pareto_sweep(protocols, eps_grid, k_grid, weights: ObjectiveWeights,
     """
     check_count("she-trials", she_trials)
     check_count("workers", workers)
+    if not (experiment is None or isinstance(experiment, ExperimentConfig)):
+        raise RangeError("experiment", "an ExperimentConfig or None",
+                         experiment)
     ks = [int(check_k(k)) for k in k_grid]
     points = []
     data = {}

@@ -357,11 +357,14 @@ def draws_u64(seeds, counters) -> np.ndarray:
     return mix64_inplace(z)
 
 
+def uniform53(z):
+    """The uniforms (z >> 11) 2^-53 in [0, 1) of raw draws z, int or array."""
+    return (z >> 11) * 2.0 ** -53
+
+
 def draws_uniform(seeds, counters) -> np.ndarray:
-    """Same, mapped to float64 in [0, 1)."""
-    z = draws_u64(seeds, counters)
-    z >>= _U64(11)
-    return z * 2.0 ** -53
+    """Same, mapped to float64 in [0, 1) by `uniform53`."""
+    return uniform53(draws_u64(seeds, counters))
 
 
 def laplace_inplace(z: np.ndarray, b: float) -> np.ndarray:
@@ -445,7 +448,7 @@ class RngStream:
 
     def uniform(self) -> float:
         """One float64 in [0, 1)."""
-        return (self.u64() >> 11) * 2.0 ** -53
+        return uniform53(self.u64())
 
     def u64s(self, count: int) -> np.ndarray:
         """The next `count` raw draws; advances the stream by `count`."""
@@ -455,7 +458,7 @@ class RngStream:
 
     def uniforms(self, count: int) -> np.ndarray:
         """`count` float64 draws at once; advances the stream by `count`."""
-        return (self.u64s(count) >> _U64(11)) * 2.0 ** -53
+        return uniform53(self.u64s(count))
 
     def laplaces(self, count: int, b: float) -> np.ndarray:
         return laplace_inplace(self.u64s(count), b)

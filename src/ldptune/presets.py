@@ -80,9 +80,9 @@ def resolve_protocol(name: str, eps: float, k: int,
     `n`, a finite real > 0, unless `param` pins the value directly.  `the`
     and the adaptive names report the optimizer's own config.
     """
-    name = name.lower()
-    if name not in PROTOCOLS:
+    if not (isinstance(name, str) and name.lower() in PROTOCOLS):
         raise RangeError("protocol", f"one of {', '.join(PROTOCOL_NAMES)}", name)
+    name = name.lower()
     check_eps(eps)
     check_k(k)
     if not (is_real(n) and 0 < n < math.inf):

@@ -33,10 +33,12 @@ identical reports and guesses (tested).
 What the configs of a group share, per block:
 
 - grr: the perturbation uniform.
-- ss:  the inclusion uniform, the keys, and one sort per PASS_SIZE slice of
-       rows, of which each config keeps only its threshold columns.
-- ue, the: the raw k-wide block, its true column and the attack uniform;
-       each config compares them with its own integer cuts.
+- ss:  the inclusion uniform, the keys, one sort per PASS_SIZE slice of
+       rows (each config keeps its threshold columns), and the mask of the
+       columns other than x0, into which each config scatters its key tests.
+- ue, the: one kernel, `_bitvector`: the raw k-wide block, its true column
+       and the attack uniform; each config compares them with the integer
+       cuts of its family's `_TESTS` entry.
 - lh:  the 64-bit hashes before the remainder, and both uniforms; each
        config takes its buckets (`hash_remainder`) a slice at a time.
 - she: the Laplace transform at scale 1, which each config scales by its
@@ -75,6 +77,7 @@ from .model import (
     laplace_inplace,
     order_margin,
     stream_seeds,
+    uniform53,
 )
 from .protocols import (
     PAIRS,
@@ -167,14 +170,13 @@ def _ss(cfgs, x0, seeds, totals):
     stats = _order_stats(keys, {c for cfg in cfgs
                                 for c in (cfg.param - 2, cfg.param - 1)
                                 if c >= 0})
-    # key column j is category j below x0 and category j + 1 from x0 on
-    below = np.arange(k - 1, dtype=np.int32) < x0.astype(np.int32)[:, None]
-    # every config rewrites one selection mask whole: key column j's test
-    # goes to column j + 1, moves to column j where j < x0 (copyto reads an
-    # overlapping source as it was before the call), and column x0 takes the
-    # inclusion
+    # key column j is category j below x0 and category j + 1 from x0 on, so
+    # in row order a row's key tests fill its columns other than x0: every
+    # config scatters them through one mask and sets x0's from the inclusion
+    others = np.ones((x0.size, k), dtype=bool)
+    others[rows, x0] = False
+    take = np.empty(keys.shape, dtype=bool)
     sel = np.empty((x0.size, k), dtype=bool)
-    take = sel[:, 1:]
     succ = []
     for cfg, counts in zip(cfgs, totals):
         omega = cfg.param
@@ -185,44 +187,38 @@ def _ss(cfgs, x0, seeds, totals):
         else:
             thr = np.where(include, stats[omega - 2], stats[omega - 1])
             np.less_equal(keys, thr[:, None], out=take)
-        np.copyto(sel[:, :-1], take, where=below)
+        sel[others] = take.reshape(-1)
         sel[rows, x0] = include
         counts += sel.sum(axis=0, dtype=np.int32)
         succ.append(_rank_attack_success(sel, x0, u_att, k))
     return succ
 
 
-def _bitvector(tests):
-    """The UE/THE kernel: `tests(cfg)` gives the config's predicates on raw
-    draws for the other coordinates and for the true one."""
-
-    def kernel(cfgs, x0, seeds, totals):
-        k = cfgs[0].k
-        rows = np.arange(x0.size)
-        z = draws_u64(seeds[:, None], np.arange(k)[None, :])
-        z_true = z[rows, x0]
-        u_att = draws_uniform(seeds, k)
-        succ = []
-        for cfg, counts in zip(cfgs, totals):
-            other, true = tests(cfg)
-            bits = other(z)
-            bits[rows, x0] = true(z_true)
-            counts += bits.sum(axis=0, dtype=np.int32)
-            succ.append(_rank_attack_success(bits, x0, u_att, k))
-        return succ
-
-    return kernel
+def _bitvector(cfgs, x0, seeds, totals):
+    """The UE/THE kernel: `_TESTS[family](cfg)` gives each config's
+    predicates on raw draws for the other coordinates and for the true one."""
+    k, tests = cfgs[0].k, _TESTS[cfgs[0].family]
+    rows = np.arange(x0.size)
+    z = draws_u64(seeds[:, None], np.arange(k)[None, :])
+    z_true = z[rows, x0]
+    u_att = draws_uniform(seeds, k)
+    succ = []
+    for cfg, counts in zip(cfgs, totals):
+        other, true = tests(cfg)
+        bits = other(z)
+        bits[rows, x0] = true(z_true)
+        counts += bits.sum(axis=0, dtype=np.int32)
+        succ.append(_rank_attack_success(bits, x0, u_att, k))
+    return succ
 
 
 def _ue_tests(cfg):
     # for the 53-bit uniform u = (z >> 11) 2^-53, u < t is z >> 11 < C with
     # C = ceil(t 2^53), which is z < C 2^11: C <= 2^53 - 1 as t < 1
-    def below(t):
-        cut = np.uint64(math.ceil(t * 2.0 ** 53) << 11)
-        return lambda z: z < cut
-
     pp = pure_params(cfg)
-    return below(pp.q_star), below(pp.p_star)
+    q_cut, p_cut = (np.uint64(math.ceil(t * 2.0 ** 53) << 11)
+                    for t in (pp.q_star, pp.p_star))
+    return (lambda z: z < q_cut), (lambda z: z < p_cut)
 
 
 def _the_tests(cfg):
@@ -240,7 +236,7 @@ def _lh(cfgs, x0, seeds, totals):
     z = draws_u64(seeds[:, None], np.arange(3)[None, :])
     h = hash_buckets(z[:, :1], np.arange(1, k + 1)[None, :])
     h_true = h[rows, x0]
-    u, u_att = ((z[:, 1:] >> np.uint64(11)) * 2.0 ** -53).T
+    u, u_att = uniform53(z[:, 1:]).T
     # each config's buckets are taken a slice of rows at a time, into one
     # buffer of PASS_SIZE entries, and compared with its reports there
     step = max(1, PASS_SIZE // k)
@@ -357,8 +353,9 @@ def _at_or_past(z: np.ndarray, t: int, flips: np.ndarray) -> np.ndarray:
     return bits
 
 
-_KERNELS = {Family.GRR: _grr, Family.SS: _ss, Family.UE: _bitvector(_ue_tests),
-            Family.LH: _lh, Family.SHE: _she, Family.THE: _bitvector(_the_tests)}
+_TESTS = {Family.UE: _ue_tests, Family.THE: _the_tests}
+_KERNELS = {Family.GRR: _grr, Family.SS: _ss, Family.UE: _bitvector,
+            Family.LH: _lh, Family.SHE: _she, Family.THE: _bitvector}
 
 
 @dataclass(frozen=True)

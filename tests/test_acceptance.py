@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The empirical sweep
 behind criteria 4 and 5 (12 protocols, five budgets, 100 runs of 5e4 users
-each, one `pareto_sweep`) took 44-48 s on a 2-core x86_64 machine, its runs
+each, one `pareto_sweep`) took 42-48 s on a 2-core x86_64 machine, its runs
 in forked worker processes (110-133 s in threads, and 263-273 s before each
 run simulated a family's points on shared draws); everything else finishes
 in about a minute.

@@ -6,6 +6,7 @@ import math
 import os
 import pickle
 import random
+import signal
 import subprocess
 import sys
 import warnings
@@ -27,6 +28,7 @@ from ldptune.harness import (
     MissingColumn,
     ParetoRow,
     UnparsableRow,
+    WorkerLost,
     export,
     gen_dirichlet,
     load_csv_column,
@@ -65,6 +67,12 @@ def pools(monkeypatch):
 
     monkeypatch.setattr("ldptune.harness._process_pool", pool)
     return sizes
+
+
+def _killed_run(task):
+    """Stands in for `harness._one_run` in a forked worker, which dies as an
+    out-of-memory kill would end it, without a result."""
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 class TestGenDirichlet:
@@ -281,6 +289,23 @@ class TestRunExperiment:
                          experiment=self._cfg(runs=4), workers=2)
         assert (exc.value.field, exc.value.allowed, exc.value.got) == (
             "x", "an integer in [1, 8]", 1.5)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_killed_worker_is_one_error(self, capsys, monkeypatch):
+        # a lost worker ends the sweep with WorkerLost, not a broken pool,
+        # leaves no process behind, and the CLI exits 1 with one error line
+        import multiprocessing
+        monkeypatch.setattr("ldptune.harness._one_run", _killed_run)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        with pytest.raises(WorkerLost):
+            run_experiment(self.GRR8, self._cfg(runs=4), workers=2)
+        assert multiprocessing.active_children() == []
+        code, out, err = _main(capsys, "pareto", "--protocols", "grr",
+                               "--eps", "2", "--k", "8", "--n", "100",
+                               "--runs", "2", "--workers", "2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert multiprocessing.active_children() == []
 
     def test_adaptive_resolved_protocol(self):
         stats = run_experiment(resolve_protocol("ass", 2.0, 8, W_HALF),
@@ -744,6 +769,22 @@ class TestResolveProtocol:
                 rp = resolve_protocol(name, eps, k)
                 assert rp.config == rp.optimization.config
                 assert rp.param_value == rp.optimization.theta_star
+
+
+@pytest.mark.parametrize("field,call", [
+    ("protocol", lambda: resolve_protocol(5, 1.0, 4)),
+    ("protocol", lambda: pareto_sweep([1], [1.0], [4], W_HALF)),
+    ("experiment", lambda: pareto_sweep(["grr"], [1.0], [4], W_HALF,
+                                        experiment="x")),
+    ("experiment", lambda: run_experiment(
+        ProtocolConfig(Family.GRR, 1.0, 4), 5)),
+], ids=["resolve-name", "sweep-name", "sweep-experiment", "run-experiment"])
+def test_wrong_kind_is_a_range_error(field, call):
+    # a name that is not a str, or an experiment that is not an
+    # ExperimentConfig, is a package error, not an AttributeError
+    with pytest.raises(RangeError) as exc:
+        call()
+    assert exc.value.field == field
 
 
 def _main(capsys, *argv):

@@ -584,6 +584,11 @@ class TestScalarBulkEquivalence:
         *(pytest.param(f, v, 4096, _spanning_n(f, 4096),
                        id=f"{f.value}-kw{i}-blocks")
           for i, (f, v) in enumerate(_BULK_CASES)),
+        # SS at both ends of omega: included rows that take no key, and
+        # excluded rows that take every key
+        *(pytest.param(Family.SS, omega, k, n, id=f"ss-k{k}-omega{omega}")
+          for k, n in ((7, 300), (4096, _spanning_n(Family.SS, 4096)))
+          for omega in (1, k - 1)),
     ])
     def test_pipelines_agree_bitwise(self, family, param, k, n):
         _assert_pipelines_agree(family, 1.5, param, k, n)
