@@ -206,7 +206,7 @@ def parse_data_spec(spec: str, k: int, n, seed: int) -> Dataset:
         if n is None:
             raise RangeError("n", "given for dirichlet data", n)
         return gen_dirichlet(k, n, seed)
-    if spec.startswith("csv:"):
+    if isinstance(spec, str) and spec.startswith("csv:"):
         parts = spec.split(":")
         if len(parts) == 3:
             return load_csv_column(parts[1], parts[2])

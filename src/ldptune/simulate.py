@@ -36,11 +36,12 @@ What the configs of a group share, per block:
 - ss:  the inclusion uniform, the keys, one sort per PASS_SIZE slice of
        rows (each config keeps its threshold columns), and the mask of the
        columns other than x0, into which each config scatters its key tests.
-- ue, the: one kernel, `_bitvector`: the raw k-wide block, its true column
-       and the attack uniform; each config compares them with the integer
-       cuts of its family's `_TESTS` entry.
+- ue, the: one kernel, `_bitvector`: the raw k-wide block, its true
+       coordinates and the attack uniform; each config compares them with
+       the integer cuts of its family's `_TESTS` entry.
 - lh:  the 64-bit hashes before the remainder, and both uniforms; each
-       config takes its buckets (`hash_remainder`) a slice at a time.
+       config takes its buckets (`hash_remainder`) a slice of categories at
+       a time.
 - she: the Laplace transform at scale 1, which each config scales by its
        b = 2/eps.
 
@@ -51,9 +52,17 @@ against the transform wherever its rounding leaves the order in doubt.  UE
 and THE compare the raw 64-bit draws with each cut shifted up 11 bits, which
 tests the same 53-bit values without a shifted copy of the block.
 
-The support families (SS, UE, LH, THE) share one attack count: the rank of
-x0 among a row's set bits and the row's bit count come from one reduceat
-over the block's flat bytes.  SS and LH write every config's support into
+The support families (SS, UE, LH, THE) hold each config's support
+category-major, as (k, users) boolean rows: UE, THE and LH draw, hash and
+test their blocks in that layout (the same counters, so the same bits), and
+SS scatters its user-major key tests into a selection stored that way.  One
+count, `_SupportCount`, reads them all: each category's count is a row sum,
+and each user's bit count and the rank of x0 among their set bits are
+int8/int16 adds over rows, the rank through a mask of the categories below
+x0 that is built once per block, as is the fallback guess for an empty
+support.  Numpy then runs long contiguous rows, not one short k-wide loop
+per user.  SHE stays user-major, as its sums must keep the users'
+sequential order bit for bit.  SS and LH write every config's support into
 one mask per block, so a group holds the shared draws, one mask and
 PASS_SIZE scratch however many configs it has.
 """
@@ -106,30 +115,43 @@ def _grr_report(keep, u: np.ndarray, p: float, x0, m: int) -> np.ndarray:
     return np.where(keep, x0, j + (j >= x0))
 
 
-def _rank_attack_success(bits: np.ndarray, x0: np.ndarray, u_att: np.ndarray,
-                         k: int) -> int:
-    """Successes of the uniform-over-support attack on a boolean support
-    block: pick the r-th set bit, or uniform over [k] when the row is empty."""
-    rows = np.arange(x0.size)
-    # x0's rank among the set bits is the count of set bits before it; one
-    # pass over the flat block sums each row's segments [row k, row k + x0)
-    # and [row k + x0, row k + k), so it gives that count and, added, m
-    starts = np.empty(2 * x0.size, dtype=np.int64)
-    starts[0::2] = rows * k
-    starts[1::2] = starts[0::2] + x0
-    # reduceat casts the whole block to its dtype first: int16 holds a
-    # row's count for k < 2^15 in half int32's bytes
-    seg = np.add.reduceat(bits.reshape(-1).view(np.int8), starts,
-                          dtype=np.int16 if k < 1 << 15 else np.int32)
-    before = seg[0::2]
-    # reduceat sums an empty segment (x0 = 0) to its first element, not 0
-    before[x0 == 0] = 0
-    m = before + seg[1::2]
-    r = np.minimum((u_att * m).astype(np.int64), np.maximum(m - 1, 0))
-    hit = bits[rows, x0] & (before == r)
-    fallback = np.minimum((u_att * k).astype(np.int64), k - 1)
-    empty_hit = (m == 0) & (fallback == x0)
-    return int(np.count_nonzero(hit)) + int(np.count_nonzero(empty_hit))
+class _SupportCount:
+    """The column counts and attack successes of a block's category-major
+    (k, users) support arrays, one per config.  The mask of the categories
+    below each user's x0 and the users an empty support's fallback guess
+    hits are built once per block, from its x0 and attack uniforms."""
+
+    def __init__(self, x0: np.ndarray, u_att: np.ndarray, k: int):
+        self.x0, self.u_att = x0, u_att
+        self.users = np.arange(x0.size)
+        self.below = np.arange(k)[:, None] < x0
+        self.scratch = np.empty_like(self.below)
+        # an empty support is guessed uniformly over [k]
+        self.empty_hit = np.minimum((u_att * k).astype(np.int64), k - 1) == x0
+        # adds over rows: a user's bit count is at most k, a category's
+        # count at most the block's users
+        self.per_user = _count_dtype(k)
+        self.per_category = _count_dtype(x0.size)
+
+    def __call__(self, bits: np.ndarray, counts: np.ndarray) -> int:
+        """Add each category's count of `bits` into `counts`; return the
+        successes of the attack that picks the r-th set bit,
+        r = min(int(u m), m - 1) for a user's bit count m."""
+        counts += bits.sum(axis=1, dtype=self.per_category)
+        m = bits.sum(axis=0, dtype=self.per_user)
+        np.logical_and(bits, self.below, out=self.scratch)
+        before = self.scratch.sum(axis=0, dtype=self.per_user)
+        # where m is 0 x0's bit is clear, so r = -1 hits no one
+        r = np.minimum((self.u_att * m).astype(np.int64), m - 1)
+        hit = bits[self.x0, self.users] & (before == r)
+        return (int(np.count_nonzero(hit))
+                + int(np.count_nonzero(self.empty_hit[m == 0])))
+
+
+def _count_dtype(top: int):
+    """The narrowest integer type the adds of `_SupportCount` up to `top`
+    fit: int8 and int16 rows add in fewer bytes than int32's."""
+    return np.int8 if top < 1 << 7 else np.int16 if top < 1 << 15 else np.int32
 
 
 def _grr(cfgs, x0, seeds, totals):
@@ -176,7 +198,10 @@ def _ss(cfgs, x0, seeds, totals):
     others = np.ones((x0.size, k), dtype=bool)
     others[rows, x0] = False
     take = np.empty(keys.shape, dtype=bool)
-    sel = np.empty((x0.size, k), dtype=bool)
+    # the selection is scattered user-major but stored category-major, so
+    # its transpose is the (k, users) block the count reads
+    sel = np.empty((k, x0.size), dtype=bool).T
+    count = _SupportCount(x0, u_att, k)
     succ = []
     for cfg, counts in zip(cfgs, totals):
         omega = cfg.param
@@ -189,8 +214,7 @@ def _ss(cfgs, x0, seeds, totals):
             np.less_equal(keys, thr[:, None], out=take)
         sel[others] = take.reshape(-1)
         sel[rows, x0] = include
-        counts += sel.sum(axis=0, dtype=np.int32)
-        succ.append(_rank_attack_success(sel, x0, u_att, k))
+        succ.append(count(sel.T, counts))
     return succ
 
 
@@ -198,17 +222,16 @@ def _bitvector(cfgs, x0, seeds, totals):
     """The UE/THE kernel: `_TESTS[family](cfg)` gives each config's
     predicates on raw draws for the other coordinates and for the true one."""
     k, tests = cfgs[0].k, _TESTS[cfgs[0].family]
-    rows = np.arange(x0.size)
-    z = draws_u64(seeds[:, None], np.arange(k)[None, :])
-    z_true = z[rows, x0]
-    u_att = draws_uniform(seeds, k)
+    users = np.arange(x0.size)
+    z = draws_u64(seeds[None, :], np.arange(k)[:, None])
+    z_true = z[x0, users]
+    count = _SupportCount(x0, draws_uniform(seeds, k), k)
     succ = []
     for cfg, counts in zip(cfgs, totals):
         other, true = tests(cfg)
         bits = other(z)
-        bits[rows, x0] = true(z_true)
-        counts += bits.sum(axis=0, dtype=np.int32)
-        succ.append(_rank_attack_success(bits, x0, u_att, k))
+        bits[x0, users] = true(z_true)
+        succ.append(count(bits, counts))
     return succ
 
 
@@ -231,28 +254,29 @@ def _the_tests(cfg):
 
 def _lh(cfgs, x0, seeds, totals):
     k = cfgs[0].k
-    rows = np.arange(x0.size)
+    users = np.arange(x0.size)
     # one call for the three per-user draws: hash seed, perturbation, pick
-    z = draws_u64(seeds[:, None], np.arange(3)[None, :])
-    h = hash_buckets(z[:, :1], np.arange(1, k + 1)[None, :])
-    h_true = h[rows, x0]
-    u, u_att = uniform53(z[:, 1:]).T
-    # each config's buckets are taken a slice of rows at a time, into one
-    # buffer of PASS_SIZE entries, and compared with its reports there
-    step = max(1, PASS_SIZE // k)
-    buf = np.empty((min(step, x0.size), k), dtype=np.uint64)
-    supp = np.empty((x0.size, k), dtype=bool)
+    z = draws_u64(seeds[None, :], np.arange(3)[:, None])
+    h = hash_buckets(z[0][None, :], np.arange(1, k + 1)[:, None])
+    h_true = h[x0, users]
+    u, u_att = uniform53(z[1:])
+    count = _SupportCount(x0, u_att, k)
+    # each config's buckets are taken a slice of categories at a time, into
+    # one buffer of PASS_SIZE entries (or one row), and compared with its
+    # reports there
+    step = max(1, PASS_SIZE // x0.size)
+    buf = np.empty((min(step, k), x0.size), dtype=np.uint64)
+    supp = np.empty((k, x0.size), dtype=bool)
     succ = []
     for cfg, counts in zip(cfgs, totals):
         g, p = cfg.param, pure_params(cfg).p_star
         bx = hash_remainder(h_true, g, np.empty_like(h_true)).view(np.int64)
         y0 = _grr_report(u < p, u, p, bx, g)
-        for lo in range(0, x0.size, step):
+        for lo in range(0, k, step):
             hs = h[lo:lo + step]
             part = hash_remainder(hs, g, buf[:len(hs)]).view(np.int64)
-            np.equal(part, y0[lo:lo + step, None], out=supp[lo:lo + step])
-        counts += supp.sum(axis=0, dtype=np.int32)
-        succ.append(_rank_attack_success(supp, x0, u_att, k))
+            np.equal(part, y0, out=supp[lo:lo + step])
+        succ.append(count(supp, counts))
     return succ
 
 

@@ -778,10 +778,12 @@ class TestResolveProtocol:
                                         experiment="x")),
     ("experiment", lambda: run_experiment(
         ProtocolConfig(Family.GRR, 1.0, 4), 5)),
-], ids=["resolve-name", "sweep-name", "sweep-experiment", "run-experiment"])
+    ("data", lambda: parse_data_spec(5, 4, 10, 0)),
+], ids=["resolve-name", "sweep-name", "sweep-experiment", "run-experiment",
+        "data-spec"])
 def test_wrong_kind_is_a_range_error(field, call):
-    # a name that is not a str, or an experiment that is not an
-    # ExperimentConfig, is a package error, not an AttributeError
+    # a name or data spec that is not a str, or an experiment that is not
+    # an ExperimentConfig, is a package error, not an AttributeError
     with pytest.raises(RangeError) as exc:
         call()
     assert exc.value.field == field

@@ -66,7 +66,7 @@ from ldptune.simulate import (
     RunGroup,
     _at_or_past,
     _order_cut,
-    _rank_attack_success,
+    _SupportCount,
     _the_cuts,
     block_rows,
     simulate_run,
@@ -764,20 +764,32 @@ def _attack_hits(bits, x0, u_att):
 
 
 class TestRankAttack:
-    """The kernels' attack count against a per-row reference of the
-    scalar attack's rule, on crafted support blocks."""
+    """The kernels' support count against a per-row reference of the
+    scalar attack's rule, on crafted support blocks given to it
+    category-major, as the kernels hold them."""
 
     @staticmethod
-    def _check(bits, x0, u_att):
-        bits = np.ascontiguousarray(bits, dtype=bool)
+    def _count(bits, x0, u_att):
+        """(column counts, successes) of `_SupportCount` on the (users, k)
+        block `bits`, transposed."""
+        k = bits.shape[1]
+        counts = np.zeros(k)
+        hits = _SupportCount(x0, u_att, k)(np.ascontiguousarray(bits.T),
+                                           counts)
+        return counts, hits
+
+    @classmethod
+    def _check(cls, bits, x0, u_att, each_row=True):
+        bits = np.asarray(bits, dtype=bool)
         x0 = np.asarray(x0, dtype=np.int64)
         u_att = np.asarray(u_att, dtype=np.float64)
         hits = _attack_hits(bits, x0, u_att)
-        k = bits.shape[1]
-        assert _rank_attack_success(bits, x0, u_att, k) == hits.sum()
-        for r in range(x0.size):
-            assert _rank_attack_success(bits[r:r + 1], x0[r:r + 1],
-                                        u_att[r:r + 1], k) == hits[r]
+        counts, total = cls._count(bits, x0, u_att)
+        assert total == hits.sum()
+        assert np.array_equal(counts, bits.sum(axis=0))
+        for r in range(x0.size if each_row else 0):
+            assert cls._count(bits[r:r + 1], x0[r:r + 1],
+                              u_att[r:r + 1])[1] == hits[r]
 
     @staticmethod
     def _aimed(bits, x0):
@@ -786,7 +798,8 @@ class TestRankAttack:
         before = np.array([row[:x].sum() for row, x in zip(bits, x0)])
         return np.where(m > 0, (before + 0.5) / np.maximum(m, 1), 0.5)
 
-    @pytest.mark.parametrize("k", [2, 3, 7, 100])
+    # k = 200 holds a user's bit count and rank in int16, past int8's 127
+    @pytest.mark.parametrize("k", [2, 3, 7, 100, 200])
     @pytest.mark.parametrize("density", [0.01, 0.3, 0.9])
     def test_random_blocks(self, k, density):
         rng = np.random.default_rng(k * 100 + int(density * 100))
@@ -797,11 +810,12 @@ class TestRankAttack:
                       self._aimed(bits, x0)):
             self._check(bits, x0, u_att)
 
-    @pytest.mark.parametrize("k", [2, 3, 100])
+    @pytest.mark.parametrize("k", [2, 3, 100, 127, 200])
     def test_crafted_rows(self, k):
         # empty and full rows, x0 at both ends, and rows with x0 = k - 1
-        # next to rows with x0 = 0, so a segment that runs into the next
-        # row or an empty segment that is not read as 0 changes the count
+        # next to rows with x0 = 0, so a rank that counts x0 itself or a
+        # neighbour's bits, or an empty row's missed fallback, changes it
+        # (k = 127 fills int8 with a full row's count; 200 needs int16)
         rows = [np.zeros(k, bool), np.ones(k, bool),
                 np.arange(k) == 0, np.arange(k) == k - 1,
                 np.arange(k) % 2 == 0, np.arange(k) % 2 == 1]
@@ -813,6 +827,15 @@ class TestRankAttack:
             self._check(bits[::-1], x0[::-1], u_att[::-1])
             self._check(bits, np.full(x0.size, 0), u_att)
             self._check(bits, np.full(x0.size, k - 1), u_att)
+
+    def test_wide_block(self):
+        # a block of at least 2^15 users adds its column counts in int32
+        rng = np.random.default_rng(7)
+        n = (1 << 15) + 3
+        bits = rng.random((n, 2)) < 0.5
+        bits[:, 0] = True
+        self._check(bits, rng.integers(0, 2, size=n), rng.random(n),
+                    each_row=False)
 
 
 def _laplace_of(j, b):
