@@ -17,7 +17,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -95,6 +95,7 @@ class Dataset:
     base_frequencies: np.ndarray | None = None
 
     def __post_init__(self):
+        check_count("k", self.k)
         v = np.asarray(self.values)
         object.__setattr__(self, "values", v)
         if v.ndim != 1 or not v.size:
@@ -139,13 +140,21 @@ def _rows(reader, path: str):
 def load_csv_column(path: str, column: str, domain=None) -> Dataset:
     """Read one column of the CSV file named by `path` as a dataset.
 
-    With domain (lo, hi), integer values v in [lo, hi] map to categories
-    v-lo+1 with k = hi-lo+1, and out-of-range rows are dropped with a count;
+    With domain (lo, hi), a tuple or list of two integers lo <= hi (else
+    RangeError), integer values v in [lo, hi] map to categories v-lo+1 with
+    k = hi-lo+1, and out-of-range rows are dropped with a count;
     without it, distinct values map to their sorted index.  Empty cells are
     dropped (counted) either way.
     """
     if not isinstance(path, (str, os.PathLike)):  # not a file descriptor
         raise RangeError("path", "a str or os.PathLike", path)
+    if domain is not None:
+        if not (isinstance(domain, (tuple, list)) and len(domain) == 2
+                and all(map(is_int, domain))):
+            raise RangeError("data range", "two integers (lo, hi)", domain)
+        lo, hi = map(int, domain)
+        if hi < lo:
+            raise RangeError("data range", "lo <= hi", domain)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         rows = _rows(reader, path)
@@ -159,10 +168,6 @@ def load_csv_column(path: str, column: str, domain=None) -> Dataset:
 
         raw = []
         rejected = 0
-        if domain is not None:
-            lo, hi = domain
-            if hi < lo:
-                raise RangeError("data range", "lo <= hi", domain)
         for row in rows:
             line = reader.line_num
             if not row:
@@ -264,18 +269,18 @@ def _dataset_at(experiment: ExperimentConfig, k: int) -> Dataset:
     return replace(ds, values=ds.values[:n])
 
 
-def _one_run(task) -> list:
-    """The RunStats of one run, `task` = (groups, users, seed, run), for
-    every config of every group in order; `users` maps each k to its 0-based
-    values and their empirical frequencies."""
+def _one_run(task) -> dict:
+    """The RunStats of one run, `task` = (groups, users, seed, run), as
+    {config: RunStats} over every config of every group; `users` maps each
+    k to its 0-based values and their empirical frequencies."""
     groups, users, seed, run = task
-    out = []
+    out = {}
     for group in groups:
         x0, f_true = users[group.k]
         results = simulate_run(group, x0, seed, run)
-        for f_hat, successes in results:
+        for cfg, (f_hat, successes) in zip(group.configs, results):
             mse = float(np.mean((f_hat - f_true) ** 2))
-            out.append(RunStats(successes / x0.size, mse, f_hat))
+            out[cfg] = RunStats(successes / x0.size, mse, f_hat)
     return out
 
 
@@ -316,8 +321,7 @@ def _simulate(configs, data: dict, experiment: ExperimentConfig,
                              "runs (killed, as for memory)") from None
     else:
         per_run = [_one_run(t) for t in tasks]
-    ordered = [cfg for g in groups for cfg in g.configs]
-    return {cfg: [r[i] for r in per_run] for i, cfg in enumerate(ordered)}
+    return {cfg: [r[cfg] for r in per_run] for cfg in per_run[0]}
 
 
 def run_experiment(protocol, experiment: ExperimentConfig, workers: int = 1):
@@ -401,7 +405,7 @@ def pareto_sweep(protocols, eps_grid, k_grid, weights: ObjectiveWeights,
         n = len(data[k].values) if k in data else None
         a_mse = analytic_mse(rp.config, n or 1)
         points.append((rp.config, ParetoRow(
-            name, float(eps), k, rp.param_name, rp.param_value,
+            rp.name, float(eps), k, rp.param_name, rp.param_value,
             float(a_asr), float(a_mse), empirical_asr_stderr=stderr, n=n)))
 
     if not data:  # no experiment, or no point
@@ -422,19 +426,16 @@ def pareto_sweep(protocols, eps_grid, k_grid, weights: ObjectiveWeights,
 
 # -- export -------------------------------------------------------------------
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if is_int(v):
-        return str(int(v))
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
+def _fmt(v):
+    """A CSV cell: a real to 17 significant digits; the csv module writes
+    None as an empty cell and anything else, numpy scalars too, as its str."""
+    return format(v, ".17g") if isinstance(v, float) else v
 
 
 def export(rows, format: str, dest) -> None:
     """Write rows as CSV (exact 13-column header, 17-significant-digit reals,
     empty cells for missing values) or JSON (same keys, null for missing).
+    A numpy int or float64 is written as the Python value it holds.
 
     `dest` is a path, written as UTF-8 with LF line endings, or an open text
     stream such as sys.stdout.
@@ -443,28 +444,17 @@ def export(rows, format: str, dest) -> None:
         raise RangeError("format", "csv or json", format)
     if isinstance(dest, (str, os.PathLike)):
         with open(dest, "w", encoding="utf-8", newline="") as fh:
-            _write_rows(rows, format, fh)
-    else:
-        _write_rows(rows, format, dest)
-
-
-def _write_rows(rows, format: str, fh) -> None:
-    if format == "csv":
-        w = csv.writer(fh, lineterminator="\n")
+            export(rows, format, fh)
+    elif not hasattr(dest, "write"):
+        raise TypeError(f"dest must be a path or a text stream, got {dest!r}")
+    elif format == "csv":
+        w = csv.writer(dest, lineterminator="\n")
         w.writerow(CSV_HEADER)
-        for row in rows:
-            w.writerow([_fmt(v) for v in astuple(row)])
+        w.writerows(map(_fmt, astuple(row)) for row in rows)
     else:
-        payload = []
-        for row in rows:
-            obj = {}
-            for key, v in zip(CSV_HEADER, astuple(row)):
-                if isinstance(v, (np.integer, np.floating)):
-                    v = v.item()
-                obj[key] = v
-            payload.append(obj)
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        json.dump([asdict(row) for row in rows], dest, indent=1,
+                  default=np.generic.item)
+        dest.write("\n")
 
 
 def parse_grid(spec: str, integer: bool = False):

@@ -124,7 +124,11 @@ class ProtocolConfig:
     param: int | float | None = None
 
     def __post_init__(self):
-        fam = Family(self.family)
+        try:
+            fam = Family(self.family)
+        except ValueError:
+            raise RangeError("family", f"one of {', '.join(Family)}",
+                             self.family) from None
         object.__setattr__(self, "family", fam)
         object.__setattr__(self, "param", check_param(
             fam, self.param, check_eps(self.eps), check_k(self.k)))

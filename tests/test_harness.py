@@ -1,6 +1,7 @@
 """Datasets, experiments, sweeps, export, and the command-line interface."""
 
 import csv
+import io
 import json
 import math
 import os
@@ -38,7 +39,7 @@ from ldptune.harness import (
     run_experiment,
 )
 from ldptune.model import (DataError, Family, NonFinite, ProtocolConfig,
-                           RangeError)
+                           RangeError, UnsupportedFamily)
 from ldptune.optimizer import ObjectiveWeights
 from ldptune.presets import ADAPTIVE_NAMES, PROTOCOL_NAMES, resolve_protocol
 
@@ -122,6 +123,13 @@ class TestDatasetValues:
         with pytest.raises(DataError, match="non-empty 1-D array"):
             Dataset(values, 4, "uniform")
 
+    @pytest.mark.parametrize("k", ["3", None, 0, 3.0, True])
+    def test_k_must_be_a_count(self, k):
+        # a str k raised numpy's UFuncTypeError
+        with pytest.raises(RangeError) as exc:
+            Dataset([1, 2], k, "uniform")
+        assert exc.value.field == "k"
+
     def test_valid_values_kept(self):
         values = (np.arange(10) % 4) + 1
         assert Dataset(values, 4, "uniform").values is values
@@ -153,6 +161,24 @@ class TestLoadCsvColumn:
         ds = load_csv_column(path, "age", (0, 99))
         assert list(ds.values) == [31, 42]
         assert ds.rejected == 2
+
+    @pytest.mark.parametrize("domain,allowed", [
+        ((0.5, 2.5), "two integers (lo, hi)"), ("ab", "two integers (lo, hi)"),
+        ((1,), "two integers (lo, hi)"), ((1, 2, 3), "two integers (lo, hi)"),
+        ((True, 3), "two integers (lo, hi)"), ((3, 1), "lo <= hi")])
+    def test_domain_must_be_two_ordered_integers(self, tmp_path, domain,
+                                                 allowed):
+        # (0.5, 2.5) gave k = 3.0 with cells 1 and 2 as categories 1 and 2
+        path = self._write(tmp_path, "a\n1\n2\n")
+        with pytest.raises(RangeError) as exc:
+            load_csv_column(path, "a", domain)
+        assert (exc.value.field, exc.value.allowed) == ("data range", allowed)
+
+    def test_numpy_domain_gives_an_int_k(self, tmp_path):
+        path = self._write(tmp_path, "a\n1\n2\n3\n")
+        ds = load_csv_column(path, "a", (np.int64(2), np.int64(3)))
+        assert ds.k == 2 and type(ds.k) is int
+        assert ds.values.tolist() == [1, 2] and ds.rejected == 1
 
     def test_empty_cells_filtered_and_counted(self, tmp_path):
         path = self._write(tmp_path, "age\n30\n\n45\n")
@@ -611,6 +637,17 @@ class TestParetoSweep:
         row = pareto_sweep(["ss"], [2.0], [10], W_HALF, param=3)[0]
         assert row.param_value == 3
 
+    def test_rows_carry_the_canonical_name(self):
+        # a row is named as resolve_protocol names its point, whatever the
+        # caller's case; it kept the caller's spelling
+        exp = ExperimentConfig(100, 1, 2)
+        for experiment in (None, exp):
+            rows = pareto_sweep(["OUE", "Grr"], [2.0], [10], W_HALF,
+                                experiment=experiment)
+            assert [r.protocol for r in rows] == ["oue", "grr"]
+            assert rows == pareto_sweep(["oue", "grr"], [2.0], [10], W_HALF,
+                                        experiment=experiment)
+
 
 class TestExport:
     def _rows(self):
@@ -665,6 +702,29 @@ class TestExport:
         export([row], "csv", str(path))
         line = path.read_text(encoding="utf-8").splitlines()[1]
         assert "0.33333333333333331" in line
+
+    def test_numpy_scalars_write_their_python_values(self):
+        # a row of numpy ints and floats writes the bytes of its Python twin
+        plain = ParetoRow("ss", 2.5, 8, "omega", 3, 1 / 3, 0.1, 0.25,
+                          math.nan, math.inf, 500, 2, 2 ** 64 - 1)
+        numpy = ParetoRow("ss", np.float64(2.5), np.int64(8), "omega",
+                          np.int32(3), np.float64(1 / 3), np.float64(0.1),
+                          np.float64(0.25), np.float64(math.nan),
+                          np.float64(math.inf), np.int64(500), np.uint8(2),
+                          np.uint64(2 ** 64 - 1))
+        for fmt in ("csv", "json"):
+            want, got = io.StringIO(), io.StringIO()
+            export([plain, plain], fmt, want)
+            export([numpy, plain], fmt, got)
+            assert got.getvalue() == want.getvalue(), fmt
+        assert want.getvalue().startswith('[\n {\n  "protocol": "ss",\n')
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_dest_without_write_is_a_type_error(self, fmt):
+        # an int is not taken as a file descriptor
+        for dest in (1, None, b"o.csv"):
+            with pytest.raises(TypeError, match="dest"):
+                export([], fmt, dest)
 
     def test_bad_format_rejected(self, tmp_path):
         with pytest.raises(RangeError):
@@ -789,6 +849,113 @@ def test_wrong_kind_is_a_range_error(field, call):
     assert exc.value.field == field
 
 
+class _Gen(list):
+    """A pool value that each call reads as a fresh generator over it."""
+
+
+def _fresh(value):
+    return (v for v in value) if isinstance(value, _Gen) else value
+
+
+def _iterable(value) -> bool:
+    try:
+        iter(value)
+    except TypeError:
+        return False
+    return True
+
+
+_GRIDS = ("protocols", "eps_grid", "k_grid")
+
+
+def _documented_type_error(fn, spec) -> bool:
+    """Whether README names a TypeError for the call `fn(**spec)`: a sweep
+    grid that cannot be iterated, or an `export` whose rows cannot be
+    iterated or hold a non-ParetoRow, or whose dest is neither a path nor
+    has a write."""
+    if fn is pareto_sweep:
+        return not all(_iterable(spec[g]) for g in _GRIDS)
+    if fn is export:
+        rows, dest = spec["rows"], spec["dest"]
+        return (not _iterable(rows)
+                or not all(isinstance(r, ParetoRow) for r in _fresh(rows))
+                or not (isinstance(dest, (str, os.PathLike))
+                        or hasattr(dest, "write")))
+    return False
+
+
+def test_library_calls_end_cleanly(tmp_path, monkeypatch):
+    # seeded calls of the library's entry points: each starts valid, then up
+    # to two arguments take a value from a pool of odd kinds.  Every call
+    # must return, raise a package error (or an OSError for a file named by
+    # a path), or raise one of README's TypeError cases, and a returned
+    # sweep holds one row per point.  Sizes stay like the CLI fuzz: k <= 16,
+    # n <= 500, runs <= 2, and never more than 2 workers.
+    monkeypatch.chdir(tmp_path)  # a str path from the pool names a file here
+    good = tmp_path / "good.csv"
+    good.write_text("a,b\n1,x\n,y\n2,z\n3,w\n", encoding="utf-8")
+    experiment = ExperimentConfig(200, 2, 5)
+    rows = pareto_sweep(["grr", "she"], [2.0], [4], W_HALF, she_trials=100)
+    odd = [True, False, np.int64(2), np.float64(2.0), np.bool_(True),
+           np.array(2), np.array(2.0), math.nan, math.inf, -math.inf, "grr",
+           "", "x", b"\x08\x10", None, 0, 1, 2, _Gen([2.0, 8]),
+           _Gen(["oue"]), (), (1, 3), ("grr", "ss"), [], [2.0], [8], ["oue"],
+           [math.nan]]
+    calls = {
+        pareto_sweep: {"protocols": [["grr", "oue"], ("olh", "she"), ["ss"]],
+                       "eps_grid": [[1.0, 2.0], (4.0,)],
+                       "k_grid": [[4, 8], (16,)], "weights": [W_HALF],
+                       "experiment": [None, experiment], "workers": [1, 2],
+                       "she_trials": [100], "param": [None]},
+        run_experiment: {"protocol": [ProtocolConfig(Family.GRR, 1.0, 4),
+                                      resolve_protocol("oue", 2.0, 8)],
+                         "experiment": [experiment], "workers": [1, 2]},
+        resolve_protocol: {"name": ["grr", "ss", "olh", "alh"],
+                           "eps": [1.0, 4.0], "k": [4, 16],
+                           "weights": [W_HALF, None], "n": [1, 500],
+                           "param": [None]},
+        ExperimentConfig: {"n": [200, None], "runs": [1, 2],
+                           "master_seed": [0, 7], "data": ["dirichlet"]},
+        ProtocolConfig: {"family": [Family.SS, "lh"], "eps": [1.0],
+                         "k": [4, 16], "param": [2]},
+        gen_dirichlet: {"k": [4, 16], "n": [1, 500], "seed": [0, 7]},
+        load_csv_column: {"path": [str(good), good], "column": ["a"],
+                          "domain": [None, (1, 3)]},
+        export: {"rows": [rows, [], tuple(rows)], "format": ["csv", "json"],
+                 "dest": ["o.csv", tmp_path / "o.json", io.StringIO()]},
+    }
+    package_errors = (RangeError, DataError, UnsupportedFamily, NonFinite)
+    rng = random.Random(20261022)
+    outcomes = set()
+    for _ in range(500):
+        fn = rng.choice(list(calls))
+        spec = {arg: rng.choice(pool) for arg, pool in calls[fn].items()}
+        for arg in rng.sample(list(spec), rng.choice((0, 1, 1, 2))):
+            spec[arg] = rng.choice(odd)
+        args = {arg: _fresh(v) for arg, v in spec.items()}
+        try:
+            out = fn(**args)
+        except package_errors as exc:
+            outcomes.add(next(c for c in package_errors if isinstance(exc, c)))
+        except OSError:
+            assert fn in (load_csv_column, export), (fn.__name__, spec)
+            outcomes.add(OSError)
+        except TypeError as exc:
+            assert _documented_type_error(fn, spec), (fn.__name__, spec, exc)
+            outcomes.add(TypeError)
+        except Exception as exc:
+            pytest.fail(f"{fn.__name__}(**{spec}) raised {exc!r}")
+        else:
+            outcomes.add(None)
+            if fn is pareto_sweep:
+                points = [len(list(_fresh(spec[g]))) for g in _GRIDS]
+                assert len(out) == math.prod(points), spec
+    for fd in (0, 1, 2):  # no descriptor was closed
+        os.fstat(fd)
+    # the draws reach answers and each kind of error
+    assert outcomes == {None, RangeError, DataError, OSError, TypeError}
+
+
 def _main(capsys, *argv):
     """`cli.main` in-process: its exit code (argparse's, for a usage error)
     and what it wrote to stdout and stderr.  Any other exception escapes,
@@ -831,6 +998,14 @@ class TestCli:
         code, out, _ = _main(capsys, "optimize", *argv)
         assert code == 0 and out.count("\n") == 2
         assert _main(capsys, "analyze", *argv)[:2] == (0, out)
+
+    def test_pareto_prints_canonical_names(self, capsys):
+        # it printed the caller's OUE, where optimize prints oue
+        code, out, _ = _main(capsys, "pareto", "--protocols", "OUE,grr",
+                             "--eps", "2", "--k", "10")
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == [
+            "oue", "grr"]
 
     def test_analyze_reports_exact_large_g(self):
         r = self._run("analyze", "--protocol", "alh", "--eps", "40", "--k",

@@ -106,6 +106,15 @@ class TestValidateConfig:
         with pytest.raises(ValueError):
             ProtocolConfig("zzz", 1.0, 4)
 
+    @pytest.mark.parametrize("family", ["xx", 3, "GRR", None])
+    def test_unknown_family_is_a_range_error(self, family):
+        # it raised Enum's bare ValueError
+        with pytest.raises(RangeError) as exc:
+            ProtocolConfig(family, 1.0, 4)
+        assert exc.value.field == "family"
+        assert str(exc.value) == ("family must be one of grr, ss, ue, lh, "
+                                  f"she, the, got {family!r}")
+
     def test_range_error_carries_field_allowed_got(self):
         with pytest.raises(RangeError) as exc:
             ProtocolConfig(Family.GRR, -2.0, 4)
